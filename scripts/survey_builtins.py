@@ -4,7 +4,7 @@ name, order, eigenvalue count, classification case, verdict and method, and
 the minimum forward difference of r_t from the numeric cross-check."""
 
 from mnhd.certify import analyze
-from mnhd.cli import all_builtin_names, builtin_graph
+from mnhd.graphs import all_builtin_names, builtin_graph
 
 
 def main() -> None:

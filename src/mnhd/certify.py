@@ -1,14 +1,17 @@
 """Deciding monotonic normalized heat diffusion (MNHD).
 
-Three routes, in decreasing order of strength:
+Three routes, in decreasing order of strength.  The two exact ones share one
+engine: the graph's exact eigensystem, built once by `analyze`, and one
+grouping of the ordered vertex pairs by signature and exact Delta set.
 
 * certificate_bipartite -- an exact certificate for connected regular
   bipartite graphs with four distinct Laplacian eigenvalues.  Such a graph is
-  the incidence graph of a symmetric (n/2, d, lambda)-design, its projectors
-  have an explicit quadratic closed form, and every off-diagonal pair falls in
-  one of three signature classes W1/W2/W3 on which the Delta quantities are
-  constant.  The certificate records every sign and cancellation condition
-  that together force h_{u,v}(t) >= 0 for all t.
+  the incidence graph of a symmetric (n/2, d, lambda)-design, and the
+  certificate is a design layer on the engine: it checks the projectors
+  against their quadratic closed form, names the template's pair classes
+  W1/W2/W3, checks that the Delta quantities are constant on all pairs of
+  each class, and records every sign and cancellation condition that together
+  force h_{u,v}(t) >= 0 for all t.
 
 * delta_sign_analysis -- a generalized exact template for any connected graph
   with four distinct eigenvalues in a quadratic field: per signature class it
@@ -25,7 +28,6 @@ Three routes, in decreasing order of strength:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -40,15 +42,17 @@ from .heat import (DeltaSet, default_time_grid, delta_set, h_terms_exact,
 from .quadratic import QuadMatrix, QuadValue
 from .spectral import (Eigensystem, FourSpectrum, VanDamCase,
                        classify_spectrum, closed_form_projectors,
-                       exact_eigensystem, jacobi_eigendecompose,
-                       lagrange_projector, minimal_polynomial)
+                       exact_eigensystem, jacobi_eigendecompose)
+# Not called here (exact_eigensystem runs it); the benchmark's self-check
+# (perfbench/run.py --selfcheck) wraps it in this namespace to test its tracer.
+from .spectral import minimal_polynomial  # noqa: F401
 
 PROVEN = "ProvenMNHD"
 FAILED = "SignCheckFailed"
 NOT_APPLICABLE = "NotApplicable"
 NUMERIC_ONLY = "NumericOnly"
 
-_SPOT_CHECK_SEED = 12345
+Pair = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -92,7 +96,7 @@ def _not_applicable(method: str, reason: str) -> Certificate:
 
 
 # ---------------------------------------------------------------------------
-# pair classification (bipartite incidence case)
+# pair classes
 
 
 def classify_pair(L: np.ndarray, L2: np.ndarray, u: int, v: int,
@@ -119,6 +123,34 @@ def classify_pair(L: np.ndarray, L2: np.ndarray, u: int, v: int,
     return PairClass(tag, sig)
 
 
+def _pair_classes(L: np.ndarray, L2: np.ndarray, es: Eigensystem
+                  ) -> list[tuple[tuple, list[tuple[DeltaSet, list[Pair]]]]]:
+    """Group the ordered pairs u != v by their (L(u,u), L(v,v), L(u,v),
+    L^2(u,v)) signature, in sorted signature order.  Deltas come from the
+    projectors of the nonzero eigenvalues of the connected graph's
+    eigensystem.  An exact eigensystem splits each group by exact DeltaSet,
+    the subclasses in order of their first pair; a float one keeps each group
+    whole with the DeltaSet of its first pair."""
+    groups: dict[tuple, list[Pair]] = {}
+    for u in range(es.n):
+        for v in range(es.n):
+            if u != v:
+                sig = (int(L[u, u]), int(L[v, v]), int(L[u, v]), int(L2[u, v]))
+                groups.setdefault(sig, []).append((u, v))
+    projectors = [grp.projector for grp in es.groups[1:]]
+    out = []
+    for sig in sorted(groups):
+        pairs = groups[sig]
+        if es.mode != "exact":
+            out.append((sig, [(delta_set(projectors, *pairs[0]), pairs)]))
+            continue
+        by_delta: dict[DeltaSet, list[Pair]] = {}
+        for u, v in pairs:
+            by_delta.setdefault(delta_set(projectors, u, v), []).append((u, v))
+        out.append((sig, list(by_delta.items())))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the bipartite certificate
 
@@ -127,11 +159,13 @@ def _sign_str(x: QuadValue) -> str:
     return f"{x} ~ {float(x):+.6g}"
 
 
-def certificate_bipartite(g: Graph) -> Certificate:
+def certificate_bipartite(g: Graph,
+                          es: Eigensystem | None = None) -> Certificate:
     """Run the exact MNHD certificate for a connected regular bipartite graph
-    with four distinct Laplacian eigenvalues.  Returns NotApplicable when the
-    structural preconditions fail; otherwise performs every check in exact
-    arithmetic and returns ProvenMNHD only if all of them hold."""
+    with four distinct Laplacian eigenvalues, on its exact eigensystem `es`
+    (built here when not given).  Returns NotApplicable when the structural
+    preconditions fail; otherwise performs every check in exact arithmetic and
+    returns ProvenMNHD only if all of them hold."""
     method = "bipartite-certificate"
     f = facts(g)
     if not f.connected:
@@ -141,13 +175,14 @@ def certificate_bipartite(g: Graph) -> Certificate:
     if f.bipartition is None:
         return _not_applicable(method, "graph is not bipartite")
     L = laplacian(g)
-    try:
-        mu = minimal_polynomial(L, max_degree=4)
-    except NotFourEigenvaluesError:
-        return _not_applicable(method, "more than four distinct Laplacian eigenvalues")
-    if len(mu) != 5:
-        return _not_applicable(
-            method, f"{len(mu) - 1} distinct Laplacian eigenvalues, need four")
+    if es is None:
+        try:
+            es = exact_eigensystem(L)
+        except NotFourEigenvaluesError:
+            count = len(jacobi_eigendecompose(L).groups)
+            return _not_applicable(method, (
+                f"{count} distinct Laplacian eigenvalues, need four"
+                if count < 4 else "more than four distinct Laplacian eigenvalues"))
 
     n, d = g.n, f.regular_degree
     checks: list[CertificateCheck] = []
@@ -171,77 +206,65 @@ def certificate_bipartite(g: Graph) -> Certificate:
     lam1, lam2, lam3 = fs.nonzero()
     c1, c2, c3 = fs.constants()
 
-    # spectrum: minimal polynomial must equal x(x-lam1)(x-lam2)(x-lam3)
-    q = d * d - d + lam  # lam1*lam2
-    expected_mu = [0, -2 * d * q, 4 * d * d + q, -4 * d, 1]
-    record("spectrum_matches_design_form", mu == expected_mu,
-           f"spectrum {{0, {lam1}, {lam2}, {lam3}}}, min poly coeffs {mu}")
+    sigma = es.values()
+    record("spectrum_matches_design_form", sigma == [fs.lam0, lam1, lam2, lam3],
+           f"spectrum {{{', '.join(map(str, sigma))}}}, design form "
+           f"{{0, {lam1}, {lam2}, {lam3}}}")
 
     record("constants_sign_pattern",
            c1.sign() > 0 and c3.sign() > 0 and c2.sign() < 0,
            f"C1={_sign_str(c1)}, C2={_sign_str(c2)}, C3={_sign_str(c3)}")
     record("constants_product_identity", c2 == -(lam2 * lam2 * c1 * c3),
            "C2 = -lam2^2 C1 C3")
+    q = d * d - d + lam  # lam1*lam2
     record("order_identity", QuadValue(q) == QuadValue(Fraction(n * lam, 2)),
            f"d^2 - d + lambda = {q} = n*lambda/2")
 
-    # projector algebra, all exact
-    sigma = [fs.lam0, lam1, lam2, lam3]
-    lagrange = [lagrange_projector(L, sigma, i) for i in range(4)]
-    record("closed_form_equals_lagrange",
-           all(a == b for a, b in zip(lagrange[1:], (P1, P2, P3))),
+    # projector algebra on the engine's Lagrange projectors, all exact
+    projs = [grp.projector for grp in es.groups]
+    record("closed_form_equals_lagrange", projs[1:] == [P1, P2, P3],
            "quadratic closed form reproduces the Lagrange projectors")
-    m = lam1.m
-    P0 = QuadMatrix.constant(n, QuadValue(Fraction(1, n)), m)
-    record("closed_form_p0", lagrange[0] == P0, "P0 = J/n")
-    eye = QuadMatrix.identity(n, m)
-    projs = [P0, P1, P2, P3]
+    m = projs[0].m
+    record("closed_form_p0",
+           projs[0] == QuadMatrix.constant(n, QuadValue(Fraction(1, n)), m),
+           "P0 = J/n")
     record("projector_resolution",
-           (P0 + P1 + P2 + P3 - eye).is_zero(), "P0+P1+P2+P3 = I")
+           (projs[0] + projs[1] + projs[2] + projs[3]
+            - QuadMatrix.identity(n, m)).is_zero(), "P0+P1+P2+P3 = I")
     ortho = all((projs[i] @ projs[j]).is_zero()
                 for i in range(4) for j in range(4) if i != j)
     record("projector_orthogonality", ortho, "Pi Pj = 0 for i != j")
     idem = all(((P @ P) - P).is_zero() for P in projs)
     record("projector_idempotent", idem, "Pi^2 = Pi")
-    recon = P1.scale(lam1) + P2.scale(lam2) + P3.scale(lam3)
+    recon = (projs[1].scale(sigma[1]) + projs[2].scale(sigma[2])
+             + projs[3].scale(sigma[3]))
     record("laplacian_reconstruction",
            (recon - QuadMatrix.from_int(L, m)).is_zero(),
            "lam1 P1 + lam2 P2 + lam3 P3 = L")
     v_half = n // 2
-    traces = (P1.trace(), P2.trace(), P3.trace())
-    record("multiplicity_pattern",
-           traces == (QuadValue(v_half - 1), QuadValue(v_half - 1), QuadValue(1)),
-           f"multiplicities (1, {traces[0]}, {traces[1]}, {traces[2]})")
+    mults = tuple(grp.multiplicity for grp in es.groups[1:])
+    record("multiplicity_pattern", mults == (v_half - 1, v_half - 1, 1),
+           f"multiplicities (1, {mults[0]}, {mults[1]}, {mults[2]})")
 
-    # classify all ordered pairs; UnknownSignatureError propagates
+    # the template's pair classes, named W1/W2/W3 by their (L, L^2)
+    # signature; UnknownSignatureError propagates
     L2 = L @ L
-    class_pairs: dict[str, list[tuple[int, int]]] = {"W1": [], "W2": [], "W3": []}
-    signatures = {"W1": (-1, -2 * d), "W2": (0, lam), "W3": (0, 0)}
-    for u in range(n):
-        for v in range(n):
-            if u != v:
-                pc = classify_pair(L, L2, u, v, n, d, lam)
-                class_pairs[pc.tag].append((u, v))
-    record("pair_classification_complete",
-           sum(len(p) for p in class_pairs.values()) == n * (n - 1),
-           f"counts W1={len(class_pairs['W1'])}, W2={len(class_pairs['W2'])}, "
-           f"W3={len(class_pairs['W3'])}")
-
-    # Delta quantities are class functions; spot-check, then use one
-    # representative per class
-    rng = random.Random(_SPOT_CHECK_SEED)
-    projectors = (P1, P2, P3)
     rows: list[ClassRow] = []
-    deltas: dict[str, DeltaSet] = {}
     constant = True
-    for tag, pairs in class_pairs.items():
-        rep = delta_set(projectors, *pairs[0])
-        sample = rng.sample(pairs, min(5, len(pairs)))
-        constant &= all(delta_set(projectors, u, v) == rep for u, v in sample)
-        deltas[tag] = rep
-        rows.append(ClassRow(tag, signatures[tag], len(pairs), rep))
+    for _, subclasses in _pair_classes(L, L2, es):
+        ds, members = subclasses[0]
+        pc = classify_pair(L, L2, *members[0], n, d, lam)
+        count = sum(len(pairs) for _, pairs in subclasses)
+        rows.append(ClassRow(pc.tag, pc.signature, count, ds))
+        constant &= len(subclasses) == 1
+    rows.sort(key=lambda row: row.tag)
+    counts = {row.tag: row.count for row in rows}
+    record("pair_classification_complete",
+           sum(counts.values()) == n * (n - 1),
+           f"counts W1={counts['W1']}, W2={counts['W2']}, W3={counts['W3']}")
     record("class_constancy_spot_check", constant,
-           "Delta sets agree on 5 random pairs per class")
+           "one Delta set per class over all of its pairs")
+    deltas = {row.tag: row.deltas for row in rows}
 
     inv_n = QuadValue(Fraction(1, n))
 
@@ -294,18 +317,18 @@ def certificate_bipartite(g: Graph) -> Certificate:
     record("w3_derivative_at_zero", _h0(fs, w3, n) == QuadValue(0),
            "h(0) = -L(u,v) = 0")
 
-    all_ok = all(c.passed for c in checks)
-    verdict = PROVEN if all_ok else FAILED
-    reason = None if all_ok else "; ".join(c.name for c in checks if not c.passed)
+    verdict, reason = _verdict(checks)
     return Certificate(verdict, method, reason, tuple(checks), tuple(rows))
 
 
+def _verdict(checks: list[CertificateCheck]) -> tuple[str, str | None]:
+    """ProvenMNHD when every check passed, else the failed checks' names."""
+    failed = [c.name for c in checks if not c.passed]
+    return (FAILED, "; ".join(failed)) if failed else (PROVEN, None)
+
+
 def _h0(fs: FourSpectrum, ds: DeltaSet, n: int) -> QuadValue:
-    terms = h_terms_exact(fs, ds, n)
-    total = QuadValue(0)
-    for coeff in terms.values():
-        total = total + coeff
-    return total
+    return sum(h_terms_exact(fs, ds, n).values(), QuadValue(0))
 
 
 # ---------------------------------------------------------------------------
@@ -326,18 +349,16 @@ class DeltaAnalysis:
         return self.verdict == PROVEN
 
 
-def _template_row(fs: FourSpectrum, ds: DeltaSet, n: int,
-                  sig: tuple) -> tuple[bool, str | None, str]:
-    """Certify one class row.  Route 1: every merged exponential coefficient
-    of h is nonnegative, so h >= 0 termwise.  Route 2: after multiplying by
-    e^{lam3 t}, no growing exponential has a negative coefficient and the
-    growing terms' derivative budget dominates the decaying positive terms',
-    so the product is nondecreasing from h(0) >= 0."""
-    terms = h_terms_exact(fs, ds, n)
-    h0 = _h0(fs, ds, n)
+def _template_row(lam3: QuadValue, terms: dict[QuadValue, QuadValue],
+                  h0: QuadValue, sig: tuple) -> tuple[bool, str | None, str]:
+    """Certify one class row from the exponential terms of its h.  Route 1:
+    every merged exponential coefficient of h is nonnegative, so h >= 0
+    termwise.  Route 2: after multiplying by e^{lam3 t}, no growing
+    exponential has a negative coefficient and the growing terms' derivative
+    budget dominates the decaying positive terms', so the product is
+    nondecreasing from h(0) >= 0."""
     if all(c.sign() >= 0 for c in terms.values()):
         return True, "nonnegative-coefficients", "all h coefficients >= 0"
-    lam3 = fs.lam3
     zero = QuadValue(0)
     budget, cost = zero, zero
     for rate, coeff in terms.items():
@@ -358,84 +379,58 @@ def _template_row(fs: FourSpectrum, ds: DeltaSet, n: int,
     return False, None, f"budget {budget} < cost {cost} for signature {sig}"
 
 
-def delta_sign_analysis(g: Graph) -> DeltaAnalysis:
-    """Group off-diagonal ordered pairs by their (L(u,u), L(v,v), L(u,v),
-    L^2(u,v)) signature, compute exact DeltaSets from Lagrange projectors, and
-    certify each class with the exponential-sign template.  Falls back to a
-    float table labelled NumericOnly when the eigenvalues are not quadratic."""
+def delta_sign_analysis(g: Graph,
+                        es: Eigensystem | None = None) -> DeltaAnalysis:
+    """Certify each pair class of a connected four-eigenvalue graph with the
+    exponential-sign template, from exact DeltaSets of the exact eigensystem
+    `es` (built here when not given).  Falls back to a float table labelled
+    NumericOnly when the eigenvalues are not quadratic."""
     f = facts(g)
     if not f.connected:
         return DeltaAnalysis(NOT_APPLICABLE, False, "graph is not connected", ())
     L = laplacian(g)
-    L2 = L @ L
-    try:
-        es = exact_eigensystem(L)
-    except NonQuadraticEigenvaluesError as exc:
-        return _numeric_delta_table(g, L, L2, str(exc))
-    # NotFourEigenvaluesError propagates: the template needs four eigenvalues
+    if es is None:
+        try:
+            es = exact_eigensystem(L)
+        except NonQuadraticEigenvaluesError as exc:
+            return _numeric_delta_table(L, jacobi_eigendecompose(L), str(exc))
+        # NotFourEigenvaluesError propagates: the template needs four
 
-    nonzero = [grp for grp in es.groups if grp.value != QuadValue(0)]
-    fs = FourSpectrum.from_eigenvalues(*[grp.value for grp in nonzero])
-    projectors = [grp.projector for grp in nonzero]
-
-    groups: dict[tuple, list[tuple[int, int]]] = {}
-    for u in range(g.n):
-        for v in range(g.n):
-            if u != v:
-                sig = (int(L[u, u]), int(L[v, v]), int(L[u, v]), int(L2[u, v]))
-                groups.setdefault(sig, []).append((u, v))
-
+    fs = FourSpectrum.from_eigenvalues(*es.values()[1:])
     rows: list[ClassRow] = []
     checks: list[CertificateCheck] = []
     n = g.n
-    for idx, sig in enumerate(sorted(groups), start=1):
-        pairs = groups[sig]
-        by_delta: dict[tuple, list[tuple[int, int]]] = {}
-        for u, v in pairs:
-            ds = delta_set(projectors, u, v)
-            by_delta.setdefault(ds.as_tuple(), []).append((u, v))
-        for sub, (key, members) in enumerate(sorted(by_delta.items(),
-                                                    key=lambda kv: kv[1][0])):
-            tag = f"S{idx}" if len(by_delta) == 1 else f"S{idx}.{sub + 1}"
-            ds = DeltaSet(*key)
+    classes = _pair_classes(L, L @ L, es)
+    for idx, (sig, subclasses) in enumerate(classes, start=1):
+        for sub, (ds, members) in enumerate(subclasses, start=1):
+            tag = f"S{idx}" if len(subclasses) == 1 else f"S{idx}.{sub}"
             deltas_ok = all(x.sign() >= 0 for x in (ds.d1, ds.d2, ds.d3))
             checks.append(CertificateCheck(
                 f"{tag}_delta_nonneg", f"D1={ds.d1}, D2={ds.d2}, D3={ds.d3}",
                 deltas_ok))
-            proven, route, detail = _template_row(fs, ds, n, sig)
+            terms = h_terms_exact(fs, ds, n)
+            h0 = sum(terms.values(), QuadValue(0))
+            proven, route, detail = _template_row(fs.lam3, terms, h0, sig)
             checks.append(CertificateCheck(f"{tag}_monotone_template", detail,
                                            proven))
-            h0 = _h0(fs, ds, n)
             checks.append(CertificateCheck(
-                f"{tag}_derivative_at_zero",
-                f"h(0) = {h0} = -L(u,v)", h0 == QuadValue(-int(L[members[0][0],
-                                                                members[0][1]]))))
+                f"{tag}_derivative_at_zero", f"h(0) = {h0} = -L(u,v)",
+                h0 == QuadValue(-sig[2])))
             rows.append(ClassRow(tag, sig, len(members), ds,
                                  proven and deltas_ok, route))
-    all_ok = all(c.passed for c in checks)
-    verdict = PROVEN if all_ok else FAILED
-    reason = None if all_ok else "; ".join(c.name for c in checks if not c.passed)
+    verdict, reason = _verdict(checks)
     return DeltaAnalysis(verdict, True, reason, tuple(rows), tuple(checks), fs)
 
 
-def _numeric_delta_table(g: Graph, L: np.ndarray, L2: np.ndarray,
+def _numeric_delta_table(L: np.ndarray, es: Eigensystem,
                          why: str) -> DeltaAnalysis:
-    es = jacobi_eigendecompose(L)
+    """Float DeltaSets per signature class from the Jacobi eigensystem `es`."""
     if len(es.groups) != 4:
         raise NotFourEigenvaluesError(
             f"{len(es.groups)} distinct eigenvalues, need 4")
-    projectors = [proj for value, proj in es.float_groups() if value > 1e-9]
-    groups: dict[tuple, list[tuple[int, int]]] = {}
-    for u in range(g.n):
-        for v in range(g.n):
-            if u != v:
-                sig = (int(L[u, u]), int(L[v, v]), int(L[u, v]), int(L2[u, v]))
-                groups.setdefault(sig, []).append((u, v))
-    rows = []
-    for idx, sig in enumerate(sorted(groups), start=1):
-        u, v = groups[sig][0]
-        rows.append(ClassRow(f"S{idx}", sig, len(groups[sig]),
-                             delta_set(projectors, u, v), None, None))
+    rows = [ClassRow(f"S{idx}", sig, len(pairs), ds, None, None)
+            for idx, (sig, [(ds, pairs)]) in
+            enumerate(_pair_classes(L, L @ L, es), start=1)]
     return DeltaAnalysis(NUMERIC_ONLY, False,
                          f"not proven: {why}; float table is evidence only",
                          tuple(rows))
@@ -613,26 +608,30 @@ REPORT_SCHEMA = {
 
 def analyze(g: Graph) -> MnhdReport:
     """Full pipeline: facts, numeric spectrum, classification when it applies,
-    the strongest applicable exact route, and the numeric cross-check."""
+    the strongest applicable exact route, and the numeric cross-check.  Each
+    eigensystem is built once and handed to the route that runs."""
     f = facts(g)
     L = laplacian(g)
     es = jacobi_eigendecompose(L)
 
-    exact_values: dict[int, QuadValue] = {}
+    exact: Eigensystem | None = None
+    cubic: str | None = None
     if f.connected and len(es.groups) == 4:
         try:
-            exact_es_values = [grp.value for grp in exact_eigensystem(L).groups]
-            exact_values = dict(enumerate(exact_es_values))
-        except (NotFourEigenvaluesError, NonQuadraticEigenvaluesError):
-            pass
+            exact = exact_eigensystem(L)
+        except NonQuadraticEigenvaluesError as exc:
+            cubic = str(exc)
+        # NotFourEigenvaluesError propagates: the Jacobi grouping merged two
+        # distinct eigenvalues, and no route can run
+    exact_values = [None] * len(es.groups) if exact is None else exact.values()
     spectrum = tuple(
-        SpectrumEntry(float(grp.value), grp.multiplicity, exact_values.get(i))
-        for i, grp in enumerate(es.groups))
+        SpectrumEntry(float(grp.value), grp.multiplicity, value)
+        for grp, value in zip(es.groups, exact_values))
 
     van_dam = None
     if f.regular_degree is not None and len(es.groups) == 4:
-        entries = [(exact_values.get(i, grp.value), grp.multiplicity)
-                   for i, grp in enumerate(es.groups)]
+        entries = [(grp.value if value is None else value, grp.multiplicity)
+                   for grp, value in zip(es.groups, exact_values)]
         try:
             van_dam = classify_spectrum(entries, g.n, f.regular_degree)
         except NoCaseMatchesError:
@@ -644,9 +643,10 @@ def analyze(g: Graph) -> MnhdReport:
         certificate = _not_applicable(
             "none", f"{len(es.groups)} distinct Laplacian eigenvalues, need four")
     elif f.regular_degree is not None and f.bipartition is not None:
-        certificate = certificate_bipartite(g)
+        certificate = certificate_bipartite(g, exact)
     else:
-        analysis = delta_sign_analysis(g)
+        analysis = (delta_sign_analysis(g, exact) if cubic is None
+                    else _numeric_delta_table(L, es, cubic))
         method = ("delta-sign-template" if analysis.exact
                   else "numeric-delta-table")
         certificate = Certificate(analysis.verdict, method, analysis.reason,

@@ -14,45 +14,12 @@ from contextlib import contextmanager
 
 from . import designs, graphs
 from .certify import PROVEN, analyze, delta_sign_analysis, numeric_check
-from .errors import GraphInputError, MnhdError
+from .errors import MnhdError
 from .heat import default_time_grid, ratio_curve, write_curve_csv
 from .reference import (CAYLEY_S3_CLASS_NAMES, CAYLEY_S3_REFERENCE,
                         DELTA_FIELDS, WHEEL6_CLASS_NAMES, WHEEL6_REFERENCE,
                         catalog_spectrum_comparison, compare_delta_rows)
 from .spectral import jacobi_eigendecompose
-
-BUILTIN_DOC = ("fano, fano-complement, design-742, cayley-s3, wheel-6, "
-               "crown-<v>, cycle-<n>")
-
-
-def builtin_graph(name: str) -> graphs.Graph:
-    """Resolve a builtin graph name (see BUILTIN_DOC)."""
-    fixed = {
-        "fano": graphs.fano_incidence,
-        "design-742": graphs.design_742_incidence,
-        "cayley-s3": graphs.cayley_s3,
-        "wheel-6": graphs.wheel6,
-    }
-    if name in fixed:
-        return fixed[name]()
-    if name == "fano-complement":
-        return graphs.incidence_graph(
-            designs.complement_design(designs.fano_design()))
-    for prefix, builder in (("crown-", graphs.crown), ("cycle-", graphs.cycle)):
-        if name.startswith(prefix):
-            try:
-                return builder(int(name[len(prefix):]))
-            except ValueError:
-                break
-    raise GraphInputError(f"unknown builtin {name!r}; available: {BUILTIN_DOC}")
-
-
-def all_builtin_names() -> list[str]:
-    """The canonical builtin family exercised by the acceptance suite."""
-    return ([f"crown-{v}" for v in range(5, 16)]
-            + [f"cycle-{k}" for k in range(4, 8)]
-            + ["fano", "fano-complement", "design-742", "cayley-s3", "wheel-6"])
-
 
 @contextmanager
 def _open_out(path: str | None):
@@ -184,7 +151,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("design")
     p.add_argument("--out")
 
-    p = sub.add_parser("builtin", help=f"write a builtin graph ({BUILTIN_DOC})")
+    p = sub.add_parser("builtin",
+                       help=f"write a builtin graph ({graphs.BUILTIN_DOC})")
     p.add_argument("name")
     p.add_argument("--out")
 
@@ -251,7 +219,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "builtin":
-        g = builtin_graph(args.name)
+        g = graphs.builtin_graph(args.name)
         with _open_out(args.out) as fp:
             graphs.write_edge_list(g, fp)
         return 0

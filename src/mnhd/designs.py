@@ -16,8 +16,9 @@ from itertools import combinations
 from typing import IO, Iterable, NamedTuple
 
 from .errors import (DegenerateDesignError, DegenerateParamsError,
-                     DesignError, FileFormatError, NotBalancedError,
-                     NotUniformError, ReplicationVariesError)
+                     DesignError, FileFormatError, InvariantViolationError,
+                     NotBalancedError, NotUniformError,
+                     ReplicationVariesError)
 from .quadratic import QuadValue
 
 
@@ -83,7 +84,10 @@ def validate_design(design: Design) -> DesignParams:
         raise DegenerateDesignError("blocks equal to the whole ground set (d = v)")
     b = len(design.blocks)
     params = DesignParams(design.v, b, d, r, lam)
-    assert b * d == design.v * r and lam * (design.v - 1) == r * (d - 1)
+    if b * d != design.v * r or lam * (design.v - 1) != r * (d - 1):
+        raise InvariantViolationError(
+            f"design identities bd = vr and lambda(v-1) = r(d-1) fail for "
+            f"{params}")
     return params
 
 

@@ -79,3 +79,14 @@ class NonQuadraticEigenvaluesError(MnhdError):
 
 class NoCaseMatchesError(MnhdError):
     """Spectrum fits none of the three classification cases."""
+
+
+class InvariantViolationError(MnhdError, ArithmeticError):
+    """A mathematical identity that holds for every valid input failed: a
+    minimal polynomial that is not monic and integral, multiplicities that are
+    not integers summing to n, violated 2-design counting identities, or a
+    heat-kernel diagonal entry below 1/n."""
+
+
+class ExactEigensystemRequiredError(MnhdError, ValueError):
+    """An exact-only computation was given a numeric eigensystem."""

@@ -1,6 +1,6 @@
-"""Finite simple graphs: validation, structural facts, Laplacians, and the
+"""Finite simple graphs: validation, structural facts, Laplacians, the
 built-in constructors (cycles, crowns, design incidence graphs, the S3 Cayley
-graph, the 6-wheel).
+graph, the 6-wheel), and the registry that resolves builtin graph names.
 
 Vertices are indices 0..n-1.  Edges are unordered pairs stored as (min, max)
 tuples.  All matrices are exact integer ndarrays.
@@ -15,9 +15,16 @@ from typing import IO, Iterable
 
 import numpy as np
 
+from .designs import (complement_design, design_742, fano_design,
+                      validate_design)
 from .errors import FileFormatError, GraphInputError
 
 Edge = tuple[int, int]
+
+# facts() results kept for the most recently analyzed graphs; a small bound
+# keeps a long-running caller that analyzes many graphs from growing without
+# limit
+FACTS_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -66,7 +73,7 @@ def build_graph(n: int, edges: Iterable[Edge]) -> Graph:
     return Graph(n, frozenset(seen))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FACTS_CACHE_SIZE)
 def facts(g: Graph) -> GraphFacts:
     """Connectivity (BFS), regular degree if all degrees agree, and a
     bipartition from 2-coloring when no odd cycle exists."""
@@ -156,8 +163,6 @@ def cayley_s3() -> Graph:
 def incidence_graph(design) -> Graph:
     """Bipartite graph on points 0..v-1 and blocks v..v+b-1, with point x
     adjacent to block B iff x is a member of B.  Validates the design first."""
-    from .designs import validate_design
-
     validate_design(design)
     v = design.v
     edges = [(x, v + bi) for bi, blk in enumerate(design.blocks) for x in sorted(blk)]
@@ -166,16 +171,47 @@ def incidence_graph(design) -> Graph:
 
 def fano_incidence() -> Graph:
     """Incidence graph of the Fano plane (the Heawood graph)."""
-    from .designs import fano_design
-
     return incidence_graph(fano_design())
 
 
 def design_742_incidence() -> Graph:
     """Incidence graph of the built-in (7, 4, 2) symmetric design."""
-    from .designs import design_742
-
     return incidence_graph(design_742())
+
+
+# ---------------------------------------------------------------------------
+# builtin registry
+
+BUILTIN_DOC = ("fano, fano-complement, design-742, cayley-s3, wheel-6, "
+               "crown-<v>, cycle-<n>")
+
+
+def builtin_graph(name: str) -> Graph:
+    """Resolve a builtin graph name (see BUILTIN_DOC)."""
+    fixed = {
+        "fano": fano_incidence,
+        "design-742": design_742_incidence,
+        "cayley-s3": cayley_s3,
+        "wheel-6": wheel6,
+    }
+    if name in fixed:
+        return fixed[name]()
+    if name == "fano-complement":
+        return incidence_graph(complement_design(fano_design()))
+    for prefix, builder in (("crown-", crown), ("cycle-", cycle)):
+        if name.startswith(prefix):
+            try:
+                return builder(int(name[len(prefix):]))
+            except ValueError:
+                break
+    raise GraphInputError(f"unknown builtin {name!r}; available: {BUILTIN_DOC}")
+
+
+def all_builtin_names() -> list[str]:
+    """The canonical builtin family exercised by the acceptance suite."""
+    return ([f"crown-{v}" for v in range(5, 16)]
+            + [f"cycle-{k}" for k in range(4, 8)]
+            + ["fano", "fano-complement", "design-742", "cayley-s3", "wheel-6"])
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NegativeTimeError, SameVertexError
+from .errors import (ExactEigensystemRequiredError, InvariantViolationError,
+                     NegativeTimeError, SameVertexError)
 from .quadratic import QuadMatrix, QuadValue
 from .spectral import Eigensystem, FourSpectrum
 
@@ -59,7 +60,8 @@ def ratio(es: Eigensystem, u: int, v: int, t: float) -> float:
         raise SameVertexError(f"u = v = {u}")
     H = heat_at(es, t)
     huu = H[u, u]
-    assert huu >= 1.0 / es.n - 1e-9  # P0 diagonal plus nonnegative decay terms
+    if huu < 1.0 / es.n - 1e-9:  # P0 diagonal plus nonnegative decay terms
+        raise InvariantViolationError(f"H_t(u,u) = {huu} is below 1/n")
     return H[u, v] / huu
 
 
@@ -150,7 +152,9 @@ def h_terms_from_eigensystem(es: Eigensystem, u: int, v: int
     """The same exponential-coefficient map computed from the derivative
     product H'(u,v)H(u,u) - H(u,v)H'(u,u) with H' = -sum lam exp(-t*lam) P.
     Independent of the Delta-based expansion; used as its cross-check."""
-    assert es.mode == "exact"
+    if es.mode != "exact":
+        raise ExactEigensystemRequiredError(
+            "h_terms_from_eigensystem needs an exact eigensystem")
     entries = []
     for g in es.groups:
         entries.append((g.value, g.projector.entry(u, u), g.projector.entry(u, v)))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .designs import catalog
-from .graphs import laplacian
+from .graphs import builtin_graph, laplacian
 from .heat import DeltaSet
 from .quadratic import QuadValue
 from .spectral import jacobi_eigendecompose
@@ -118,8 +118,6 @@ class CatalogComparison:
 def catalog_spectrum_comparison() -> list[CatalogComparison]:
     """Rebuild every catalog row with a built-in constructor and compare the
     numerically computed distinct spectrum against the catalog values."""
-    from .cli import builtin_graph
-
     out = []
     for row in catalog():
         if row.builder is None:

@@ -14,9 +14,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (AmbiguousGapError, DegenerateParamsError,
-                     NoCaseMatchesError, NoConvergenceError,
-                     NonQuadraticEigenvaluesError, NonSymmetricError,
-                     NotFourEigenvaluesError, RepeatedEigenvalueError)
+                     InvariantViolationError, NoCaseMatchesError,
+                     NoConvergenceError, NonQuadraticEigenvaluesError,
+                     NonSymmetricError, NotFourEigenvaluesError,
+                     RepeatedEigenvalueError)
 from .quadratic import QuadMatrix, QuadValue
 
 DEFAULT_TOL = 1e-9
@@ -184,7 +185,9 @@ def minimal_polynomial(L: np.ndarray, max_degree: int | None = None) -> list[int
         if pivot is None:
             # dependency found; monic since earlier reductions leave coords[k]
             coeffs = coords[:k + 1]
-            assert coeffs[k] == 1 and all(c.denominator == 1 for c in coeffs)
+            if coeffs[k] != 1 or any(c.denominator != 1 for c in coeffs):
+                raise InvariantViolationError(
+                    f"minimal polynomial {coeffs} is not monic and integral")
             return [int(c) for c in coeffs]
         basis.append((frac, coords, pivot))
         if k < cap:
@@ -285,9 +288,14 @@ def exact_eigensystem(L: np.ndarray) -> Eigensystem:
     for i, lam in enumerate(sigma):
         P = lagrange_projector(L, sigma, i)
         mult = P.trace()
-        assert mult.is_integer
+        if not mult.is_integer:
+            raise InvariantViolationError(
+                f"projector trace {mult} of eigenvalue {lam} is not an integer")
         groups.append(EigenGroup(lam, int(mult.as_fraction()), P))
-    assert sum(g.multiplicity for g in groups) == L.shape[0]
+    total = sum(g.multiplicity for g in groups)
+    if total != L.shape[0]:
+        raise InvariantViolationError(
+            f"multiplicities sum to {total}, not n = {L.shape[0]}")
     return Eigensystem(L.shape[0], tuple(groups), "exact")
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from mnhd.certify import analyze
-from mnhd.cli import all_builtin_names, builtin_graph
+from mnhd.graphs import all_builtin_names, builtin_graph
 from mnhd.errors import (NonQuadraticEigenvaluesError,
                          NotFourEigenvaluesError)
 from mnhd.graphs import laplacian

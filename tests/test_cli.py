@@ -3,9 +3,9 @@ import math
 
 import pytest
 
-from mnhd.cli import all_builtin_names, builtin_graph, main, reproduce_tables
+from mnhd.cli import main, reproduce_tables
 from mnhd.errors import GraphInputError
-from mnhd.graphs import read_edge_list
+from mnhd.graphs import all_builtin_names, builtin_graph, read_edge_list
 
 
 def run(capsys, *argv):

@@ -1,0 +1,54 @@
+"""analyze() builds each eigensystem once per graph and hands it to the route
+that runs: counts of the spectral layers per call, with every binding of a
+counted function wrapped in every `mnhd` module namespace."""
+
+import sys
+from collections import Counter
+
+import pytest
+
+import mnhd.spectral
+from mnhd.certify import analyze
+from mnhd.graphs import builtin_graph
+
+COUNTED = ("minimal_polynomial", "exact_eigensystem", "lagrange_projector",
+           "jacobi_eigendecompose")
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in COUNTED:
+        original = getattr(mnhd.spectral, name)
+        wrapper = counting(name, original)
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name == "mnhd" or mod_name.startswith("mnhd."):
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, wrapper)
+    return counts
+
+
+@pytest.mark.parametrize("name, minimal, exact, lagrange, jacobi", [
+    ("crown-7", 1, 1, 4, 1),     # bipartite certificate
+    ("cayley-s3", 1, 1, 4, 1),   # delta-sign template
+    ("cycle-7", 1, 1, 0, 1),     # cubic eigenvalues: float delta table
+    ("cycle-6", 1, 1, 4, 1),
+    ("wheel-6", 1, 1, 4, 1),
+    ("cycle-5", 0, 0, 0, 1),     # three eigenvalues: numeric check only
+])
+def test_analyze_builds_each_eigensystem_once(calls, name, minimal, exact,
+                                              lagrange, jacobi):
+    g = builtin_graph(name)
+    analyze(g)
+    assert dict(calls) == {key: count for key, count in (
+        ("minimal_polynomial", minimal), ("exact_eigensystem", exact),
+        ("lagrange_projector", lagrange), ("jacobi_eigendecompose", jacobi))
+        if count}

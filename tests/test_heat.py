@@ -1,10 +1,15 @@
 import io
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mnhd.errors import NegativeTimeError, SameVertexError
+from mnhd.errors import (ExactEigensystemRequiredError, NegativeTimeError,
+                         SameVertexError)
 from mnhd.graphs import (cayley_s3, crown, cycle, design_742_incidence,
                          laplacian, wheel6)
 from mnhd.heat import (DeltaSet, default_time_grid, delta_set, h_function,
@@ -184,6 +189,30 @@ def test_h_terms_exact_match_derivative_product_route():
         for (u, v) in ((0, 1), (0, g.n - 1), (1, g.n - 2)):
             ds = delta_set(projs, u, v)
             assert h_terms_exact(fs, ds, g.n) == h_terms_from_eigensystem(es, u, v)
+
+
+def test_h_terms_from_eigensystem_rejects_numeric_eigensystem():
+    with pytest.raises(ExactEigensystemRequiredError):
+        h_terms_from_eigensystem(_es(cayley_s3()), 0, 1)
+
+
+def test_exact_requirement_survives_optimized_mode():
+    # python -O strips assert statements; the typed check must still raise
+    code = ("from mnhd.errors import ExactEigensystemRequiredError\n"
+            "from mnhd.graphs import cayley_s3, laplacian\n"
+            "from mnhd.heat import h_terms_from_eigensystem\n"
+            "from mnhd.spectral import jacobi_eigendecompose\n"
+            "es = jacobi_eigendecompose(laplacian(cayley_s3()))\n"
+            "try:\n"
+            "    h_terms_from_eigensystem(es, 0, 1)\n"
+            "except ExactEigensystemRequiredError:\n"
+            "    print('raised')\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "raised"
 
 
 def test_h_expansion_agrees_with_rate_formula_numerically():
