@@ -8,17 +8,16 @@ from .certify import (Certificate, MnhdReport, NumericVerdict, analyze,
                       delta_sign_analysis, numeric_check)
 from .designs import (Design, DesignParams, build_design, catalog,
                       complement_design, crown_design, design_742,
-                      fano_design, is_symmetric, lambda_from_n_d, pair_design,
+                      fano_design, lambda_from_n_d, pair_design,
                       predicted_spectrum, read_design, validate_design,
                       write_design)
 from .errors import MnhdError
 from .graphs import (Graph, GraphFacts, adjacency, build_graph, cayley_s3,
                      crown, cycle, design_742_incidence, facts,
                      fano_incidence, incidence_graph, laplacian,
-                     laplacian_squared, read_edge_list, wheel6,
-                     write_edge_list)
+                     read_edge_list, wheel6, write_edge_list)
 from .heat import (DeltaSet, default_time_grid, delta_set, h_function,
-                   heat_at, ratio, ratio_curve)
+                   heat_stack, ratio_curve)
 from .quadratic import QuadMatrix, QuadValue
 from .spectral import (Eigensystem, FourSpectrum, VanDamCase,
                        classify_spectrum, closed_form_projectors,

@@ -34,6 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .designs import lambda_from_n_d
 from .errors import (NoCaseMatchesError, NonQuadraticEigenvaluesError,
                      NotFourEigenvaluesError, UnknownSignatureError)
 from .graphs import Graph, facts, laplacian
@@ -191,8 +192,8 @@ def certificate_bipartite(g: Graph,
         checks.append(CertificateCheck(name, witness, bool(passed)))
         return bool(passed)
 
-    lam_frac = Fraction(2 * d * (d - 1), n - 2)
-    ok = record("lambda_integral", lam_frac.denominator == 1 and lam_frac >= 1,
+    lam_frac, feasible = lambda_from_n_d(n, d)
+    ok = record("lambda_integral", feasible,
                 f"lambda = 2d(d-1)/(n-2) = {lam_frac}")
     if not ok:
         return Certificate(FAILED, method, "lambda is not a positive integer",

@@ -15,11 +15,11 @@ from fractions import Fraction
 from itertools import combinations
 from typing import IO, Iterable, NamedTuple
 
-from .errors import (DegenerateDesignError, DegenerateParamsError,
-                     DesignError, FileFormatError, InvariantViolationError,
-                     NotBalancedError, NotUniformError,
-                     ReplicationVariesError)
+from .errors import (DegenerateDesignError, DesignError, FileFormatError,
+                     InvariantViolationError, NotBalancedError,
+                     NotUniformError, ReplicationVariesError)
 from .quadratic import QuadValue
+from .spectral import FourSpectrum
 
 
 @dataclass(frozen=True)
@@ -91,10 +91,6 @@ def validate_design(design: Design) -> DesignParams:
     return params
 
 
-def is_symmetric(params: DesignParams) -> bool:
-    return params.symmetric
-
-
 def complement_design(design: Design) -> Design:
     """Replace every block with its complement; for a symmetric (v, d, lam)
     design this gives a (v, v-d, v-2d+lam) design."""
@@ -102,27 +98,12 @@ def complement_design(design: Design) -> Design:
     return build_design(design.v, [ground - blk for blk in design.blocks])
 
 
-@dataclass(frozen=True)
-class PredictedSpectrum:
-    lam0: QuadValue
-    lam1: QuadValue
-    lam2: QuadValue
-    lam3: QuadValue
-
-    def as_tuple(self) -> tuple[QuadValue, QuadValue, QuadValue, QuadValue]:
-        return (self.lam0, self.lam1, self.lam2, self.lam3)
-
-
-def predicted_spectrum(v: int, d: int, lam: int) -> PredictedSpectrum:
-    """Laplacian spectrum {0, d - sqrt(d-lam), d + sqrt(d-lam), 2d} of the
-    incidence graph of a symmetric (v, d, lam)-design."""
+def predicted_spectrum(v: int, d: int, lam: int) -> FourSpectrum:
+    """Laplacian spectrum {0, d - sqrt(d-lam), d + sqrt(d-lam), 2d} and
+    projector constants of a symmetric (v, d, lam)-design's incidence graph."""
     if lam * (v - 1) != d * (d - 1):
         raise DesignError(f"({v}, {d}, {lam}) violates lam*(v-1) = d*(d-1)")
-    if d <= lam:
-        raise DegenerateParamsError(f"d={d} <= lambda={lam}: spectrum would collapse")
-    s = QuadValue.sqrt_int(d - lam)
-    return PredictedSpectrum(QuadValue(0), QuadValue(d) - s, QuadValue(d) + s,
-                             QuadValue(2 * d))
+    return FourSpectrum.from_design(2 * v, d, lam)
 
 
 class LambdaFromOrder(NamedTuple):

@@ -35,10 +35,6 @@ class Graph:
     def degree(self, u: int) -> int:
         return sum(1 for e in self.edges if u in e)
 
-    def neighbors(self, u: int) -> list[int]:
-        out = [v if w == u else w for (w, v) in self.edges if u in (w, v)]
-        return sorted(out)
-
     @property
     def m(self) -> int:
         return len(self.edges)
@@ -119,11 +115,6 @@ def laplacian(g: Graph) -> np.ndarray:
     """L = D - A: symmetric, zero row sums, off-diagonals in {0, -1}."""
     A = adjacency(g)
     return np.diag(A.sum(axis=1)) - A
-
-
-def laplacian_squared(g: Graph) -> np.ndarray:
-    L = laplacian(g)
-    return L @ L
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Heat kernels H_t = exp(-tL), the normalized ratio r_t(u,v) =
-H_t(u,v)/H_t(u,u), the derivative-sign function
+"""Heat kernels H_t = exp(-tL) (`heat_stack`), the normalized ratio r_t(u,v) =
+H_t(u,v)/H_t(u,u) (`ratio_curve`), the derivative-sign function
 
     h_{u,v}(t) = H_t'(u,v) H_t(u,u) - H_t(u,v) H_t'(u,u),
 
@@ -10,7 +10,8 @@ and its expansion into exponential terms with Delta coefficients
 
 r_t is nondecreasing in t for every pair u != v exactly when h_{u,v} >= 0 on
 [0, inf); the certificate machinery in `certify` reasons about the exact
-exponential coefficients produced here.
+exponential coefficients produced here.  `h_function`, `h_rate` and
+`h_terms_from_eigensystem` compute h independently so the tests can compare.
 """
 
 from __future__ import annotations
@@ -27,50 +28,31 @@ from .quadratic import QuadMatrix, QuadValue
 from .spectral import Eigensystem, FourSpectrum
 
 
-def heat_at(es: Eigensystem, t: float) -> np.ndarray:
-    """H_t = sum_lambda exp(-t*lambda) P_lambda as a float matrix.
-
-    At t = 0 this is the identity exactly (sum of all projectors)."""
-    if t < 0:
-        raise NegativeTimeError(f"t={t} < 0")
-    if t == 0:
-        return np.eye(es.n)
-    H = np.zeros((es.n, es.n))
-    for value, proj in es.float_groups():
-        H += np.exp(-t * value) * proj
-    return H
-
-
 def heat_stack(es: Eigensystem, grid: Sequence[float]) -> np.ndarray:
-    """H_t for every t in grid, stacked along axis 0."""
+    """H_t = sum_lambda exp(-t*lambda) P_lambda for every t in grid, stacked
+    along axis 0.  At t = 0 the slice is the identity exactly."""
     grid = np.asarray(grid, dtype=float)
     if (grid < 0).any():
         raise NegativeTimeError("grid contains negative times")
-    values = np.array([v for v, _ in es.float_groups()])
-    projs = np.stack([p for _, p in es.float_groups()])
+    groups = es.float_groups()
+    values = np.array([v for v, _ in groups])
+    projs = np.stack([p for _, p in groups])
     weights = np.exp(-np.outer(grid, values))  # (T, k)
     H = np.einsum("tk,kij->tij", weights, projs)
     H[grid == 0] = np.eye(es.n)
     return H
 
 
-def ratio(es: Eigensystem, u: int, v: int, t: float) -> float:
-    """r_t(u,v) = H_t(u,v) / H_t(u,u); zero at t = 0, tends to 1."""
-    if u == v:
-        raise SameVertexError(f"u = v = {u}")
-    H = heat_at(es, t)
-    huu = H[u, u]
-    if huu < 1.0 / es.n - 1e-9:  # P0 diagonal plus nonnegative decay terms
-        raise InvariantViolationError(f"H_t(u,u) = {huu} is below 1/n")
-    return H[u, v] / huu
-
-
 def ratio_curve(es: Eigensystem, u: int, v: int,
                 grid: Sequence[float]) -> list[tuple[float, float]]:
+    """(t, r_t(u,v)) for every t in grid; r is zero at t = 0 and tends to 1."""
     if u == v:
         raise SameVertexError(f"u = v = {u}")
     H = heat_stack(es, grid)
-    return [(float(t), float(H[i, u, v] / H[i, u, u]))
+    huu = H[:, u, u]
+    if (huu < 1.0 / es.n - 1e-9).any():  # P0 diagonal plus nonnegative decays
+        raise InvariantViolationError(f"H_t(u,u) = {huu.min()} is below 1/n")
+    return [(float(t), float(H[i, u, v] / huu[i]))
             for i, t in enumerate(grid)]
 
 
@@ -183,6 +165,6 @@ def h_function(fs: FourSpectrum, ds: DeltaSet, n: int, t: float) -> float:
 
 def h_rate(es: Eigensystem, L: np.ndarray, u: int, v: int, t: float) -> float:
     """h_{u,v}(t) directly from the derivative product, using H' = -L H."""
-    H = heat_at(es, t)
+    H = heat_stack(es, [t])[0]
     Hp = -(np.asarray(L, dtype=float) @ H)
     return Hp[u, v] * H[u, u] - H[u, v] * Hp[u, u]

@@ -224,10 +224,6 @@ class QuadValue:
         return {"a": str(self.a), "b": str(self.b), "m": self.m}
 
 
-QV_ZERO = QuadValue(0)
-QV_ONE = QuadValue(1)
-
-
 def _lcm(x: int, y: int) -> int:
     return x // math.gcd(x, y) * y
 

@@ -7,6 +7,7 @@ three-case classification of regular four-eigenvalue spectra.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -196,15 +197,16 @@ def minimal_polynomial(L: np.ndarray, max_degree: int | None = None) -> list[int
 
 
 def _integer_roots(coeffs: list[int]) -> list[int]:
-    """Integer roots of a monic integer polynomial (ascending coefficients)."""
+    """Integer roots of a monic integer polynomial (ascending coefficients),
+    tried among +- the divisors of c0, found in pairs up to sqrt(|c0|)."""
     c0 = coeffs[0]
     if c0 == 0:
         return [0] + _integer_roots(coeffs[1:]) if len(coeffs) > 1 else [0]
     roots = []
     limit = abs(c0)
-    for cand in range(-limit, limit + 1):
-        if cand == 0 or c0 % cand:
-            continue
+    small = [k for k in range(1, math.isqrt(limit) + 1) if limit % k == 0]
+    divisors = sorted(set(small) | {limit // k for k in small})
+    for cand in [-k for k in reversed(divisors)] + divisors:
         acc = 0
         for c in reversed(coeffs):
             acc = acc * cand + c
@@ -337,6 +339,9 @@ class FourSpectrum:
         c3 = (lam1 * lam2).inverse()
         return cls(QuadValue(0), lam1, lam2, lam3, c1, c2, c3)
 
+    def as_tuple(self) -> tuple[QuadValue, QuadValue, QuadValue, QuadValue]:
+        return (self.lam0, self.lam1, self.lam2, self.lam3)
+
     def nonzero(self) -> tuple[QuadValue, QuadValue, QuadValue]:
         return (self.lam1, self.lam2, self.lam3)
 
@@ -354,7 +359,7 @@ def closed_form_projectors(L: np.ndarray, n: int, d: int, lam: int
     """
     fs = FourSpectrum.from_design(n, d, lam)
     m = fs.lam1.m
-    L2 = QuadMatrix.from_int(np.asarray(L, dtype=object) @ np.asarray(L, dtype=object), m)
+    L2 = QuadMatrix.from_int(L @ L, m)  # int64 is exact: |L^2 entries| <= 4d^2
     Lq = QuadMatrix.from_int(L, m)
     eye = QuadMatrix.identity(n, m)
     complement = eye - QuadMatrix.constant(n, QuadValue(Fraction(1, n)), m)

@@ -13,7 +13,7 @@ from mnhd.certify import (PROVEN, certificate_bipartite,
                           delta_sign_analysis, numeric_check)
 from mnhd.designs import catalog
 from mnhd.graphs import facts, laplacian
-from mnhd.heat import default_time_grid, delta_set, h_rate, heat_at, heat_stack
+from mnhd.heat import default_time_grid, delta_set, h_rate, heat_stack
 from mnhd.quadratic import QuadMatrix, QuadValue
 from mnhd.reference import (CAYLEY_S3_REFERENCE, WHEEL6_REFERENCE,
                             WHEEL6_SUSPECT_ENTRIES, compare_delta_rows)
@@ -155,15 +155,15 @@ def test_criterion_06_derivative_at_zero(builtins, numeric_systems,
 def test_criterion_07_heat_kernel_properties(builtins, numeric_systems):
     for name, g in builtins.items():
         es = numeric_systems[name]
-        assert np.array_equal(heat_at(es, 0.0), np.eye(g.n)), name
+        assert np.array_equal(heat_stack(es, [0.0])[0], np.eye(g.n)), name
         for t in (0.1, 1.0, 10.0):
-            H = heat_at(es, t)
+            H = heat_stack(es, [t])[0]
             assert np.max(np.abs(H.sum(axis=1) - 1.0)) <= 1e-12, name
     for name in ("design-742", "crown-5", "fano"):
         es = numeric_systems[name]
         for s, t in ((0.3, 0.7), (1.0, 2.0)):
-            lhs = heat_at(es, s) @ heat_at(es, t)
-            assert np.max(np.abs(lhs - heat_at(es, s + t))) <= 1e-9, name
+            Hs, Ht, Hst = heat_stack(es, [s, t, s + t])
+            assert np.max(np.abs(Hs @ Ht - Hst)) <= 1e-9, name
     transitive = ([f"cycle-{k}" for k in range(4, 8)]
                   + [f"crown-{v}" for v in range(5, 16)] + ["cayley-s3"])
     for name in transitive:

@@ -12,7 +12,7 @@ from mnhd.certify import (NOT_APPLICABLE, NUMERIC_ONLY, PROVEN,
 from mnhd.errors import NotFourEigenvaluesError, UnknownSignatureError
 from mnhd.graphs import (build_graph, cayley_s3, crown, cycle,
                          design_742_incidence, facts, fano_incidence,
-                         laplacian, laplacian_squared, wheel6)
+                         laplacian, wheel6)
 from mnhd.quadratic import QuadValue
 from mnhd.reference import (CAYLEY_S3_REFERENCE, WHEEL6_REFERENCE,
                             WHEEL6_SUSPECT_ENTRIES, compare_delta_rows)
@@ -32,7 +32,8 @@ def _design_context(g):
 
 def test_classify_pair_742():
     g = design_742_incidence()
-    L, L2 = laplacian(g), laplacian_squared(g)
+    L = laplacian(g)
+    L2 = L @ L
     n, d, lam = _design_context(g)
     adjacent = next((u, v) for u in range(n) for v in range(n) if L[u, v] == -1)
     pc = classify_pair(L, L2, *adjacent, n, d, lam)
@@ -48,14 +49,16 @@ def test_classify_pair_742():
 
 def test_classify_pair_unknown_signature():
     g = cayley_s3()  # not an incidence graph: (0,3) has L^2 = 2 != lambda
-    L, L2 = laplacian(g), laplacian_squared(g)
+    L = laplacian(g)
+    L2 = L @ L
     with pytest.raises(UnknownSignatureError):
         classify_pair(L, L2, 0, 3, 6, 3, 3)
 
 
 def test_classification_exhaustive_and_exclusive(incidence_builtins):
     for name, g in incidence_builtins.items():
-        L, L2 = laplacian(g), laplacian_squared(g)
+        L = laplacian(g)
+        L2 = L @ L
         n, d, lam = _design_context(g)
         counts = {"W1": 0, "W2": 0, "W3": 0}
         for u in range(n):

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 from mnhd.designs import (CatalogRow, build_design, catalog,
                           complement_design, crown_design, design_742,
-                          fano_design, is_symmetric, lambda_from_n_d,
+                          fano_design, lambda_from_n_d,
                           pair_design, predicted_spectrum, read_design,
                           validate_design, write_design)
 from mnhd.errors import (DegenerateDesignError, DegenerateParamsError,
                          DesignError, FileFormatError, NotBalancedError,
                          NotUniformError, ReplicationVariesError)
 from mnhd.quadratic import QuadValue
+from mnhd.spectral import FourSpectrum
 
 
 def brute_force_params(design):
@@ -35,7 +36,7 @@ def brute_force_params(design):
 def test_design_742_params():
     params = validate_design(design_742())
     assert (params.v, params.b, params.d, params.r, params.lam) == (7, 7, 4, 4, 2)
-    assert is_symmetric(params)
+    assert params.symmetric
 
 
 def test_fano_params():
@@ -78,20 +79,20 @@ def test_build_design_structure():
 def test_triangle_pair_design_symmetric():
     params = validate_design(pair_design(3))
     assert (params.v, params.b, params.d, params.r, params.lam) == (3, 3, 2, 2, 1)
-    assert is_symmetric(params)
+    assert params.symmetric
 
 
 def test_pair_design_4_not_symmetric():
     params = validate_design(pair_design(4))
     assert (params.v, params.b) == (4, 6)
-    assert not is_symmetric(params)
+    assert not params.symmetric
 
 
 def test_crown_design_params():
     for v in (3, 5, 9):
         params = validate_design(crown_design(v))
         assert (params.v, params.d, params.lam) == (v, v - 1, v - 2)
-        assert is_symmetric(params)
+        assert params.symmetric
 
 
 def test_complement_of_fano_is_742_family():
@@ -171,7 +172,11 @@ def test_catalog_consistent_with_predicted_spectrum():
     for row in catalog():
         v, d, lam = row.params
         assert row.n == 2 * v
-        assert predicted_spectrum(v, d, lam).as_tuple() == row.spectrum
+        s = predicted_spectrum(v, d, lam)
+        assert s.as_tuple() == row.spectrum
+        # the design-form constants equal the generic 1/prod(lam_i - lam_j)
+        generic = FourSpectrum.from_eigenvalues(*row.spectrum[1:])
+        assert s.constants() == generic.constants(), row.params
 
 
 def test_catalog_builders():

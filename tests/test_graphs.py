@@ -10,8 +10,7 @@ from mnhd.errors import DesignError, FileFormatError, GraphInputError
 from mnhd.graphs import (FACTS_CACHE_SIZE, adjacency, build_graph, cayley_s3,
                          crown, cycle, design_742_incidence, facts,
                          fano_incidence, incidence_graph, laplacian,
-                         laplacian_squared, read_edge_list, wheel6,
-                         write_edge_list)
+                         read_edge_list, wheel6, write_edge_list)
 
 # 6x6 reference Laplacian of the S3 Cayley graph and its square
 CAYLEY_S3_L = np.array([
@@ -52,8 +51,9 @@ def test_build_graph_rejects(n, edges, msg):
 def test_cayley_s3_matches_reference_matrices():
     g = cayley_s3()
     assert g.m == 9
-    assert np.array_equal(laplacian(g), CAYLEY_S3_L)
-    assert np.array_equal(laplacian_squared(g), CAYLEY_S3_L2)
+    L = laplacian(g)
+    assert np.array_equal(L, CAYLEY_S3_L)
+    assert np.array_equal(L @ L, CAYLEY_S3_L2)
 
 
 def test_facts_cycle6():
@@ -117,7 +117,7 @@ def test_builder_preconditions():
 def test_wheel6_matrix_entries():
     g = wheel6()
     L = laplacian(g)
-    L2 = laplacian_squared(g)
+    L2 = L @ L
     assert [L[i, i] for i in range(6)] == [3, 3, 3, 3, 3, 5]
     assert [L2[i, i] for i in range(6)] == [12, 12, 12, 12, 12, 30]
     assert L2[0, 1] == -5  # adjacent rim pair
@@ -141,7 +141,6 @@ def test_laplacian_invariants(g):
     assert (L.sum(axis=1) == 0).all()
     off = L[~np.eye(g.n, dtype=bool)]
     assert set(np.unique(off)) <= {0, -1}
-    assert np.array_equal(laplacian_squared(g), L @ L)
 
 
 @pytest.mark.parametrize("g", ALL_BUILDERS, ids=lambda g: f"n{g.n}m{g.m}")
@@ -151,7 +150,8 @@ def test_regular_laplacian_squared_formula(g):
         pytest.skip("not regular")
     d = f.regular_degree
     A = adjacency(g)
-    L2 = laplacian_squared(g)
+    L = laplacian(g)
+    L2 = L @ L
     for u in range(g.n):
         for v in range(g.n):
             if u == v:
@@ -210,7 +210,6 @@ def random_graphs(draw):
 def test_random_graph_invariants(g):
     L = laplacian(g)
     assert (L.sum(axis=1) == 0).all()
-    assert np.array_equal(laplacian_squared(g), L @ L)
     f = facts(g)
     if f.regular_degree is not None:
         assert all(g.degree(u) == f.regular_degree for u in range(g.n))

@@ -8,17 +8,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mnhd.errors import (ExactEigensystemRequiredError, NegativeTimeError,
+from mnhd.errors import (ExactEigensystemRequiredError,
+                         InvariantViolationError, NegativeTimeError,
                          SameVertexError)
 from mnhd.graphs import (cayley_s3, crown, cycle, design_742_incidence,
                          laplacian, wheel6)
 from mnhd.heat import (DeltaSet, default_time_grid, delta_set, h_function,
                        h_rate, h_terms_exact, h_terms_from_eigensystem,
-                       heat_at, heat_stack, ratio, ratio_curve,
-                       write_curve_csv)
+                       heat_stack, ratio_curve, write_curve_csv)
 from mnhd.quadratic import QuadValue
-from mnhd.spectral import (FourSpectrum, exact_eigensystem,
-                           jacobi_eigendecompose)
+from mnhd.spectral import (EigenGroup, Eigensystem, FourSpectrum,
+                           exact_eigensystem, jacobi_eigendecompose)
 
 F = Fraction
 
@@ -35,33 +35,33 @@ def _exact_parts(g):
     return es, fs, [grp.projector for grp in nonzero]
 
 
-def test_heat_at_zero_is_identity():
+def test_heat_stack_at_zero_is_identity():
     es = _es(crown(5))
-    assert np.array_equal(heat_at(es, 0.0), np.eye(10))
+    assert np.array_equal(heat_stack(es, [0.0])[0], np.eye(10))
 
 
 def test_heat_long_time_limit():
-    H = heat_at(_es(crown(5)), 100.0)
+    H = heat_stack(_es(crown(5)), [100.0])[0]
     assert np.max(np.abs(H - 1 / 10)) < 1e-12
 
 
 def test_heat_rejects_negative_time():
     with pytest.raises(NegativeTimeError):
-        heat_at(_es(crown(5)), -0.1)
+        heat_stack(_es(crown(5)), [-0.1])
     with pytest.raises(NegativeTimeError):
         heat_stack(_es(crown(5)), [-1.0, 0.0])
 
 
 def test_heat_semigroup_742():
     es = _es(design_742_incidence())
-    H1, H2, H3 = heat_at(es, 1.0), heat_at(es, 2.0), heat_at(es, 3.0)
+    H1, H2, H3 = heat_stack(es, [1.0, 2.0, 3.0])
     assert np.max(np.abs(H1 @ H2 - H3)) < 1e-9
 
 
 @pytest.mark.parametrize("t", [0.0, 0.1, 1.0, 10.0])
 def test_heat_kernel_properties(builtins, numeric_systems, t):
     for name, g in builtins.items():
-        H = heat_at(numeric_systems[name], t)
+        H = heat_stack(numeric_systems[name], [t])[0]
         assert np.max(np.abs(H - H.T)) < 1e-12, name
         assert np.max(np.abs(H.sum(axis=1) - 1.0)) < 1e-12, name
         assert H.min() > -1e-12, name
@@ -69,10 +69,20 @@ def test_heat_kernel_properties(builtins, numeric_systems, t):
 
 def test_ratio_endpoints():
     es = _es(design_742_incidence())
-    assert ratio(es, 0, 1, 0.0) == 0.0
-    assert abs(ratio(es, 0, 1, 100.0) - 1.0) < 1e-10
+    (_, r0), (_, r_end) = ratio_curve(es, 0, 1, [0.0, 100.0])
+    assert r0 == 0.0
+    assert abs(r_end - 1.0) < 1e-10
     with pytest.raises(SameVertexError):
-        ratio(es, 3, 3, 1.0)
+        ratio_curve(es, 3, 3, [1.0])
+
+
+def test_ratio_curve_rejects_diagonal_below_one_over_n():
+    # H_t(0,0) = 0.1 e^{-t} < 1/2 for t > 0: no Laplacian has this projector
+    proj = np.array([[0.1, 0.5], [0.5, 0.1]])
+    es = Eigensystem(2, (EigenGroup(1.0, 1, proj),), "numeric")
+    assert ratio_curve(es, 0, 1, [0.0]) == [(0.0, 0.0)]
+    with pytest.raises(InvariantViolationError):
+        ratio_curve(es, 0, 1, [0.0, 1.0])
 
 
 def test_ratio_bounded_on_vertex_transitive(builtins, numeric_systems):

@@ -1,0 +1,43 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+# Each submodule is imported first, into an interpreter holding no other mnhd
+# module.  A plain `import mnhd.x` would run mnhd/__init__ (and so its fixed
+# import order) before x, so the child registers a bare package object with
+# the real search path instead; relative imports then resolve submodule by
+# submodule, and an import cycle raises ImportError.
+CODE = """
+import importlib
+import importlib.util
+import pkgutil
+import sys
+import types
+
+path = list(importlib.util.find_spec("mnhd").submodule_search_locations)
+names = sorted(m.name for m in pkgutil.iter_modules(path))
+for name in names:
+    for key in [k for k in sys.modules if k == "mnhd" or k.startswith("mnhd.")]:
+        del sys.modules[key]
+    package = types.ModuleType("mnhd")
+    package.__path__ = path
+    sys.modules["mnhd"] = package
+    importlib.import_module("mnhd." + name)
+for key in [k for k in sys.modules if k == "mnhd" or k.startswith("mnhd.")]:
+    del sys.modules[key]
+import mnhd
+print(" ".join(names))
+"""
+
+
+def test_every_submodule_imports_first():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", CODE], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["certify", "cli", "designs", "errors",
+                                  "graphs", "heat", "quadratic", "reference",
+                                  "spectral"]

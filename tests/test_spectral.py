@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +16,8 @@ from mnhd.graphs import (adjacency, build_graph, cayley_s3, crown, cycle,
                          design_742_incidence, facts, fano_incidence,
                          laplacian, wheel6)
 from mnhd.quadratic import QuadValue
-from mnhd.spectral import (FourSpectrum, VanDamCase, classify_spectrum,
+from mnhd.spectral import (FourSpectrum, VanDamCase, _integer_roots,
+                           classify_spectrum,
                            closed_form_projectors, exact_eigensystem,
                            exact_eigenvalues, group_spectrum,
                            jacobi_eigendecompose, lagrange_projector,
@@ -287,9 +292,42 @@ def test_jacobi_no_convergence_with_zero_sweep_cap():
 
 
 def test_heat_from_exact_eigensystem():
-    from mnhd.heat import heat_at
+    from mnhd.heat import heat_stack
     es = exact_eigensystem(laplacian(cycle(6)))
-    H = heat_at(es, 1.0)
+    H = heat_stack(es, [1.0])[0]
     ref = jacobi_eigendecompose(laplacian(cycle(6)))
-    assert np.max(np.abs(H - heat_at(ref, 1.0))) < 1e-12
-    assert np.array_equal(heat_at(es, 0.0), np.eye(6))
+    assert np.max(np.abs(H - heat_stack(ref, [1.0])[0])) < 1e-12
+    assert np.array_equal(heat_stack(es, [0.0])[0], np.eye(6))
+
+
+def test_integer_roots_match_full_scan():
+    # reference: every integer in [-|c0|, |c0|], the search this one replaced
+    def scan(coeffs):
+        c0 = abs(coeffs[0])
+        return [x for x in range(-c0, c0 + 1)
+                if x and sum(c * x ** k for k, c in enumerate(coeffs)) == 0]
+
+    for c0 in range(-24, 25):
+        if c0 == 0:
+            continue
+        for c1 in range(-6, 7):
+            for c2 in range(-6, 7):
+                coeffs = [c0, c1, c2, 1]
+                assert _integer_roots(coeffs) == scan(coeffs), coeffs
+    assert _integer_roots([30, -1, -6, 1]) == [-2, 3, 5]
+
+
+def test_integer_roots_large_constant_term():
+    # |c0| = 9949 * 9967 * 9973 ~ 1e12: a scan of every integer up to |c0|
+    # would run for days, so the search runs in a child the test times out
+    code = ("from mnhd.spectral import _integer_roots\n"
+            "a, b, c = 9949, 9967, 9973\n"
+            "print(_integer_roots([-a * b * c, a * b + a * c + b * c,\n"
+            "                     -(a + b + c), 1]))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=30)
+    assert out.stdout.strip() == "[9949, 9967, 9973]"
