@@ -38,9 +38,9 @@ from .designs import lambda_from_n_d
 from .errors import (NoCaseMatchesError, NonQuadraticEigenvaluesError,
                      NotFourEigenvaluesError, UnknownSignatureError)
 from .graphs import Graph, facts, laplacian
-from .heat import (DeltaSet, default_time_grid, delta_set, h_terms_exact,
-                   heat_stack)
-from .quadratic import QuadMatrix, QuadValue
+from .heat import (DeltaSet, default_time_grid, delta_keys, delta_set,
+                   h_terms_exact, heat_stack)
+from .quadratic import QuadMatrix, QuadValue, int_matmul
 from .spectral import (Eigensystem, FourSpectrum, VanDamCase,
                        classify_spectrum, closed_form_projectors,
                        exact_eigensystem, jacobi_eigendecompose)
@@ -130,26 +130,21 @@ def _pair_classes(L: np.ndarray, L2: np.ndarray, es: Eigensystem
     L^2(u,v)) signature, in sorted signature order.  Deltas come from the
     projectors of the nonzero eigenvalues of the connected graph's
     eigensystem.  An exact eigensystem splits each group by exact DeltaSet,
-    the subclasses in order of their first pair; a float one keeps each group
-    whole with the DeltaSet of its first pair."""
-    groups: dict[tuple, list[Pair]] = {}
-    for u in range(es.n):
-        for v in range(es.n):
-            if u != v:
-                sig = (int(L[u, u]), int(L[v, v]), int(L[u, v]), int(L2[u, v]))
-                groups.setdefault(sig, []).append((u, v))
+    the subclasses in order of their first pair: every pair is keyed by
+    `delta_keys`, whose keys agree exactly when the DeltaSets do, and
+    `delta_set` runs once per subclass, on its first pair.  A float
+    eigensystem keeps each group whole with the DeltaSet of its first pair."""
+    us, vs = np.nonzero(~np.eye(es.n, dtype=bool))  # row-major pair order
+    sigs = np.stack([L[us, us], L[vs, vs], L[us, vs], L2[us, vs]], axis=1)
     projectors = [grp.projector for grp in es.groups[1:]]
-    out = []
-    for sig in sorted(groups):
-        pairs = groups[sig]
-        if es.mode != "exact":
-            out.append((sig, [(delta_set(projectors, *pairs[0]), pairs)]))
-            continue
-        by_delta: dict[DeltaSet, list[Pair]] = {}
-        for u, v in pairs:
-            by_delta.setdefault(delta_set(projectors, u, v), []).append((u, v))
-        out.append((sig, list(by_delta.items())))
-    return out
+    keys = (delta_keys(projectors, us, vs).tolist() if es.mode == "exact"
+            else [()] * len(us))
+    groups: dict[tuple, dict[tuple, list[Pair]]] = {}
+    for sig, key, u, v in zip(sigs.tolist(), keys, us.tolist(), vs.tolist()):
+        groups.setdefault(tuple(sig), {}).setdefault(tuple(key), []).append((u, v))
+    return [(sig, [(delta_set(projectors, *pairs[0]), pairs)
+                   for pairs in groups[sig].values()])
+            for sig in sorted(groups)]
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +159,10 @@ def certificate_bipartite(g: Graph,
                           es: Eigensystem | None = None) -> Certificate:
     """Run the exact MNHD certificate for a connected regular bipartite graph
     with four distinct Laplacian eigenvalues, on its exact eigensystem `es`
-    (built here when not given).  Returns NotApplicable when the structural
-    preconditions fail; otherwise performs every check in exact arithmetic and
-    returns ProvenMNHD only if all of them hold."""
+    and the Laplacian `es.matrix` it decomposes (both built here when `es`
+    is not given).  Returns NotApplicable when the structural preconditions
+    fail; otherwise performs every check in exact arithmetic and returns
+    ProvenMNHD only if all of them hold."""
     method = "bipartite-certificate"
     f = facts(g)
     if not f.connected:
@@ -175,7 +171,7 @@ def certificate_bipartite(g: Graph,
         return _not_applicable(method, "graph is not regular")
     if f.bipartition is None:
         return _not_applicable(method, "graph is not bipartite")
-    L = laplacian(g)
+    L = laplacian(g) if es is None else es.matrix
     if es is None:
         try:
             es = exact_eigensystem(L)
@@ -203,7 +199,8 @@ def certificate_bipartite(g: Graph,
     if d - lam < 1:
         return Certificate(FAILED, method, "d - lambda < 1", tuple(checks))
 
-    fs, P1, P2, P3 = closed_form_projectors(L, n, d, lam)
+    L2 = int_matmul(L, L)
+    fs, P1, P2, P3 = closed_form_projectors(L, L2, n, d, lam)
     lam1, lam2, lam3 = fs.nonzero()
     c1, c2, c3 = fs.constants()
 
@@ -249,7 +246,6 @@ def certificate_bipartite(g: Graph,
 
     # the template's pair classes, named W1/W2/W3 by their (L, L^2)
     # signature; UnknownSignatureError propagates
-    L2 = L @ L
     rows: list[ClassRow] = []
     constant = True
     for _, subclasses in _pair_classes(L, L2, es):
@@ -384,12 +380,13 @@ def delta_sign_analysis(g: Graph,
                         es: Eigensystem | None = None) -> DeltaAnalysis:
     """Certify each pair class of a connected four-eigenvalue graph with the
     exponential-sign template, from exact DeltaSets of the exact eigensystem
-    `es` (built here when not given).  Falls back to a float table labelled
-    NumericOnly when the eigenvalues are not quadratic."""
+    `es` and its Laplacian `es.matrix` (both built here when `es` is not
+    given).  Falls back to a float table labelled NumericOnly when the
+    eigenvalues are not quadratic."""
     f = facts(g)
     if not f.connected:
         return DeltaAnalysis(NOT_APPLICABLE, False, "graph is not connected", ())
-    L = laplacian(g)
+    L = laplacian(g) if es is None else es.matrix
     if es is None:
         try:
             es = exact_eigensystem(L)
@@ -401,7 +398,7 @@ def delta_sign_analysis(g: Graph,
     rows: list[ClassRow] = []
     checks: list[CertificateCheck] = []
     n = g.n
-    classes = _pair_classes(L, L @ L, es)
+    classes = _pair_classes(L, int_matmul(L, L), es)
     for idx, (sig, subclasses) in enumerate(classes, start=1):
         for sub, (ds, members) in enumerate(subclasses, start=1):
             tag = f"S{idx}" if len(subclasses) == 1 else f"S{idx}.{sub}"
@@ -431,7 +428,7 @@ def _numeric_delta_table(L: np.ndarray, es: Eigensystem,
             f"{len(es.groups)} distinct eigenvalues, need 4")
     rows = [ClassRow(f"S{idx}", sig, len(pairs), ds, None, None)
             for idx, (sig, [(ds, pairs)]) in
-            enumerate(_pair_classes(L, L @ L, es), start=1)]
+            enumerate(_pair_classes(L, int_matmul(L, L), es), start=1)]
     return DeltaAnalysis(NUMERIC_ONLY, False,
                          f"not proven: {why}; float table is evidence only",
                          tuple(rows))
@@ -609,8 +606,9 @@ REPORT_SCHEMA = {
 
 def analyze(g: Graph) -> MnhdReport:
     """Full pipeline: facts, numeric spectrum, classification when it applies,
-    the strongest applicable exact route, and the numeric cross-check.  Each
-    eigensystem is built once and handed to the route that runs."""
+    the strongest applicable exact route, and the numeric cross-check.  L and
+    each eigensystem are built once; the exact eigensystem, which carries L,
+    is handed to the route that runs."""
     f = facts(g)
     L = laplacian(g)
     es = jacobi_eigendecompose(L)

@@ -8,7 +8,13 @@ through floating point.
 
 QuadMatrix holds a square matrix of such values as a pair of integer matrices
 plus one common denominator, so matrix products reduce to a few integer
-matmuls.
+matmuls.  The integer matrices are object-dtype arrays of Python ints, so
+sums, scalings and comparisons never overflow.  Products (`QuadMatrix @`,
+`int_matmul`), the gcd in `QuadMatrix.reduce` and the integer helpers
+`int_inner` and `int_combination` run on an int64 kernel only when a bound
+computed from the largest operand magnitudes proves that no entry and no
+partial sum reaches 2^62; past that bound the same arithmetic runs on Python
+ints.  No float takes part in either path.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import total_ordering
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -228,11 +234,80 @@ def _lcm(x: int, y: int) -> int:
     return x // math.gcd(x, y) * y
 
 
+# ---------------------------------------------------------------------------
+# checked integer kernels
+
+# An int64 kernel runs only when the operands' largest magnitudes bound every
+# entry and partial sum it forms below this, so no int64 operation can wrap.
+INT64_BOUND = 1 << 62
+
+
+def max_abs(x: np.ndarray) -> int:
+    """Largest |entry| of an integer array, as a Python int (0 when empty)."""
+    return max(int(x.max()), -int(x.min())) if x.size else 0
+
+
+def _int64(x: np.ndarray) -> tuple[np.ndarray, int] | None:
+    """(x as int64, max |x|), or None when an entry does not fit in int64."""
+    try:
+        y = np.asarray(x, dtype=np.int64)
+    except OverflowError:
+        return None
+    return y, max_abs(y)
+
+
+def int_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Exact product of two integer matrices: int64 when
+    n * max|x| * max|y| < 2^62, else object dtype (Python ints)."""
+    xs, ys = _int64(x), _int64(y)
+    if xs and ys and x.shape[1] * xs[1] * ys[1] < INT64_BOUND:
+        return xs[0] @ ys[0]
+    return np.asarray(x, dtype=object) @ np.asarray(y, dtype=object)
+
+
+def int_inner(x: np.ndarray, y: np.ndarray) -> int:
+    """Exact Frobenius inner product sum(x * y) of two integer matrices."""
+    xs, ys = _int64(x), _int64(y)
+    if xs and ys and x.size * xs[1] * ys[1] < INT64_BOUND:
+        return int((xs[0] * ys[0]).sum())
+    return int((np.asarray(x, dtype=object) * np.asarray(y, dtype=object)).sum())
+
+
+def int_combination(coeffs: Sequence[int], mats: Sequence[np.ndarray]
+                    ) -> np.ndarray:
+    """Exact sum(c * M) of integer matrices with integer coefficients: int64
+    when sum |c| * max|M| < 2^62, else object dtype."""
+    checked = [_int64(M) for M in mats]
+    if None not in checked and sum(
+            abs(c) * mx for c, (_, mx) in zip(coeffs, checked)) < INT64_BOUND:
+        terms = [c * M for c, (M, mx) in zip(coeffs, checked) if c and mx]
+    else:
+        terms = [c * np.asarray(M, dtype=object) for c, M in zip(coeffs, mats)]
+    return sum(terms, np.zeros(mats[0].shape, dtype=np.int64))
+
+
+def _int64_matmul(xa: np.ndarray, xb: np.ndarray, ya: np.ndarray,
+                  yb: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(xa + xb r)(ya + yb r) with r^2 = m on int64 operands whose bound the
+    caller checked, as object arrays; products with a zero factor are
+    skipped."""
+    a = xa @ ya
+    if m and xb.any() and yb.any():
+        a += m * (xb @ yb)
+    b = np.zeros_like(a)
+    if yb.any():
+        b += xa @ yb
+    if xb.any():
+        b += xb @ ya
+    return a.astype(object), b.astype(object)
+
+
 class QuadMatrix:
     """Square matrix over Q(sqrt(m)), stored as (A + B*sqrt(m)) / den.
 
     A and B are object-dtype integer ndarrays; den is a positive integer.
     Products and sums stay exact; entries come back out as QuadValue.
+    Products and `reduce` use the checked int64 kernel when its bound holds.
     """
 
     __slots__ = ("a", "b", "den", "m", "n")
@@ -287,9 +362,18 @@ class QuadMatrix:
 
     def __matmul__(self, other: "QuadMatrix") -> "QuadMatrix":
         m = self._coerce(other)
+        den = self.den * other.den
+        checked = [_int64(x) for x in (self.a, self.b, other.a, other.b)]
+        if None not in checked:
+            (xa, ax), (xb, bx), (ya, ay), (yb, by) = checked
+            # each of the four products (the B-by-B one scaled by m) below
+            # 2^62, so each sum of two stays below 2^63
+            if self.n * max(ax * ay, m * bx * by, ax * by, bx * ay) < INT64_BOUND:
+                a, b = _int64_matmul(xa, xb, ya, yb, m)
+                return QuadMatrix(a, b, den, m)
         a = self.a @ other.a + m * (self.b @ other.b)
         b = self.a @ other.b + self.b @ other.a
-        return QuadMatrix(a, b, self.den * other.den, m)
+        return QuadMatrix(a, b, den, m)
 
     def scale(self, c: QuadValue) -> "QuadMatrix":
         if c.b != 0 and self.m != 0 and c.m != self.m:
@@ -303,13 +387,13 @@ class QuadMatrix:
 
     def reduce(self) -> "QuadMatrix":
         """Divide out the gcd of all entries and the denominator."""
-        g = self.den
-        for row in self.a:
-            for x in row:
-                g = math.gcd(g, int(x))
-        for row in self.b:
-            for x in row:
-                g = math.gcd(g, int(x))
+        checked = [_int64(x) for x in (self.a, self.b)]
+        if None not in checked and max(mx for _, mx in checked) < INT64_BOUND:
+            parts = [x for x, _ in checked]
+        else:
+            parts = [self.a, self.b]
+        g = math.gcd(self.den, int(np.gcd.reduce(np.concatenate(
+            [x.reshape(-1) for x in parts]))))
         if g <= 1:
             return self
         return QuadMatrix(self.a // g, self.b // g, self.den // g, self.m)
@@ -348,3 +432,4 @@ class QuadMatrix:
 
     def __repr__(self):
         return f"QuadMatrix(n={self.n}, m={self.m}, den={self.den})"
+

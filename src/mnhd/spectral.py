@@ -19,7 +19,8 @@ from .errors import (AmbiguousGapError, DegenerateParamsError,
                      NoConvergenceError, NonQuadraticEigenvaluesError,
                      NonSymmetricError, NotFourEigenvaluesError,
                      RepeatedEigenvalueError)
-from .quadratic import QuadMatrix, QuadValue
+from .quadratic import (QuadMatrix, QuadValue, int_combination, int_inner,
+                        int_matmul)
 
 DEFAULT_TOL = 1e-9
 JACOBI_SWEEP_CAP = 100
@@ -71,6 +72,7 @@ class Eigensystem:
     n: int
     groups: tuple[EigenGroup, ...]
     mode: str  # "numeric" or "exact"
+    matrix: np.ndarray | None = None  # the matrix decomposed
 
     def values(self) -> list[float | QuadValue]:
         return [g.value for g in self.groups]
@@ -149,7 +151,7 @@ def jacobi_eigendecompose(M: np.ndarray, tol: float = DEFAULT_TOL,
         block = V[:, start:start + mult]
         groups.append(EigenGroup(value, mult, block @ block.T))
         start += mult
-    return Eigensystem(n, tuple(groups), "numeric")
+    return Eigensystem(n, tuple(groups), "numeric", M)
 
 
 # ---------------------------------------------------------------------------
@@ -161,39 +163,55 @@ def minimal_polynomial(L: np.ndarray, max_degree: int | None = None) -> list[int
     coefficients [c0, ..., c_{k-1}, 1].  The degree equals the number of
     distinct eigenvalues when L is symmetric.
 
+    The first power L^k that depends on I, L, ..., L^{k-1} is found from the
+    exact Frobenius Gram matrix G_ij = sum(L^i * L^j) of the powers: the
+    coefficients solve G c = (<L^i, L^k>)_i in Fractions, and L^k depends on
+    the lower powers exactly when the Schur complement <L^k, L^k> - c.g,
+    the squared distance of L^k from their span, is zero.  The result is
+    verified by evaluating p(L) = 0 in integers.
+
     Raises NotFourEigenvaluesError once the degree provably exceeds
     max_degree (the powers I, L, ..., L^max_degree are independent).
     """
     n = L.shape[0]
     cap = n if max_degree is None else min(max_degree, n)
-    power = np.eye(n, dtype=object)
-    Lobj = np.asarray(L, dtype=object)
-    # row-reduced basis of vectorized powers, with coordinate bookkeeping
-    basis: list[tuple[np.ndarray, list[Fraction], int]] = []
+    powers = [np.eye(n, dtype=np.int64)]
+    gram: list[list[int]] = []  # gram[i][j] = <L^i, L^j> for the independent powers
     for k in range(cap + 1):
-        frac = np.array([Fraction(int(x)) for x in power.reshape(-1)],
-                        dtype=object)
-        coords = [Fraction(0)] * (cap + 1)
-        coords[k] = Fraction(1)
-        for bvec, bcoords, piv in basis:
-            if frac[piv]:
-                factor = frac[piv] / bvec[piv]
-                frac = frac - factor * bvec
-                for i in range(k):
-                    if bcoords[i]:
-                        coords[i] -= factor * bcoords[i]
-        pivot = next((i for i, x in enumerate(frac) if x), None)
-        if pivot is None:
-            # dependency found; monic since earlier reductions leave coords[k]
-            coeffs = coords[:k + 1]
-            if coeffs[k] != 1 or any(c.denominator != 1 for c in coeffs):
+        if k:
+            powers.append(int_matmul(powers[-1], L))
+        g = [int_inner(P, powers[k]) for P in powers[:k]]
+        norm = int_inner(powers[k], powers[k])
+        coords = _solve_fractions(gram, g)
+        if norm == sum(c * x for c, x in zip(coords, g)):
+            coeffs = [-c for c in coords] + [Fraction(1)]
+            if any(c.denominator != 1 for c in coeffs):
                 raise InvariantViolationError(
                     f"minimal polynomial {coeffs} is not monic and integral")
-            return [int(c) for c in coeffs]
-        basis.append((frac, coords, pivot))
-        if k < cap:
-            power = power @ Lobj
+            coeffs = [int(c) for c in coeffs]
+            if int_combination(coeffs, powers).any():
+                raise InvariantViolationError(
+                    f"p(L) != 0 for the minimal polynomial {coeffs}")
+            return coeffs
+        for row, x in zip(gram, g):
+            row.append(x)
+        gram.append(g + [norm])
     raise NotFourEigenvaluesError(f"minimal polynomial degree exceeds {cap}")
+
+
+def _solve_fractions(a: list[list[int]], b: list[int]) -> list[Fraction]:
+    """Solve a x = b exactly for a nonsingular integer matrix a (Gaussian
+    elimination over Fractions with row pivoting)."""
+    k = len(b)
+    rows = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, b)]
+    for col in range(k):
+        piv = next(r for r in range(col, k) if rows[r][col])
+        rows[col], rows[piv] = rows[piv], rows[col]
+        for r in range(k):
+            if r != col and rows[r][col]:
+                f = rows[r][col] / rows[col][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return [rows[i][k] / rows[i][i] for i in range(k)]
 
 
 def _integer_roots(coeffs: list[int]) -> list[int]:
@@ -298,7 +316,7 @@ def exact_eigensystem(L: np.ndarray) -> Eigensystem:
     if total != L.shape[0]:
         raise InvariantViolationError(
             f"multiplicities sum to {total}, not n = {L.shape[0]}")
-    return Eigensystem(L.shape[0], tuple(groups), "exact")
+    return Eigensystem(L.shape[0], tuple(groups), "exact", L)
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +367,11 @@ class FourSpectrum:
         return (self.c1, self.c2, self.c3)
 
 
-def closed_form_projectors(L: np.ndarray, n: int, d: int, lam: int
+def closed_form_projectors(L: np.ndarray, L2: np.ndarray, n: int, d: int,
+                           lam: int
                            ) -> tuple[FourSpectrum, QuadMatrix, QuadMatrix, QuadMatrix]:
-    """Exact projectors of a d-regular bipartite four-eigenvalue Laplacian:
+    """Exact projectors of a d-regular bipartite four-eigenvalue Laplacian L,
+    given L2 = L @ L:
 
         P_i = c_i * (L^2 - (lam_j + lam_k) L + lam_j lam_k (I - P0))
 
@@ -359,7 +379,7 @@ def closed_form_projectors(L: np.ndarray, n: int, d: int, lam: int
     """
     fs = FourSpectrum.from_design(n, d, lam)
     m = fs.lam1.m
-    L2 = QuadMatrix.from_int(L @ L, m)  # int64 is exact: |L^2 entries| <= 4d^2
+    L2 = QuadMatrix.from_int(L2, m)
     Lq = QuadMatrix.from_int(L, m)
     eye = QuadMatrix.identity(n, m)
     complement = eye - QuadMatrix.constant(n, QuadValue(Fraction(1, n)), m)

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import jsonschema
@@ -7,16 +8,18 @@ import pytest
 import scipy.linalg
 
 from mnhd.certify import (NOT_APPLICABLE, NUMERIC_ONLY, PROVEN,
-                          REPORT_SCHEMA, analyze, certificate_bipartite,
-                          classify_pair, delta_sign_analysis, numeric_check)
+                          REPORT_SCHEMA, _pair_classes, analyze,
+                          certificate_bipartite, classify_pair,
+                          delta_sign_analysis, numeric_check)
 from mnhd.errors import NotFourEigenvaluesError, UnknownSignatureError
 from mnhd.graphs import (build_graph, cayley_s3, crown, cycle,
                          design_742_incidence, facts, fano_incidence,
                          laplacian, wheel6)
+from mnhd.heat import delta_set
 from mnhd.quadratic import QuadValue
 from mnhd.reference import (CAYLEY_S3_REFERENCE, WHEEL6_REFERENCE,
                             WHEEL6_SUSPECT_ENTRIES, compare_delta_rows)
-from mnhd.spectral import FourSpectrum
+from mnhd.spectral import FourSpectrum, exact_eigensystem
 
 F = Fraction
 
@@ -69,6 +72,47 @@ def test_classification_exhaustive_and_exclusive(incidence_builtins):
         assert counts["W1"] == 2 * g.m, name
         v_half = n // 2
         assert counts["W2"] == 2 * v_half * (v_half - 1), name
+
+
+def _pair_classes_by_delta_set(L, L2, es):
+    """Reference for _pair_classes on an exact eigensystem: the signature
+    groups split by the exact DeltaSet of every pair."""
+    groups = {}
+    for u in range(es.n):
+        for v in range(es.n):
+            if u != v:
+                sig = (int(L[u, u]), int(L[v, v]), int(L[u, v]), int(L2[u, v]))
+                groups.setdefault(sig, []).append((u, v))
+    projectors = [grp.projector for grp in es.groups[1:]]
+    out = []
+    for sig in sorted(groups):
+        by_delta = {}
+        for u, v in groups[sig]:
+            by_delta.setdefault(delta_set(projectors, u, v), []).append((u, v))
+        out.append((sig, list(by_delta.items())))
+    return out
+
+
+def test_keyed_pair_classes_match_every_pair_delta_sets(builtins,
+                                                        exact_systems):
+    rng = random.Random(4)
+    cases = []
+    for name, g in builtins.items():
+        if exact_systems[name] is None:
+            continue
+        cases.append((name, laplacian(g), exact_systems[name]))
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        L = laplacian(build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges]))
+        cases.append((f"{name} relabeled {perm}", L, exact_eigensystem(L)))
+    for name, L, es in cases:
+        assert _pair_classes(L, L @ L, es) == _pair_classes_by_delta_set(
+            L, L @ L, es), name
+        # with one signature for all pairs the Delta keys alone form the
+        # subclasses, so pairs with different DeltaSets must not share a key
+        zero = np.zeros_like(L)
+        assert _pair_classes(zero, zero, es) == _pair_classes_by_delta_set(
+            zero, zero, es), name
 
 
 # -- the bipartite certificate -----------------------------------------------

@@ -1,12 +1,14 @@
 """analyze() builds each eigensystem once per graph and hands it to the route
-that runs: counts of the spectral layers per call, with every binding of a
-counted function wrapped in every `mnhd` module namespace."""
+that runs, and computes one exact DeltaSet per pair class: counts of these
+layers per call, with every binding of a counted function wrapped in every
+`mnhd` module namespace."""
 
 import sys
 from collections import Counter
 
 import pytest
 
+import mnhd.heat
 import mnhd.spectral
 from mnhd.certify import analyze
 from mnhd.graphs import builtin_graph
@@ -15,8 +17,7 @@ COUNTED = ("minimal_polynomial", "exact_eigensystem", "lagrange_projector",
            "jacobi_eigendecompose")
 
 
-@pytest.fixture
-def calls(monkeypatch):
+def _count_calls(monkeypatch, owner, names):
     counts = Counter()
 
     def counting(name, fn):
@@ -25,8 +26,8 @@ def calls(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in COUNTED:
-        original = getattr(mnhd.spectral, name)
+    for name in names:
+        original = getattr(owner, name)
         wrapper = counting(name, original)
         for mod_name, module in list(sys.modules.items()):
             if mod_name == "mnhd" or mod_name.startswith("mnhd."):
@@ -34,6 +35,11 @@ def calls(monkeypatch):
                     if value is original:
                         monkeypatch.setattr(module, key, wrapper)
     return counts
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    return _count_calls(monkeypatch, mnhd.spectral, COUNTED)
 
 
 @pytest.mark.parametrize("name, minimal, exact, lagrange, jacobi", [
@@ -52,3 +58,18 @@ def test_analyze_builds_each_eigensystem_once(calls, name, minimal, exact,
         ("minimal_polynomial", minimal), ("exact_eigensystem", exact),
         ("lagrange_projector", lagrange), ("jacobi_eigendecompose", jacobi))
         if count}
+
+
+@pytest.mark.parametrize("name, subclasses", [
+    ("crown-7", 3),     # W1, W2, W3
+    ("cayley-s3", 3),
+    ("cycle-7", 3),     # float delta table: one DeltaSet per signature
+    ("cycle-6", 3),
+    ("wheel-6", 4),
+    ("cycle-5", 0),
+])
+def test_analyze_runs_delta_set_once_per_subclass(monkeypatch, name,
+                                                  subclasses):
+    calls = _count_calls(monkeypatch, mnhd.heat, ("delta_set",))
+    report = analyze(builtin_graph(name))
+    assert calls["delta_set"] == subclasses == len(report.certificate.classes)

@@ -13,10 +13,11 @@ from mnhd.errors import (ExactEigensystemRequiredError,
                          SameVertexError)
 from mnhd.graphs import (cayley_s3, crown, cycle, design_742_incidence,
                          laplacian, wheel6)
-from mnhd.heat import (DeltaSet, default_time_grid, delta_set, h_function,
+from mnhd.heat import (DeltaSet, default_time_grid, delta_keys, delta_set,
+                       h_function,
                        h_rate, h_terms_exact, h_terms_from_eigensystem,
                        heat_stack, ratio_curve, write_curve_csv)
-from mnhd.quadratic import QuadValue
+from mnhd.quadratic import QuadMatrix, QuadValue
 from mnhd.spectral import (EigenGroup, Eigensystem, FourSpectrum,
                            exact_eigensystem, jacobi_eigendecompose)
 
@@ -178,6 +179,26 @@ def test_delta_sum_is_one(make):
             if u != v:
                 ds = delta_set(projs, u, v)
                 assert ds.d1 + ds.d2 + ds.d3 == QuadValue(1)
+
+
+@pytest.mark.parametrize("m", [0, 5])
+def test_delta_keys_equal_exactly_when_delta_sets_are(m):
+    # small random integer matrices in place of projectors, so that many
+    # pairs share some Delta components but not all of them
+    rng = np.random.default_rng(m)
+    n = 5
+    us, vs = np.nonzero(~np.eye(n, dtype=bool))
+    for _ in range(150):
+        projs = [QuadMatrix(np.array(rng.integers(0, 2, (n, n)).tolist(),
+                                     dtype=object),
+                            np.array(rng.integers(0, 2, (n, n)).tolist(),
+                                     dtype=object),
+                            int(rng.integers(1, 4)), m) for _ in range(3)]
+        keys = [tuple(row) for row in delta_keys(projs, us, vs).tolist()]
+        sets = [delta_set(projs, u, v) for u, v in zip(us, vs)]
+        for i in range(len(keys)):
+            for j in range(i):
+                assert (keys[i] == keys[j]) == (sets[i] == sets[j])
 
 
 # -- the h function ----------------------------------------------------------

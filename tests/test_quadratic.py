@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import mpmath
@@ -177,3 +178,68 @@ def test_quadmatrix_identity_and_constant():
     assert eye.entry(0, 1) == QuadValue(0)
     J = QuadMatrix.constant(4, QuadValue(F(1, 4)))
     assert (J @ J) == J  # (J/n)^2 = J/n
+
+
+# -- the checked int64 kernel ------------------------------------------------
+
+
+def _python_matmul(A, B, m):
+    """(a, b) integer parts of A @ B in plain Python ints."""
+    n = A.n
+    ia, ib = A.a.tolist(), A.b.tolist()
+    ja, jb = B.a.tolist(), B.b.tolist()
+    a = [[sum(ia[i][k] * ja[k][j] + m * ib[i][k] * jb[k][j] for k in range(n))
+          for j in range(n)] for i in range(n)]
+    b = [[sum(ia[i][k] * jb[k][j] + ib[i][k] * ja[k][j] for k in range(n))
+          for j in range(n)] for i in range(n)]
+    return a, b
+
+
+def _python_reduce(Q):
+    g = Q.den
+    for x in Q.a.ravel().tolist() + Q.b.ravel().tolist():
+        g = math.gcd(g, x)
+    return ([[x // g for x in row] for row in Q.a.tolist()],
+            [[x // g for x in row] for row in Q.b.tolist()], Q.den // g)
+
+
+def _near(rng, top, n):
+    """n-by-n object matrix of positive entries just below top."""
+    return np.array(rng.integers(top - 1000, top, (n, n)).tolist(), dtype=object)
+
+
+@pytest.mark.parametrize("bits", [31, 40])
+@pytest.mark.parametrize("m", [0, 5])
+@pytest.mark.parametrize("side", ["below", "above"])
+def test_quadmatrix_kernel_matches_python_ints_at_int64_bound(monkeypatch,
+                                                              bits, m, side):
+    import mnhd.quadratic as quadratic
+
+    kernel_calls = []
+    kernel = quadratic._int64_matmul
+
+    def spy(*args):
+        kernel_calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(quadratic, "_int64_matmul", spy)
+    rng = np.random.default_rng(bits + m)
+    n = 3
+    x = 2 ** bits
+    # largest right-hand entry that keeps n * max|x| * max|y| (times m for
+    # the sqrt(m) parts) below 2^62; "above" goes far enough past it that the
+    # true sums overflow int64
+    limit = (2 ** 62 - 1) // (n * x * max(m, 1))
+    y = limit if side == "below" else 4 * limit
+    A = QuadMatrix(_near(rng, x, n), _near(rng, x, n) if m else
+                   np.zeros((n, n), dtype=object), 6, m)
+    B = QuadMatrix(_near(rng, y, n), _near(rng, y, n), 10, m)
+    C = A @ B
+    assert (C.a.tolist(), C.b.tolist()) == _python_matmul(A, B, m)
+    assert C.den == 60
+    assert len(kernel_calls) == (1 if side == "below" else 0)
+    if side == "above":
+        assert max(abs(v) for v in C.a.ravel().tolist()) >= 2 ** 63
+    for Q in (C, QuadMatrix(A.a * 12, A.b * 12, 18, m)):
+        R = Q.reduce()
+        assert (R.a.tolist(), R.b.tolist(), R.den) == _python_reduce(Q)

@@ -146,6 +146,84 @@ def test_minimal_polynomial_degree_cap():
         minimal_polynomial(laplacian(path5), max_degree=4)
 
 
+def _minimal_polynomial_by_elimination(L, max_degree=None):
+    """Reference: Fraction Gaussian elimination over the vectorized powers
+    I, L, L^2, ... until the first one reduces to zero."""
+    n = L.shape[0]
+    cap = n if max_degree is None else min(max_degree, n)
+    power = np.eye(n, dtype=object)
+    Lobj = np.asarray(L, dtype=object)
+    basis = []
+    for k in range(cap + 1):
+        frac = np.array([Fraction(int(x)) for x in power.reshape(-1)],
+                        dtype=object)
+        coords = [Fraction(0)] * (cap + 1)
+        coords[k] = Fraction(1)
+        for bvec, bcoords, piv in basis:
+            if frac[piv]:
+                factor = frac[piv] / bvec[piv]
+                frac = frac - factor * bvec
+                for i in range(k):
+                    if bcoords[i]:
+                        coords[i] -= factor * bcoords[i]
+        pivot = next((i for i, x in enumerate(frac) if x), None)
+        if pivot is None:
+            return coords[:k + 1]
+        basis.append((frac, coords, pivot))
+        if k < cap:
+            power = power @ Lobj
+    raise NotFourEigenvaluesError(f"minimal polynomial degree exceeds {cap}")
+
+
+def _minimal_polynomial_outcome(fn, L, max_degree):
+    try:
+        return fn(L, max_degree)
+    except NotFourEigenvaluesError:
+        return NotFourEigenvaluesError
+
+
+def _random_integer_matrices():
+    rng = np.random.default_rng(20211)
+    out = []
+    for n in range(1, 7):
+        for _ in range(6):
+            M = rng.integers(-3, 4, (n, n))
+            out.append(M)             # non-symmetric
+            out.append(M + M.T)       # symmetric
+        D = np.diag(rng.integers(-2, 3, n))  # repeated eigenvalues
+        out.append(D)
+        out.append(np.eye(n, k=1, dtype=np.int64))  # nilpotent Jordan block
+    # entries whose powers leave int64, so the object-dtype kernel runs
+    out.append(rng.integers(-2 ** 40, 2 ** 40, (4, 4)))
+    big = rng.integers(-2 ** 20, 2 ** 20, (5, 5))
+    out.append(big + big.T)
+    return out
+
+
+@pytest.mark.parametrize("max_degree", [None, 4])
+def test_minimal_polynomial_matches_elimination_on_builtins(builtins,
+                                                            max_degree):
+    for name, g in builtins.items():
+        L = laplacian(g)
+        assert (_minimal_polynomial_outcome(minimal_polynomial, L, max_degree)
+                == _minimal_polynomial_outcome(
+                    _minimal_polynomial_by_elimination, L, max_degree)), name
+
+
+@pytest.mark.parametrize("max_degree", [None, 4])
+def test_minimal_polynomial_matches_elimination_on_random_matrices(max_degree):
+    outcomes = []
+    for M in _random_integer_matrices():
+        mine = _minimal_polynomial_outcome(minimal_polynomial, M, max_degree)
+        assert mine == _minimal_polynomial_outcome(
+            _minimal_polynomial_by_elimination, M, max_degree), M
+        outcomes.append(mine)
+    if max_degree is None:
+        assert [0] * 6 + [1] in outcomes  # the 6x6 nilpotent Jordan block
+    else:
+        assert NotFourEigenvaluesError in outcomes
+
+
 def test_exact_eigenvalues_design_742():
     sigma = exact_eigenvalues(laplacian(design_742_incidence()))
     assert sigma == [QuadValue(0), QuadValue(4, -1, 2), QuadValue(4, 1, 2),
@@ -204,8 +282,8 @@ def test_lagrange_projector_repeated_eigenvalue():
 
 
 def test_closed_form_projectors_742():
-    g = design_742_incidence()
-    fs, P1, P2, P3 = closed_form_projectors(laplacian(g), 14, 4, 2)
+    L = laplacian(design_742_incidence())
+    fs, P1, P2, P3 = closed_form_projectors(L, L @ L, 14, 4, 2)
     assert (P1.trace(), P2.trace(), P3.trace()) == (QuadValue(6), QuadValue(6),
                                                     QuadValue(1))
     # resolution including P0
@@ -239,7 +317,7 @@ def test_closed_form_equals_lagrange_sample(incidence_builtins):
         L = laplacian(g)
         d = facts(g).regular_degree
         lam = (2 * d * (d - 1)) // (g.n - 2)
-        fs, P1, P2, P3 = closed_form_projectors(L, g.n, d, lam)
+        fs, P1, P2, P3 = closed_form_projectors(L, L @ L, g.n, d, lam)
         sigma = [fs.lam0, fs.lam1, fs.lam2, fs.lam3]
         for i, P in enumerate((P1, P2, P3), start=1):
             assert P == lagrange_projector(L, sigma, i), name
