@@ -17,7 +17,7 @@ from .graphs import (Graph, GraphFacts, adjacency, build_graph, cayley_s3,
                      fano_incidence, incidence_graph, laplacian,
                      read_edge_list, wheel6, write_edge_list)
 from .heat import (DeltaSet, default_time_grid, delta_set, h_function,
-                   heat_stack, ratio_curve)
+                   heat_slices, heat_stack, ratio_curve)
 from .quadratic import QuadMatrix, QuadValue
 from .spectral import (Eigensystem, FourSpectrum, VanDamCase,
                        classify_spectrum, closed_form_projectors,

@@ -36,10 +36,11 @@ import numpy as np
 
 from .designs import lambda_from_n_d
 from .errors import (NoCaseMatchesError, NonQuadraticEigenvaluesError,
-                     NotFourEigenvaluesError, UnknownSignatureError)
+                     NotFourEigenvaluesError, ShortGridError,
+                     UnknownSignatureError)
 from .graphs import Graph, facts, laplacian
 from .heat import (DeltaSet, default_time_grid, delta_keys, delta_set,
-                   h_terms_exact, heat_stack)
+                   h_terms_exact, heat_slices)
 from .quadratic import QuadMatrix, QuadValue, int_matmul
 from .spectral import (Eigensystem, FourSpectrum, VanDamCase,
                        classify_spectrum, closed_form_projectors,
@@ -454,26 +455,30 @@ class NumericVerdict:
 def numeric_check(g: Graph, grid: Sequence[float] | None = None,
                   tol: float = 1e-9, es: Eigensystem | None = None) -> NumericVerdict:
     """Forward differences of r_t over the grid for every ordered pair; the
-    verdict is evidence about MNHD, not a proof."""
+    verdict is evidence about MNHD, not a proof.  H_t streams in one slice per
+    time, so only the previous ratio matrix and the running minimum are kept.
+    Ties go to the earliest step, then to the first pair in row-major order."""
     if es is None:
         es = jacobi_eigendecompose(laplacian(g))
     if grid is None:
         grid = default_time_grid(es)
     grid = np.asarray(grid, dtype=float)
-    H = heat_stack(es, grid)
-    diag = np.einsum("tii->ti", H)
-    R = H / diag[:, :, None]
-    diffs = np.diff(R, axis=0)
-    mask = ~np.eye(g.n, dtype=bool)
-    off = diffs[:, mask]  # (T-1, n*(n-1))
-    flat = int(np.argmin(off))
-    step, pair_idx = divmod(flat, off.shape[1])
-    us, vs = np.where(mask)
-    min_diff = float(off[step, pair_idx])
-    worst_pair = (int(us[pair_idx]), int(vs[pair_idx]))
-    worst_t = float(grid[step + 1])
+    if len(grid) < 2:
+        raise ShortGridError(f"need at least two times, got {len(grid)}")
+    min_diff, worst_idx, worst_t = np.inf, 0, grid[1]
+    prev = None
+    for t, H in zip(grid, heat_slices(es, grid)):
+        R = H / np.diagonal(H)[:, None]
+        if prev is not None:
+            diff = R - prev
+            np.fill_diagonal(diff, np.inf)
+            idx = int(np.argmin(diff))
+            if diff.flat[idx] < min_diff:
+                min_diff, worst_idx, worst_t = diff.flat[idx], idx, t
+        prev = R
+    u, v = divmod(worst_idx, g.n)
     verdict = "PassesAtTolerance" if min_diff >= -tol else "ViolatedAt"
-    return NumericVerdict(min_diff, worst_pair, worst_t, tol, verdict)
+    return NumericVerdict(float(min_diff), (u, v), float(worst_t), tol, verdict)
 
 
 # ---------------------------------------------------------------------------

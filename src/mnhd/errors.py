@@ -65,6 +65,10 @@ class SameVertexError(MnhdError, ValueError):
     pass
 
 
+class ShortGridError(MnhdError, ValueError):
+    """A time grid with fewer than two times has no forward difference."""
+
+
 class UnknownSignatureError(MnhdError):
     """A vertex pair whose (L, L^2) signature matches no expected class."""
 

@@ -1,4 +1,5 @@
-"""Heat kernels H_t = exp(-tL) (`heat_stack`), the normalized ratio r_t(u,v) =
+"""Heat kernels H_t = exp(-tL), evaluated by `heat_slices` one n x n slice per
+time step (`heat_stack` stacks them), the normalized ratio r_t(u,v) =
 H_t(u,v)/H_t(u,u) (`ratio_curve`), the derivative-sign function
 
     h_{u,v}(t) = H_t'(u,v) H_t(u,u) - H_t(u,v) H_t'(u,u),
@@ -18,47 +19,65 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import (ExactEigensystemRequiredError, InvariantViolationError,
-                     NegativeTimeError, SameVertexError)
+from .errors import (ExactEigensystemRequiredError, GraphInputError,
+                     InvariantViolationError, NegativeTimeError,
+                     SameVertexError)
 from .quadratic import INT64_BOUND, QuadMatrix, QuadValue, max_abs
 from .spectral import Eigensystem, FourSpectrum
 
 
-def heat_stack(es: Eigensystem, grid: Sequence[float]) -> np.ndarray:
-    """H_t = sum_lambda exp(-t*lambda) P_lambda for every t in grid, stacked
-    along axis 0.  At t = 0 the slice is the identity exactly."""
+def heat_slices(es: Eigensystem, grid: Sequence[float]) -> Iterator[np.ndarray]:
+    """H_t = sum_lambda exp(-t*lambda) P_lambda for each t in grid, yielded one
+    n x n slice at a time; at t = 0 the slice is the identity exactly.  The
+    grid is checked and the float projectors are stacked when this is called,
+    before the first slice is asked for."""
     grid = np.asarray(grid, dtype=float)
     if (grid < 0).any():
         raise NegativeTimeError("grid contains negative times")
     groups = es.float_groups()
     values = np.array([v for v, _ in groups])
-    projs = np.stack([p for _, p in groups])
-    weights = np.exp(-np.outer(grid, values))  # (T, k)
-    H = np.einsum("tk,kij->tij", weights, projs)
-    H[grid == 0] = np.eye(es.n)
-    return H
+    projs = np.stack([p for _, p in groups])  # (k, n, n)
+
+    def slices() -> Iterator[np.ndarray]:
+        for t in grid:
+            yield (np.eye(es.n) if t == 0
+                   else np.einsum("k,kij->ij", np.exp(-t * values), projs))
+
+    return slices()
+
+
+def heat_stack(es: Eigensystem, grid: Sequence[float]) -> np.ndarray:
+    """The slices of `heat_slices` stacked along axis 0, shape (T, n, n)."""
+    return np.stack(list(heat_slices(es, grid)))
 
 
 def ratio_curve(es: Eigensystem, u: int, v: int,
                 grid: Sequence[float]) -> list[tuple[float, float]]:
     """(t, r_t(u,v)) for every t in grid; r is zero at t = 0 and tends to 1."""
+    if not (0 <= u < es.n and 0 <= v < es.n):
+        raise GraphInputError(
+            f"vertices must lie in 0..{es.n - 1}, got u={u}, v={v}")
     if u == v:
         raise SameVertexError(f"u = v = {u}")
-    H = heat_stack(es, grid)
-    huu = H[:, u, u]
+    huu, huv = [], []
+    for H in heat_slices(es, grid):
+        huu.append(H[u, u])
+        huv.append(H[u, v])
+    huu = np.array(huu)
     if (huu < 1.0 / es.n - 1e-9).any():  # P0 diagonal plus nonnegative decays
         raise InvariantViolationError(f"H_t(u,u) = {huu.min()} is below 1/n")
-    return [(float(t), float(H[i, u, v] / huu[i]))
+    return [(float(t), float(huv[i] / huu[i]))
             for i, t in enumerate(grid)]
 
 
 def default_time_grid(es: Eigensystem, points: int = 60) -> np.ndarray:
     """t = 0 followed by `points` log-spaced times from 1e-3 up to
-    max(50, 30/lambda_min), far enough that exp(-lambda_min*t_max) < 1e-12."""
+    max(50, 30/lambda_min), far enough that exp(-lambda_min*t_max) < 1e-12.
+    With no positive eigenvalue (an edgeless graph) H_t = I and t_max = 50."""
     t_max = max(50.0, 30.0 / es.smallest_positive())
     return np.concatenate([[0.0], np.geomspace(1e-3, t_max, points)])
 

@@ -87,7 +87,9 @@ class Eigensystem:
         return out
 
     def smallest_positive(self) -> float:
-        return min(float(g.value) for g in self.groups if float(g.value) > 1e-12)
+        """The smallest eigenvalue above 1e-12; inf when there is none."""
+        return min((float(g.value) for g in self.groups if float(g.value) > 1e-12),
+                   default=float("inf"))
 
 
 def jacobi_eigendecompose(M: np.ndarray, tol: float = DEFAULT_TOL,

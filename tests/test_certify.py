@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import jsonschema
@@ -11,15 +12,17 @@ from mnhd.certify import (NOT_APPLICABLE, NUMERIC_ONLY, PROVEN,
                           REPORT_SCHEMA, _pair_classes, analyze,
                           certificate_bipartite, classify_pair,
                           delta_sign_analysis, numeric_check)
-from mnhd.errors import NotFourEigenvaluesError, UnknownSignatureError
+from mnhd.errors import (NotFourEigenvaluesError, ShortGridError,
+                         UnknownSignatureError)
 from mnhd.graphs import (build_graph, cayley_s3, crown, cycle,
                          design_742_incidence, facts, fano_incidence,
                          laplacian, wheel6)
-from mnhd.heat import delta_set
+from mnhd.heat import default_time_grid, delta_set, heat_stack
 from mnhd.quadratic import QuadValue
 from mnhd.reference import (CAYLEY_S3_REFERENCE, WHEEL6_REFERENCE,
                             WHEEL6_SUSPECT_ENTRIES, compare_delta_rows)
-from mnhd.spectral import FourSpectrum, exact_eigensystem
+from mnhd.spectral import (FourSpectrum, exact_eigensystem,
+                           jacobi_eigendecompose)
 
 F = Fraction
 
@@ -320,6 +323,79 @@ def test_numeric_check_p3_against_expm_oracle():
     assert verdict.verdict == "PassesAtTolerance"
 
 
+def _full_table_numeric_check(g, es, tol=1e-9):
+    """The numeric check as a full (T, n, n) table: H, R and their forward
+    differences for every time at once, minimum by `np.argmin` over (step,
+    off-diagonal pair in row-major order).  Returns the verdict fields, the
+    difference table and the grid."""
+    grid = default_time_grid(es)
+    H = heat_stack(es, grid)
+    R = H / np.einsum("tii->ti", H)[:, :, None]
+    diffs = np.diff(R, axis=0)
+    mask = ~np.eye(g.n, dtype=bool)
+    off = diffs[:, mask]
+    step, pair_idx = divmod(int(np.argmin(off)), off.shape[1])
+    us, vs = np.where(mask)
+    min_diff = float(off[step, pair_idx])
+    fields = (min_diff, (int(us[pair_idx]), int(vs[pair_idx])),
+              float(grid[step + 1]),
+              "PassesAtTolerance" if min_diff >= -tol else "ViolatedAt")
+    return fields, diffs, grid
+
+
+def _gnp(n, seed, p=0.2):
+    rng = np.random.default_rng(seed)
+    return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                           if rng.random() < p])
+
+
+@pytest.fixture(scope="module")
+def crown50_system():
+    g = crown(50)
+    return g, jacobi_eigendecompose(laplacian(g))
+
+
+def test_streamed_numeric_check_matches_full_table(builtins, numeric_systems,
+                                                   crown50_system):
+    cases = [(name, g, numeric_systems[name]) for name, g in builtins.items()]
+    cases.append(("crown-50", *crown50_system))
+    for k in (20, 30):
+        cases.append((f"crown-{k}", crown(k), None))
+    for n, seed in ((8, 1), (12, 2), (20, 3), (40, 4), (100, 5)):
+        cases.append((f"gnp-{n}", _gnp(n, seed), None))
+    for name, g, es in cases:
+        if es is None:
+            es = jacobi_eigendecompose(laplacian(g))
+        (min_diff, pair, t, verdict), diffs, grid = _full_table_numeric_check(g, es)
+        got = numeric_check(g, es=es)
+        assert got.verdict == verdict, name
+        assert abs(got.min_diff - min_diff) <= 1e-12, name
+        u, v = got.worst_pair
+        assert u != v, name
+        step = int(np.flatnonzero(grid == got.worst_t)[0]) - 1
+        assert abs(diffs[step, u, v] - got.min_diff) <= 1e-12, name
+        if got.min_diff == min_diff:  # ties: earliest step, then first pair
+            assert (got.worst_pair, got.worst_t) == (pair, t), name
+
+
+def test_numeric_check_memory_below_one_stack(crown50_system):
+    g, es = crown50_system
+    numeric_check(g, es=es)
+    tracemalloc.start()
+    try:
+        numeric_check(g, es=es)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (61, 100, 100) float64 stack of H_t is about 4.7 MiB
+    assert peak < 61 * g.n * g.n * 8
+
+
+def test_numeric_check_needs_two_times():
+    with pytest.raises(ShortGridError):
+        numeric_check(crown(5), grid=[0.0])
+
+
 def test_numeric_verdict_consistency(builtins, reports):
     for name, g in builtins.items():
         verdict = reports[name].numeric
@@ -362,6 +438,15 @@ def test_analyze_k2_report():
     assert len(report.spectrum) == 2
     assert report.certificate.verdict == NOT_APPLICABLE
     assert report.numeric.passed
+
+
+def test_analyze_edgeless_graph():
+    # no positive eigenvalue: H_t = I at every t, so every ratio stays 0
+    report = analyze(build_graph(5, []))
+    assert report.certificate.verdict == NOT_APPLICABLE
+    assert report.certificate.reason == "graph is not connected"
+    assert report.numeric.passed and report.numeric.min_diff == 0.0
+    jsonschema.validate(report.to_dict(), REPORT_SCHEMA)
 
 
 def test_analyze_c7_report():

@@ -102,6 +102,28 @@ def test_curve_command(tmp_path, capsys):
     assert abs(rs[-1] - 1.0) < 1e-9
 
 
+def test_curve_rejects_vertices_out_of_range(tmp_path, capsys):
+    gpath = tmp_path / "p3.g"
+    gpath.write_text("3 2\n0 1\n1 2\n")
+    for u, v in (("0", "5"), ("-1", "0")):
+        code, stdout, stderr = run(capsys, "curve", str(gpath), "-u", u, "-v", v)
+        assert code == 2 and stdout == "", (u, v)
+        assert stderr.startswith("error:") and "Traceback" not in stderr, (u, v)
+
+
+def test_edgeless_graph_analyze_and_check(tmp_path, capsys):
+    gpath = tmp_path / "e2.g"
+    gpath.write_text("2 0\n")
+    code, stdout, _ = run(capsys, "analyze", str(gpath), "--format", "json")
+    assert code == 0
+    payload = json.loads(stdout)
+    assert payload["certificate"]["verdict"] == "NotApplicable"
+    assert payload["numeric"]["verdict"] == "PassesAtTolerance"
+    assert payload["numeric"]["minDiff"] == 0.0
+    code, stdout, _ = run(capsys, "check", str(gpath), "--strict")
+    assert code == 0 and stdout.startswith("PassesAtTolerance")
+
+
 def test_design_validate(tmp_path, capsys):
     dpath = tmp_path / "d.txt"
     dpath.write_text("7 7 base=1\n" + "\n".join(

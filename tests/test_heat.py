@@ -8,15 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mnhd.errors import (ExactEigensystemRequiredError,
+from mnhd.errors import (ExactEigensystemRequiredError, GraphInputError,
                          InvariantViolationError, NegativeTimeError,
                          SameVertexError)
-from mnhd.graphs import (cayley_s3, crown, cycle, design_742_incidence,
-                         laplacian, wheel6)
+from mnhd.graphs import (build_graph, cayley_s3, crown, cycle,
+                         design_742_incidence, laplacian, wheel6)
 from mnhd.heat import (DeltaSet, default_time_grid, delta_keys, delta_set,
                        h_function,
                        h_rate, h_terms_exact, h_terms_from_eigensystem,
-                       heat_stack, ratio_curve, write_curve_csv)
+                       heat_slices, heat_stack, ratio_curve, write_curve_csv)
 from mnhd.quadratic import QuadMatrix, QuadValue
 from mnhd.spectral import (EigenGroup, Eigensystem, FourSpectrum,
                            exact_eigensystem, jacobi_eigendecompose)
@@ -53,6 +53,16 @@ def test_heat_rejects_negative_time():
         heat_stack(_es(crown(5)), [-1.0, 0.0])
 
 
+def test_heat_slices_check_grid_before_iterating():
+    es = _es(crown(5))
+    with pytest.raises(NegativeTimeError):
+        heat_slices(es, [-1.0])  # raises on the call, no slice requested
+    slices = heat_slices(es, [0.0, 1.0])
+    assert np.array_equal(next(slices), np.eye(10))
+    assert next(slices).shape == (10, 10)
+    assert next(slices, None) is None
+
+
 def test_heat_semigroup_742():
     es = _es(design_742_incidence())
     H1, H2, H3 = heat_stack(es, [1.0, 2.0, 3.0])
@@ -75,6 +85,13 @@ def test_ratio_endpoints():
     assert abs(r_end - 1.0) < 1e-10
     with pytest.raises(SameVertexError):
         ratio_curve(es, 3, 3, [1.0])
+
+
+def test_ratio_curve_rejects_vertices_out_of_range():
+    es = _es(build_graph(3, [(0, 1), (1, 2)]))
+    for u, v in ((0, 5), (-1, 0), (0, 3), (3, 3)):
+        with pytest.raises(GraphInputError):
+            ratio_curve(es, u, v, [0.0, 1.0])
 
 
 def test_ratio_curve_rejects_diagonal_below_one_over_n():
@@ -123,6 +140,15 @@ def test_default_time_grid_shape():
     assert len(grid) == 61 and grid[0] == 0.0 and grid[1] == 1e-3
     assert grid[-1] == max(50.0, 30.0 / 3.0)
     assert np.exp(-3.0 * grid[-1]) < 1e-12
+
+
+def test_default_time_grid_edgeless():
+    es = _es(build_graph(4, []))
+    assert es.smallest_positive() == float("inf")
+    grid = default_time_grid(es)
+    assert len(grid) == 61 and grid[-1] == 50.0
+    assert np.array_equal(heat_stack(es, grid),
+                          np.broadcast_to(np.eye(4), (61, 4, 4)))
 
 
 def test_write_curve_csv_format():
