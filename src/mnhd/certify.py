@@ -1,8 +1,11 @@
 """Deciding monotonic normalized heat diffusion (MNHD).
 
-Three routes, in decreasing order of strength.  The two exact ones share one
-engine: the graph's exact eigensystem, built once by `analyze`, and one
-grouping of the ordered vertex pairs by signature and exact Delta set.
+Three routes, in decreasing order of strength.  Each returns a Certificate.
+The two exact ones share one engine: the graph's exact eigensystem, built
+once by `analyze`, and one grouping of the ordered vertex pairs into classes
+by their (L, L^2) signature and the integer key (L^k(u,u), L^k(u,v)),
+k = 1, 2, 3, read off the integer Laplacian; pairs with equal keys have equal
+Delta sets, so `delta_set` runs once per class.
 
 * certificate_bipartite -- an exact certificate for connected regular
   bipartite graphs with four distinct Laplacian eigenvalues.  Such a graph is
@@ -19,8 +22,9 @@ grouping of the ordered vertex pairs by signature and exact Delta set.
   nonnegative, or because e^{lam3 t} h(t) is nondecreasing (no growing term
   has a negative coefficient and the growing terms' derivative budget covers
   the decaying positive ones) and h(0) >= 0.  Graphs whose eigenvalues are
-  not quadratic (classification case III) degrade to a numeric table that is
-  labelled as evidence, never proof.
+  not quadratic (classification case III) degrade to a float table over the
+  same classes (method numeric-delta-table) that is labelled as evidence,
+  never proof.
 
 * numeric_check -- forward differences of r_t over a log time grid, for every
   ordered pair.  Evidence only; always run as cross-validation.
@@ -35,12 +39,12 @@ from typing import Sequence
 import numpy as np
 
 from .designs import lambda_from_n_d
-from .errors import (NoCaseMatchesError, NonQuadraticEigenvaluesError,
-                     NotFourEigenvaluesError, ShortGridError,
-                     UnknownSignatureError)
+from .errors import (InvalidParameterError, NoCaseMatchesError,
+                     NonQuadraticEigenvaluesError, NotFourEigenvaluesError,
+                     ShortGridError, UnknownSignatureError)
 from .graphs import Graph, facts, laplacian
-from .heat import (DeltaSet, default_time_grid, delta_keys, delta_set,
-                   h_terms_exact, heat_slices)
+from .heat import (DeltaSet, default_time_grid, delta_set, h_terms_exact,
+                   heat_slices)
 from .quadratic import QuadMatrix, QuadValue, int_matmul
 from .spectral import (Eigensystem, FourSpectrum, VanDamCase,
                        classify_spectrum, closed_form_projectors,
@@ -126,26 +130,38 @@ def classify_pair(L: np.ndarray, L2: np.ndarray, u: int, v: int,
 
 
 def _pair_classes(L: np.ndarray, L2: np.ndarray, es: Eigensystem
-                  ) -> list[tuple[tuple, list[tuple[DeltaSet, list[Pair]]]]]:
-    """Group the ordered pairs u != v by their (L(u,u), L(v,v), L(u,v),
-    L^2(u,v)) signature, in sorted signature order.  Deltas come from the
-    projectors of the nonzero eigenvalues of the connected graph's
-    eigensystem.  An exact eigensystem splits each group by exact DeltaSet,
-    the subclasses in order of their first pair: every pair is keyed by
-    `delta_keys`, whose keys agree exactly when the DeltaSets do, and
-    `delta_set` runs once per subclass, on its first pair.  A float
-    eigensystem keeps each group whole with the DeltaSet of its first pair."""
+                  ) -> list[tuple[str, tuple, DeltaSet, list[Pair]]]:
+    """(tag, signature, DeltaSet, pairs) per class of the ordered pairs
+    u != v of the integer Laplacian L (with L2 = L @ L) decomposed by `es`.
+    The pairs are grouped by their (L(u,u), L(v,v), L(u,v), L^2(u,v))
+    signature, in sorted signature order, and each group is split, in order
+    of first pair, by the integer key (L^k(u,u), L^k(u,v)) for k = 1, 2, 3.
+    The i-th group is tagged S{i}, or S{i}.{j} for its j-th class when it
+    splits.  `delta_set` runs once per class, on its first pair, with the
+    projectors of `es` (exact or float).
+
+    Two pairs have equal keys exactly when they have equal DeltaSets.  With
+    four distinct eigenvalues sigma_0 = 0 < sigma_1, sigma_2, sigma_3 and
+    P_0 = J/n (a connected graph), L^k = sum_{i>=1} sigma_i^k P_i for k >= 1.
+    The sigma_i are distinct and nonzero, so this Vandermonde system makes
+    the key and x_i = P_i(u,u), y_i = P_i(u,v) (i = 1, 2, 3) determine each
+    other.  The DeltaSet gives x and y back: Delta_i = x_i - y_i and
+    Delta_ij = Delta_j x_i - Delta_i x_j fix x up to a multiple of Delta,
+    which sum Delta_i = 1 and sum x_i = 1 - 1/n then fix, and y = x - Delta."""
+    L3 = int_matmul(L2, L)
     us, vs = np.nonzero(~np.eye(es.n, dtype=bool))  # row-major pair order
     sigs = np.stack([L[us, us], L[vs, vs], L[us, vs], L2[us, vs]], axis=1)
-    projectors = [grp.projector for grp in es.groups[1:]]
-    keys = (delta_keys(projectors, us, vs).tolist() if es.mode == "exact"
-            else [()] * len(us))
+    # the key's L(u,u), L(u,v) and L^2(u,v) are already in the signature
+    keys = np.stack([L2[us, us], L3[us, us], L3[us, vs]], axis=1)
     groups: dict[tuple, dict[tuple, list[Pair]]] = {}
-    for sig, key, u, v in zip(sigs.tolist(), keys, us.tolist(), vs.tolist()):
+    for sig, key, u, v in zip(sigs.tolist(), keys.tolist(), us.tolist(),
+                              vs.tolist()):
         groups.setdefault(tuple(sig), {}).setdefault(tuple(key), []).append((u, v))
-    return [(sig, [(delta_set(projectors, *pairs[0]), pairs)
-                   for pairs in groups[sig].values()])
-            for sig in sorted(groups)]
+    projectors = [grp.projector for grp in es.groups[1:]]
+    return [(f"S{idx}" if len(groups[sig]) == 1 else f"S{idx}.{sub}", sig,
+             delta_set(projectors, *pairs[0]), pairs)
+            for idx, sig in enumerate(sorted(groups), start=1)
+            for sub, pairs in enumerate(groups[sig].values(), start=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -247,14 +263,12 @@ def certificate_bipartite(g: Graph,
 
     # the template's pair classes, named W1/W2/W3 by their (L, L^2)
     # signature; UnknownSignatureError propagates
+    classes = _pair_classes(L, L2, es)
     rows: list[ClassRow] = []
-    constant = True
-    for _, subclasses in _pair_classes(L, L2, es):
-        ds, members = subclasses[0]
+    for _, _, ds, members in classes:
         pc = classify_pair(L, L2, *members[0], n, d, lam)
-        count = sum(len(pairs) for _, pairs in subclasses)
-        rows.append(ClassRow(pc.tag, pc.signature, count, ds))
-        constant &= len(subclasses) == 1
+        rows.append(ClassRow(pc.tag, pc.signature, len(members), ds))
+    constant = len(classes) == len({sig for _, sig, _, _ in classes})
     rows.sort(key=lambda row: row.tag)
     counts = {row.tag: row.count for row in rows}
     record("pair_classification_complete",
@@ -333,20 +347,6 @@ def _h0(fs: FourSpectrum, ds: DeltaSet, n: int) -> QuadValue:
 # generalized exact template
 
 
-@dataclass(frozen=True)
-class DeltaAnalysis:
-    verdict: str
-    exact: bool
-    reason: str | None
-    rows: tuple[ClassRow, ...]
-    checks: tuple[CertificateCheck, ...] = ()
-    spectrum: FourSpectrum | None = None
-
-    @property
-    def proven(self) -> bool:
-        return self.verdict == PROVEN
-
-
 def _template_row(lam3: QuadValue, terms: dict[QuadValue, QuadValue],
                   h0: QuadValue, sig: tuple) -> tuple[bool, str | None, str]:
     """Certify one class row from the exponential terms of its h.  Route 1:
@@ -378,15 +378,15 @@ def _template_row(lam3: QuadValue, terms: dict[QuadValue, QuadValue],
 
 
 def delta_sign_analysis(g: Graph,
-                        es: Eigensystem | None = None) -> DeltaAnalysis:
+                        es: Eigensystem | None = None) -> Certificate:
     """Certify each pair class of a connected four-eigenvalue graph with the
     exponential-sign template, from exact DeltaSets of the exact eigensystem
     `es` and its Laplacian `es.matrix` (both built here when `es` is not
-    given).  Falls back to a float table labelled NumericOnly when the
-    eigenvalues are not quadratic."""
-    f = facts(g)
-    if not f.connected:
-        return DeltaAnalysis(NOT_APPLICABLE, False, "graph is not connected", ())
+    given); method delta-sign-template.  Falls back to the float table of
+    `_numeric_delta_table` when the eigenvalues are not quadratic."""
+    method = "delta-sign-template"
+    if not facts(g).connected:
+        return _not_applicable(method, "graph is not connected")
     L = laplacian(g) if es is None else es.matrix
     if es is None:
         try:
@@ -399,40 +399,38 @@ def delta_sign_analysis(g: Graph,
     rows: list[ClassRow] = []
     checks: list[CertificateCheck] = []
     n = g.n
-    classes = _pair_classes(L, int_matmul(L, L), es)
-    for idx, (sig, subclasses) in enumerate(classes, start=1):
-        for sub, (ds, members) in enumerate(subclasses, start=1):
-            tag = f"S{idx}" if len(subclasses) == 1 else f"S{idx}.{sub}"
-            deltas_ok = all(x.sign() >= 0 for x in (ds.d1, ds.d2, ds.d3))
-            checks.append(CertificateCheck(
-                f"{tag}_delta_nonneg", f"D1={ds.d1}, D2={ds.d2}, D3={ds.d3}",
-                deltas_ok))
-            terms = h_terms_exact(fs, ds, n)
-            h0 = sum(terms.values(), QuadValue(0))
-            proven, route, detail = _template_row(fs.lam3, terms, h0, sig)
-            checks.append(CertificateCheck(f"{tag}_monotone_template", detail,
-                                           proven))
-            checks.append(CertificateCheck(
-                f"{tag}_derivative_at_zero", f"h(0) = {h0} = -L(u,v)",
-                h0 == QuadValue(-sig[2])))
-            rows.append(ClassRow(tag, sig, len(members), ds,
-                                 proven and deltas_ok, route))
+    for tag, sig, ds, members in _pair_classes(L, int_matmul(L, L), es):
+        deltas_ok = all(x.sign() >= 0 for x in (ds.d1, ds.d2, ds.d3))
+        checks.append(CertificateCheck(
+            f"{tag}_delta_nonneg", f"D1={ds.d1}, D2={ds.d2}, D3={ds.d3}",
+            deltas_ok))
+        terms = h_terms_exact(fs, ds, n)
+        h0 = sum(terms.values(), QuadValue(0))
+        proven, route, detail = _template_row(fs.lam3, terms, h0, sig)
+        checks.append(CertificateCheck(f"{tag}_monotone_template", detail,
+                                       proven))
+        checks.append(CertificateCheck(
+            f"{tag}_derivative_at_zero", f"h(0) = {h0} = -L(u,v)",
+            h0 == QuadValue(-sig[2])))
+        rows.append(ClassRow(tag, sig, len(members), ds,
+                             proven and deltas_ok, route))
     verdict, reason = _verdict(checks)
-    return DeltaAnalysis(verdict, True, reason, tuple(rows), tuple(checks), fs)
+    return Certificate(verdict, method, reason, tuple(checks), tuple(rows))
 
 
 def _numeric_delta_table(L: np.ndarray, es: Eigensystem,
-                         why: str) -> DeltaAnalysis:
-    """Float DeltaSets per signature class from the Jacobi eigensystem `es`."""
+                         why: str) -> Certificate:
+    """Float DeltaSets per pair class of the integer Laplacian L from its
+    Jacobi eigensystem `es`, tagged as the template tags them; method
+    numeric-delta-table, verdict NumericOnly."""
     if len(es.groups) != 4:
         raise NotFourEigenvaluesError(
             f"{len(es.groups)} distinct eigenvalues, need 4")
-    rows = [ClassRow(f"S{idx}", sig, len(pairs), ds, None, None)
-            for idx, (sig, [(ds, pairs)]) in
-            enumerate(_pair_classes(L, int_matmul(L, L), es), start=1)]
-    return DeltaAnalysis(NUMERIC_ONLY, False,
-                         f"not proven: {why}; float table is evidence only",
-                         tuple(rows))
+    rows = [ClassRow(tag, sig, len(pairs), ds) for tag, sig, ds, pairs in
+            _pair_classes(L, int_matmul(L, L), es)]
+    return Certificate(NUMERIC_ONLY, "numeric-delta-table",
+                       f"not proven: {why}; float table is evidence only",
+                       classes=tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +455,12 @@ def numeric_check(g: Graph, grid: Sequence[float] | None = None,
     """Forward differences of r_t over the grid for every ordered pair; the
     verdict is evidence about MNHD, not a proof.  H_t streams in one slice per
     time, so only the previous ratio matrix and the running minimum are kept.
-    Ties go to the earliest step, then to the first pair in row-major order."""
+    Ties go to the earliest step, then to the first pair in row-major order.
+    The grid must hold at least two finite, nonnegative, strictly increasing
+    times, and `tol` must be finite and nonnegative."""
+    if not (np.isfinite(tol) and tol >= 0):
+        raise InvalidParameterError(
+            f"tolerance must be finite and nonnegative, got {tol}")
     if es is None:
         es = jacobi_eigendecompose(laplacian(g))
     if grid is None:
@@ -465,9 +468,12 @@ def numeric_check(g: Graph, grid: Sequence[float] | None = None,
     grid = np.asarray(grid, dtype=float)
     if len(grid) < 2:
         raise ShortGridError(f"need at least two times, got {len(grid)}")
+    slices = heat_slices(es, grid)  # rejects negative and non-finite times
+    if (np.diff(grid) <= 0).any():
+        raise InvalidParameterError("grid times must be strictly increasing")
     min_diff, worst_idx, worst_t = np.inf, 0, grid[1]
     prev = None
-    for t, H in zip(grid, heat_slices(es, grid)):
+    for t, H in zip(grid, slices):
         R = H / np.diagonal(H)[:, None]
         if prev is not None:
             diff = R - prev
@@ -648,13 +654,10 @@ def analyze(g: Graph) -> MnhdReport:
             "none", f"{len(es.groups)} distinct Laplacian eigenvalues, need four")
     elif f.regular_degree is not None and f.bipartition is not None:
         certificate = certificate_bipartite(g, exact)
+    elif cubic is None:
+        certificate = delta_sign_analysis(g, exact)
     else:
-        analysis = (delta_sign_analysis(g, exact) if cubic is None
-                    else _numeric_delta_table(L, es, cubic))
-        method = ("delta-sign-template" if analysis.exact
-                  else "numeric-delta-table")
-        certificate = Certificate(analysis.verdict, method, analysis.reason,
-                                  analysis.checks, analysis.rows)
+        certificate = _numeric_delta_table(L, es, cubic)
 
     numeric = numeric_check(g, es=es)
     return MnhdReport(g.n, g.m, f.regular_degree, f.bipartition is not None,

@@ -70,11 +70,11 @@ def _report_text(report) -> str:
 
 
 def _delta_table_text(title: str, g: graphs.Graph, reference, names) -> list[str]:
-    analysis = delta_sign_analysis(g)
-    lines = [title, f"  verdict: {analysis.verdict}"]
-    comparisons = compare_delta_rows(analysis.rows, reference)
+    cert = delta_sign_analysis(g)
+    lines = [title, f"  verdict: {cert.verdict}"]
+    comparisons = compare_delta_rows(cert.classes, reference)
     mismatch = {(c.signature, c.field): c for c in comparisons if not c.match}
-    for row in analysis.rows:
+    for row in cert.classes:
         label = names.get(row.signature, str(row.signature))
         deltas = ", ".join(f"{k}={_format_value(x)}" for k, x in
                            zip(DELTA_FIELDS, row.deltas.as_tuple()))

@@ -69,6 +69,12 @@ class ShortGridError(MnhdError, ValueError):
     """A time grid with fewer than two times has no forward difference."""
 
 
+class InvalidParameterError(MnhdError, ValueError):
+    """A numeric argument outside its domain: a time that is not finite, a
+    time grid that is not strictly increasing, a tolerance that is negative
+    or not finite, or fewer than one grid point."""
+
+
 class UnknownSignatureError(MnhdError):
     """A vertex pair whose (L, L^2) signature matches no expected class."""
 

@@ -24,20 +24,22 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import (ExactEigensystemRequiredError, GraphInputError,
-                     InvariantViolationError, NegativeTimeError,
-                     SameVertexError)
-from .quadratic import INT64_BOUND, QuadMatrix, QuadValue, max_abs
+                     InvalidParameterError, InvariantViolationError,
+                     NegativeTimeError, SameVertexError)
+from .quadratic import QuadMatrix, QuadValue
 from .spectral import Eigensystem, FourSpectrum
 
 
 def heat_slices(es: Eigensystem, grid: Sequence[float]) -> Iterator[np.ndarray]:
     """H_t = sum_lambda exp(-t*lambda) P_lambda for each t in grid, yielded one
     n x n slice at a time; at t = 0 the slice is the identity exactly.  The
-    grid is checked and the float projectors are stacked when this is called,
-    before the first slice is asked for."""
+    grid is checked (finite, nonnegative times) and the float projectors are
+    stacked when this is called, before the first slice is asked for."""
     grid = np.asarray(grid, dtype=float)
     if (grid < 0).any():
         raise NegativeTimeError("grid contains negative times")
+    if not np.isfinite(grid).all():
+        raise InvalidParameterError("grid contains times that are not finite")
     groups = es.float_groups()
     values = np.array([v for v, _ in groups])
     projs = np.stack([p for _, p in groups])  # (k, n, n)
@@ -77,7 +79,10 @@ def ratio_curve(es: Eigensystem, u: int, v: int,
 def default_time_grid(es: Eigensystem, points: int = 60) -> np.ndarray:
     """t = 0 followed by `points` log-spaced times from 1e-3 up to
     max(50, 30/lambda_min), far enough that exp(-lambda_min*t_max) < 1e-12.
-    With no positive eigenvalue (an edgeless graph) H_t = I and t_max = 50."""
+    With no positive eigenvalue (an edgeless graph) H_t = I and t_max = 50.
+    `points` must be at least 1."""
+    if points < 1:
+        raise InvalidParameterError(f"need at least one point, got {points}")
     t_max = max(50.0, 30.0 / es.smallest_positive())
     return np.concatenate([[0.0], np.geomspace(1e-3, t_max, points)])
 
@@ -124,37 +129,6 @@ def delta_set(projectors: Sequence[QuadMatrix] | Sequence[np.ndarray],
     cross = [uv[i] * uu[j] - uv[j] * uu[i]
              for i, j in ((0, 1), (0, 2), (1, 2))]
     return DeltaSet(d[0], d[1], d[2], cross[0], cross[1], cross[2])
-
-
-def delta_keys(projectors: Sequence[QuadMatrix], us: np.ndarray,
-               vs: np.ndarray) -> np.ndarray:
-    """Exact integer keys of the pairs (us[k], vs[k]), one row per pair: the
-    rational and sqrt(m) numerators of the six Deltas over denominators fixed
-    per projector (den_i for Delta_i, den_i * den_j for Delta_ij).  The
-    projectors share one square-free radicand m, as in an exact eigensystem,
-    so two pairs have equal rows exactly when delta_set gives them equal
-    DeltaSets.  Computed on int64 when the numerator bound below allows,
-    else on Python ints."""
-    m = projectors[0].m
-    big = max(max_abs(x) for P in projectors for x in (P.a, P.b))
-    # every cross numerator and partial sum is at most (4 + 2m) * big^2
-    dtype = np.int64 if (4 + 2 * m) * big * big < INT64_BOUND else object
-    parts = []
-    for P in projectors:
-        a = P.a.astype(dtype)
-        b = P.b.astype(dtype) if m else np.zeros_like(a)  # sqrt(0) drops b
-        parts.append((a[us, us], b[us, us], a[us, vs], b[us, vs]))
-    cols = []
-    for a_uu, b_uu, a_uv, b_uv in parts:
-        cols += [a_uu - a_uv, b_uu - b_uv]
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        ai_uu, bi_uu, ai_uv, bi_uv = parts[i]
-        aj_uu, bj_uu, aj_uv, bj_uv = parts[j]
-        # P_i(u,v) P_j(u,u) - P_j(u,v) P_i(u,u), times den_i * den_j
-        cols.append(ai_uv * aj_uu + m * bi_uv * bj_uu
-                    - aj_uv * ai_uu - m * bj_uv * bi_uu)
-        cols.append(ai_uv * bj_uu + bi_uv * aj_uu - aj_uv * bi_uu - bj_uv * ai_uu)
-    return np.stack(cols, axis=1)
 
 
 def h_terms_exact(fs: FourSpectrum, ds: DeltaSet, n: int

@@ -56,11 +56,11 @@ def test_criterion_01_catalog_spectrum_reproduction(numeric_systems):
 
 def test_criterion_02_cayley_s3_delta_table_exact(builtins):
     analysis = delta_sign_analysis(builtins["cayley-s3"])
-    comparisons = compare_delta_rows(analysis.rows, CAYLEY_S3_REFERENCE)
+    comparisons = compare_delta_rows(analysis.classes, CAYLEY_S3_REFERENCE)
     assert len(comparisons) == 18
     for c in comparisons:  # zero tolerance: exact rationals
         assert c.computed == c.reference, (c.signature, c.field)
-    non_adjacent = next(r for r in analysis.rows if r.signature == (3, 3, 0, 2))
+    non_adjacent = next(r for r in analysis.classes if r.signature == (3, 3, 0, 2))
     assert non_adjacent.deltas.as_tuple() == (
         QuadValue(F(1, 3)), QuadValue(F(1, 2)), QuadValue(F(1, 6)),
         QuadValue(F(-1, 36)), QuadValue(F(-1, 12)), QuadValue(F(-1, 9)))
@@ -68,7 +68,7 @@ def test_criterion_02_cayley_s3_delta_table_exact(builtins):
 
 def test_criterion_03_wheel6_delta_table_exact(builtins, exact_systems):
     analysis = delta_sign_analysis(builtins["wheel-6"])
-    rows = {r.signature: r for r in analysis.rows}
+    rows = {r.signature: r for r in analysis.classes}
     # rim-to-hub and hub-to-rim rows reproduce exactly
     assert rows[(3, 5, -1, -6)].deltas.as_tuple() == (
         QuadValue(F(2, 5)), QuadValue(F(2, 5)), QuadValue(F(1, 5)),
@@ -79,7 +79,7 @@ def test_criterion_03_wheel6_delta_table_exact(builtins, exact_systems):
     # every entry of the two rim rows recomputed exactly; report the outcome
     # for the two suspect entries instead of asserting the reference blindly
     comparisons = {(c.signature, c.field): c
-                   for c in compare_delta_rows(analysis.rows, WHEEL6_REFERENCE)}
+                   for c in compare_delta_rows(analysis.classes, WHEEL6_REFERENCE)}
     for key, c in comparisons.items():
         if key in WHEEL6_SUSPECT_ENTRIES:
             continue

@@ -12,8 +12,8 @@ from mnhd.certify import (NOT_APPLICABLE, NUMERIC_ONLY, PROVEN,
                           REPORT_SCHEMA, _pair_classes, analyze,
                           certificate_bipartite, classify_pair,
                           delta_sign_analysis, numeric_check)
-from mnhd.errors import (NotFourEigenvaluesError, ShortGridError,
-                         UnknownSignatureError)
+from mnhd.errors import (InvalidParameterError, NotFourEigenvaluesError,
+                         ShortGridError, UnknownSignatureError)
 from mnhd.graphs import (build_graph, cayley_s3, crown, cycle,
                          design_742_incidence, facts, fano_incidence,
                          laplacian, wheel6)
@@ -79,7 +79,7 @@ def test_classification_exhaustive_and_exclusive(incidence_builtins):
 
 def _pair_classes_by_delta_set(L, L2, es):
     """Reference for _pair_classes on an exact eigensystem: the signature
-    groups split by the exact DeltaSet of every pair."""
+    groups split by the exact DeltaSet of every pair, tagged the same way."""
     groups = {}
     for u in range(es.n):
         for v in range(es.n):
@@ -88,34 +88,115 @@ def _pair_classes_by_delta_set(L, L2, es):
                 groups.setdefault(sig, []).append((u, v))
     projectors = [grp.projector for grp in es.groups[1:]]
     out = []
-    for sig in sorted(groups):
+    for idx, sig in enumerate(sorted(groups), start=1):
         by_delta = {}
         for u, v in groups[sig]:
             by_delta.setdefault(delta_set(projectors, u, v), []).append((u, v))
-        out.append((sig, list(by_delta.items())))
+        for sub, (ds, pairs) in enumerate(by_delta.items(), start=1):
+            tag = f"S{idx}" if len(by_delta) == 1 else f"S{idx}.{sub}"
+            out.append((tag, sig, ds, pairs))
     return out
+
+
+def _circulant(n, connection):
+    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                           if (v - u) % n in connection])
+
+
+def _k3_box_k4():
+    """K3 x K4 (Cartesian): Laplacian spectrum {0, 3, 4, 7}."""
+    return build_graph(12, [(u, v) for u in range(12) for v in range(u + 1, 12)
+                            if (u // 4 == v // 4) != (u % 4 == v % 4)])
+
+
+def _paley13_cone():
+    """Paley(13) plus a vertex joined to all 13: spectrum
+    {0, (15 - sqrt13)/2, (15 + sqrt13)/2, 14}, not regular."""
+    squares = {x * x % 13 for x in range(1, 13)}
+    paley = _circulant(13, squares)
+    return build_graph(14, list(paley.edges) + [(u, 13) for u in range(13)])
 
 
 def test_keyed_pair_classes_match_every_pair_delta_sets(builtins,
                                                         exact_systems):
+    # No graph tried needs the L^3 columns of the key: keying by L^3 alone,
+    # by L and L^2 alone, or by the signature alone gives the same classes on
+    # every builtin and on the two graphs below.  That is no accident: with
+    # the resolution sum_{i>=1} P_i = I - J/n as a k = 0 row, the proof in
+    # `_pair_classes` goes through with k = 0, 1, 2, and since
+    # L^2(u,u) = L(u,u)^2 + L(u,u) the signature alone fixes the DeltaSet
+    # of a pair of a connected four-eigenvalue graph.
     rng = random.Random(4)
+    graphs = {name: g for name, g in builtins.items()
+              if exact_systems[name] is not None}
+    graphs.update({"k3-box-k4": _k3_box_k4(), "paley13-cone": _paley13_cone()})
     cases = []
-    for name, g in builtins.items():
-        if exact_systems[name] is None:
-            continue
-        cases.append((name, laplacian(g), exact_systems[name]))
+    for name, g in graphs.items():
+        L = laplacian(g)
+        cases.append((name, L, exact_systems.get(name) or exact_eigensystem(L)))
         perm = list(range(g.n))
         rng.shuffle(perm)
         L = laplacian(build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges]))
         cases.append((f"{name} relabeled {perm}", L, exact_eigensystem(L)))
     for name, L, es in cases:
-        assert _pair_classes(L, L @ L, es) == _pair_classes_by_delta_set(
-            L, L @ L, es), name
-        # with one signature for all pairs the Delta keys alone form the
-        # subclasses, so pairs with different DeltaSets must not share a key
-        zero = np.zeros_like(L)
-        assert _pair_classes(zero, zero, es) == _pair_classes_by_delta_set(
-            zero, zero, es), name
+        L2, L3 = L @ L, L @ L @ L
+        assert _pair_classes(L, L2, es) == _pair_classes_by_delta_set(
+            L, L2, es), name
+        # the key alone, over all pairs whatever their signature, groups the
+        # pairs exactly as their DeltaSets do
+        projectors = [grp.projector for grp in es.groups[1:]]
+        by_key, by_delta = {}, {}
+        for u in range(es.n):
+            for v in range(es.n):
+                if u != v:
+                    key = tuple(int(P[u, w]) for P in (L, L2, L3)
+                                for w in (u, v))
+                    by_key.setdefault(key, []).append((u, v))
+                    by_delta.setdefault(delta_set(projectors, u, v),
+                                        []).append((u, v))
+        assert sorted(by_key.values()) == sorted(by_delta.values()), name
+
+
+def test_pair_classes_split_a_signature_group_by_key():
+    # the path 0-1-2-3-4-5 has six eigenvalues, so its key fixes no DeltaSet,
+    # but it does split a signature group: (1, 2) and (2, 3) share the
+    # signature (2, 2, -1, -4), while L^3(1, 1) = 19 and L^3(2, 2) = 20
+    L = laplacian(build_graph(6, [(i, i + 1) for i in range(5)]))
+    L2, L3 = L @ L, L @ L @ L
+    classes = _pair_classes(L, L2, jacobi_eigendecompose(L))
+    tag = {pair: t for t, _, _, pairs in classes for pair in pairs}
+    assert tag[(1, 2)] != tag[(2, 3)]
+    assert tag[(1, 2)].split(".")[0] == tag[(2, 3)].split(".")[0]
+    assert tag[(1, 2)] == tag[(4, 3)]  # mirror image
+    for _, sig, _, pairs in classes:
+        assert len({(L2[u, u], L3[u, u], L3[u, v]) for u, v in pairs}) == 1
+        assert {(L[u, u], L[v, v], L[u, v], L2[u, v])
+                for u, v in pairs} == {sig}
+
+
+@pytest.mark.parametrize("g", [cycle(7), _circulant(13, {1, 5, 8, 12}),
+                               _circulant(13, {2, 3, 4, 6, 7, 9, 10, 11})],
+                         ids=["cycle-7", "circulant-13", "circulant-13-bar"])
+def test_numeric_delta_table_rows_hold_for_every_pair(g):
+    # cubic eigenvalues: the float table, whose keyed classes do not split
+    # on these graphs, gives every pair its row's DeltaSet
+    cert = delta_sign_analysis(g)
+    assert cert.method == "numeric-delta-table"
+    assert [row.tag for row in cert.classes] == [
+        f"S{i}" for i in range(1, len(cert.classes) + 1)]
+    assert sum(row.count for row in cert.classes) == g.n * (g.n - 1)
+    L = laplacian(g)
+    L2 = L @ L
+    es = jacobi_eigendecompose(L)
+    rows = {row.signature: row for row in cert.classes}
+    projectors = [grp.projector for grp in es.groups[1:]]
+    for u in range(g.n):
+        for v in range(g.n):
+            if u != v:
+                row = rows[(L[u, u], L[v, v], L[u, v], L2[u, v])]
+                got = delta_set(projectors, u, v).as_floats()
+                assert np.allclose(got, row.deltas.as_floats(), rtol=0,
+                                   atol=1e-9), (u, v, row.tag)
 
 
 # -- the bipartite certificate -----------------------------------------------
@@ -222,21 +303,24 @@ def test_order_identity_for_all_catalog_params():
 
 def test_delta_sign_analysis_cayley_exact_table():
     analysis = delta_sign_analysis(cayley_s3())
-    assert analysis.verdict == PROVEN and analysis.exact
-    assert len(analysis.rows) == 3
-    comparisons = compare_delta_rows(analysis.rows, CAYLEY_S3_REFERENCE)
+    assert analysis.verdict == PROVEN
+    assert analysis.method == "delta-sign-template"
+    assert len(analysis.classes) == 3
+    comparisons = compare_delta_rows(analysis.classes, CAYLEY_S3_REFERENCE)
     assert len(comparisons) == 18
     assert all(c.match for c in comparisons)
 
 
 def test_delta_sign_analysis_wheel_rows():
     analysis = delta_sign_analysis(wheel6())
-    assert analysis.verdict == PROVEN and analysis.exact
-    assert len(analysis.rows) == 4
-    assert all(x.m in (0, 5) for row in analysis.rows
+    assert analysis.verdict == PROVEN
+    assert analysis.method == "delta-sign-template"
+    assert len(analysis.classes) == 4
+    assert all(x.m in (0, 5) for row in analysis.classes
                for x in row.deltas.as_tuple())
     comparisons = {(c.signature, c.field): c
-                   for c in compare_delta_rows(analysis.rows, WHEEL6_REFERENCE)}
+                   for c in compare_delta_rows(analysis.classes,
+                                               WHEEL6_REFERENCE)}
     mismatched = {key for key, c in comparisons.items() if not c.match}
     # of the two suspect entries, the distance-two one agrees with the
     # reference and the adjacent-rim d23 does not: derived -(5+sqrt5)/300
@@ -249,7 +333,8 @@ def test_delta_sign_analysis_wheel_rows():
 
 
 def test_delta_sign_analysis_routes():
-    routes = {r.signature: r.route for r in delta_sign_analysis(cayley_s3()).rows}
+    routes = {r.signature: r.route
+              for r in delta_sign_analysis(cayley_s3()).classes}
     assert routes[(3, 3, 0, 2)] == "transform-budget"
     assert routes[(3, 3, -1, -5)] == "nonnegative-coefficients"
     assert routes[(3, 3, -1, -6)] == "nonnegative-coefficients"
@@ -257,9 +342,10 @@ def test_delta_sign_analysis_routes():
 
 def test_delta_sign_analysis_c7_numeric_fallback():
     analysis = delta_sign_analysis(cycle(7))
-    assert analysis.verdict == NUMERIC_ONLY and not analysis.exact
-    assert len(analysis.rows) == 3  # distance classes 1, 2, 3
-    assert all(isinstance(r.deltas.d1, float) for r in analysis.rows)
+    assert analysis.verdict == NUMERIC_ONLY
+    assert analysis.method == "numeric-delta-table"
+    assert len(analysis.classes) == 3  # distance classes 1, 2, 3
+    assert all(isinstance(r.deltas.d1, float) for r in analysis.classes)
     assert "evidence" in analysis.reason
 
 
@@ -394,6 +480,17 @@ def test_numeric_check_memory_below_one_stack(crown50_system):
 def test_numeric_check_needs_two_times():
     with pytest.raises(ShortGridError):
         numeric_check(crown(5), grid=[0.0])
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"grid": [0.0, np.nan]}, {"grid": [0.0, np.inf]}, {"grid": [1.0, 0.5]},
+    {"grid": [0.0, 1.0, 1.0]}, {"tol": -1.0}, {"tol": np.nan},
+    {"tol": np.inf}], ids=["nan-time", "inf-time", "decreasing", "repeated",
+                           "negative-tol", "nan-tol", "inf-tol"])
+def test_numeric_check_rejects_bad_grid_and_tolerance(kwargs):
+    with pytest.raises(InvalidParameterError) as info:
+        numeric_check(crown(5), **kwargs)
+    assert isinstance(info.value, ValueError)
 
 
 def test_numeric_verdict_consistency(builtins, reports):

@@ -111,6 +111,19 @@ def test_curve_rejects_vertices_out_of_range(tmp_path, capsys):
         assert stderr.startswith("error:") and "Traceback" not in stderr, (u, v)
 
 
+def test_curve_and_check_reject_bad_numbers(tmp_path, capsys):
+    gpath = tmp_path / "p3.g"
+    gpath.write_text("3 2\n0 1\n1 2\n")
+    for argv in (("curve", str(gpath), "-u", "0", "-v", "1", "--points", "-1"),
+                 ("curve", str(gpath), "-u", "0", "-v", "1", "--points", "0"),
+                 ("check", str(gpath), "--tol", "-1"),
+                 ("check", str(gpath), "--tol", "nan"),
+                 ("check", str(gpath), "--tol", "inf", "--strict")):
+        code, stdout, stderr = run(capsys, *argv)
+        assert code == 2 and stdout == "", argv
+        assert stderr.startswith("error:") and "Traceback" not in stderr, argv
+
+
 def test_edgeless_graph_analyze_and_check(tmp_path, capsys):
     gpath = tmp_path / "e2.g"
     gpath.write_text("2 0\n")

@@ -63,7 +63,7 @@ def test_analyze_builds_each_eigensystem_once(calls, name, minimal, exact,
 @pytest.mark.parametrize("name, subclasses", [
     ("crown-7", 3),     # W1, W2, W3
     ("cayley-s3", 3),
-    ("cycle-7", 3),     # float delta table: one DeltaSet per signature
+    ("cycle-7", 3),     # float delta table: one DeltaSet per keyed class
     ("cycle-6", 3),
     ("wheel-6", 4),
     ("cycle-5", 0),

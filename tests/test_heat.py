@@ -9,12 +9,11 @@ import numpy as np
 import pytest
 
 from mnhd.errors import (ExactEigensystemRequiredError, GraphInputError,
-                         InvariantViolationError, NegativeTimeError,
-                         SameVertexError)
+                         InvalidParameterError, InvariantViolationError,
+                         NegativeTimeError, SameVertexError)
 from mnhd.graphs import (build_graph, cayley_s3, crown, cycle,
                          design_742_incidence, laplacian, wheel6)
-from mnhd.heat import (DeltaSet, default_time_grid, delta_keys, delta_set,
-                       h_function,
+from mnhd.heat import (DeltaSet, default_time_grid, delta_set, h_function,
                        h_rate, h_terms_exact, h_terms_from_eigensystem,
                        heat_slices, heat_stack, ratio_curve, write_curve_csv)
 from mnhd.quadratic import QuadMatrix, QuadValue
@@ -61,6 +60,9 @@ def test_heat_slices_check_grid_before_iterating():
     assert np.array_equal(next(slices), np.eye(10))
     assert next(slices).shape == (10, 10)
     assert next(slices, None) is None
+    for t in (np.nan, np.inf):
+        with pytest.raises(InvalidParameterError):
+            heat_slices(es, [0.0, t])
 
 
 def test_heat_semigroup_742():
@@ -151,6 +153,14 @@ def test_default_time_grid_edgeless():
                           np.broadcast_to(np.eye(4), (61, 4, 4)))
 
 
+def test_default_time_grid_needs_a_point():
+    es = _es(crown(5))
+    assert list(default_time_grid(es, 1)) == [0.0, 1e-3]
+    for points in (0, -1):
+        with pytest.raises(InvalidParameterError):
+            default_time_grid(es, points)
+
+
 def test_write_curve_csv_format():
     buf = io.StringIO()
     write_curve_csv(buf, [(0.0, 0.0), (1.0, 1 / 3)])
@@ -205,26 +215,6 @@ def test_delta_sum_is_one(make):
             if u != v:
                 ds = delta_set(projs, u, v)
                 assert ds.d1 + ds.d2 + ds.d3 == QuadValue(1)
-
-
-@pytest.mark.parametrize("m", [0, 5])
-def test_delta_keys_equal_exactly_when_delta_sets_are(m):
-    # small random integer matrices in place of projectors, so that many
-    # pairs share some Delta components but not all of them
-    rng = np.random.default_rng(m)
-    n = 5
-    us, vs = np.nonzero(~np.eye(n, dtype=bool))
-    for _ in range(150):
-        projs = [QuadMatrix(np.array(rng.integers(0, 2, (n, n)).tolist(),
-                                     dtype=object),
-                            np.array(rng.integers(0, 2, (n, n)).tolist(),
-                                     dtype=object),
-                            int(rng.integers(1, 4)), m) for _ in range(3)]
-        keys = [tuple(row) for row in delta_keys(projs, us, vs).tolist()]
-        sets = [delta_set(projs, u, v) for u, v in zip(us, vs)]
-        for i in range(len(keys)):
-            for j in range(i):
-                assert (keys[i] == keys[j]) == (sets[i] == sets[j])
 
 
 # -- the h function ----------------------------------------------------------
