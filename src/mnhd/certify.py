@@ -3,18 +3,18 @@
 Three routes, in decreasing order of strength.  Each returns a Certificate.
 The two exact ones share one engine: the graph's exact eigensystem, built
 once by `analyze`, and one grouping of the ordered vertex pairs into classes
-by their (L, L^2) signature and the integer key (L^k(u,u), L^k(u,v)),
-k = 1, 2, 3, read off the integer Laplacian; pairs with equal keys have equal
-Delta sets, so `delta_set` runs once per class.
+by their (L, L^2) signature, read off the integer Laplacian; on a connected
+four-eigenvalue graph the signature fixes a pair's Delta set, so `delta_set`
+runs once per class.
 
 * certificate_bipartite -- an exact certificate for connected regular
   bipartite graphs with four distinct Laplacian eigenvalues.  Such a graph is
   the incidence graph of a symmetric (n/2, d, lambda)-design, and the
   certificate is a design layer on the engine: it checks the projectors
   against their quadratic closed form, names the template's pair classes
-  W1/W2/W3, checks that the Delta quantities are constant on all pairs of
-  each class, and records every sign and cancellation condition that together
-  force h_{u,v}(t) >= 0 for all t.
+  W1/W2/W3, derives from the projector checks that the Delta quantities are
+  constant on all pairs of each class, and records every sign and
+  cancellation condition that together force h_{u,v}(t) >= 0 for all t.
 
 * delta_sign_analysis -- a generalized exact template for any connected graph
   with four distinct eigenvalues in a quadratic field: per signature class it
@@ -132,36 +132,27 @@ def classify_pair(L: np.ndarray, L2: np.ndarray, u: int, v: int,
 def _pair_classes(L: np.ndarray, L2: np.ndarray, es: Eigensystem
                   ) -> list[tuple[str, tuple, DeltaSet, list[Pair]]]:
     """(tag, signature, DeltaSet, pairs) per class of the ordered pairs
-    u != v of the integer Laplacian L (with L2 = L @ L) decomposed by `es`.
-    The pairs are grouped by their (L(u,u), L(v,v), L(u,v), L^2(u,v))
-    signature, in sorted signature order, and each group is split, in order
-    of first pair, by the integer key (L^k(u,u), L^k(u,v)) for k = 1, 2, 3.
-    The i-th group is tagged S{i}, or S{i}.{j} for its j-th class when it
-    splits.  `delta_set` runs once per class, on its first pair, with the
-    projectors of `es` (exact or float).
+    u != v of the integer Laplacian L (with L2 = L @ L) of a connected graph
+    with four distinct eigenvalues, decomposed by `es`.  The pairs are grouped
+    by their (L(u,u), L(v,v), L(u,v), L^2(u,v)) signature and the groups are
+    tagged S1, S2, ... in sorted signature order.  `delta_set` runs once per
+    class, on its first pair, with the projectors of `es` (exact or float).
 
-    Two pairs have equal keys exactly when they have equal DeltaSets.  With
-    four distinct eigenvalues sigma_0 = 0 < sigma_1, sigma_2, sigma_3 and
-    P_0 = J/n (a connected graph), L^k = sum_{i>=1} sigma_i^k P_i for k >= 1.
-    The sigma_i are distinct and nonzero, so this Vandermonde system makes
-    the key and x_i = P_i(u,u), y_i = P_i(u,v) (i = 1, 2, 3) determine each
-    other.  The DeltaSet gives x and y back: Delta_i = x_i - y_i and
-    Delta_ij = Delta_j x_i - Delta_i x_j fix x up to a multiple of Delta,
-    which sum Delta_i = 1 and sum x_i = 1 - 1/n then fix, and y = x - Delta."""
-    L3 = int_matmul(L2, L)
+    On such a graph the signature fixes the DeltaSet.  With eigenvalues
+    sigma_0 = 0 < sigma_1, sigma_2, sigma_3 and P_0 = J/n, the rows
+    sum_{i>=1} P_i = I - J/n and L^k = sum_{i>=1} sigma_i^k P_i (k = 1, 2)
+    form an invertible (1, sigma, sigma^2) Vandermonde system, so
+    (L(u,u), L^2(u,u)) fixes x_i = P_i(u,u) and (L(u,v), L^2(u,v)) fixes
+    y_i = P_i(u,v), and the DeltaSet is a function of x and y.  On a simple
+    graph L^2(u,u) = L(u,u)^2 + L(u,u), so the signature gives all four."""
     us, vs = np.nonzero(~np.eye(es.n, dtype=bool))  # row-major pair order
     sigs = np.stack([L[us, us], L[vs, vs], L[us, vs], L2[us, vs]], axis=1)
-    # the key's L(u,u), L(u,v) and L^2(u,v) are already in the signature
-    keys = np.stack([L2[us, us], L3[us, us], L3[us, vs]], axis=1)
-    groups: dict[tuple, dict[tuple, list[Pair]]] = {}
-    for sig, key, u, v in zip(sigs.tolist(), keys.tolist(), us.tolist(),
-                              vs.tolist()):
-        groups.setdefault(tuple(sig), {}).setdefault(tuple(key), []).append((u, v))
+    groups: dict[tuple, list[Pair]] = {}
+    for sig, u, v in zip(sigs.tolist(), us.tolist(), vs.tolist()):
+        groups.setdefault(tuple(sig), []).append((u, v))
     projectors = [grp.projector for grp in es.groups[1:]]
-    return [(f"S{idx}" if len(groups[sig]) == 1 else f"S{idx}.{sub}", sig,
-             delta_set(projectors, *pairs[0]), pairs)
-            for idx, sig in enumerate(sorted(groups), start=1)
-            for sub, pairs in enumerate(groups[sig].values(), start=1)]
+    return [(f"S{idx}", sig, delta_set(projectors, *groups[sig][0]), groups[sig])
+            for idx, sig in enumerate(sorted(groups), start=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +213,10 @@ def certificate_bipartite(g: Graph,
     c1, c2, c3 = fs.constants()
 
     sigma = es.values()
-    record("spectrum_matches_design_form", sigma == [fs.lam0, lam1, lam2, lam3],
-           f"spectrum {{{', '.join(map(str, sigma))}}}, design form "
-           f"{{0, {lam1}, {lam2}, {lam3}}}")
+    spectrum_ok = record(
+        "spectrum_matches_design_form", sigma == [fs.lam0, lam1, lam2, lam3],
+        f"spectrum {{{', '.join(map(str, sigma))}}}, design form "
+        f"{{0, {lam1}, {lam2}, {lam3}}}")
 
     record("constants_sign_pattern",
            c1.sign() > 0 and c3.sign() > 0 and c2.sign() < 0,
@@ -240,22 +232,24 @@ def certificate_bipartite(g: Graph,
     record("closed_form_equals_lagrange", projs[1:] == [P1, P2, P3],
            "quadratic closed form reproduces the Lagrange projectors")
     m = projs[0].m
-    record("closed_form_p0",
-           projs[0] == QuadMatrix.constant(n, QuadValue(Fraction(1, n)), m),
-           "P0 = J/n")
-    record("projector_resolution",
-           (projs[0] + projs[1] + projs[2] + projs[3]
-            - QuadMatrix.identity(n, m)).is_zero(), "P0+P1+P2+P3 = I")
+    p0_ok = record(
+        "closed_form_p0",
+        projs[0] == QuadMatrix.constant(n, QuadValue(Fraction(1, n)), m),
+        "P0 = J/n")
+    resolution_ok = record(
+        "projector_resolution",
+        (projs[0] + projs[1] + projs[2] + projs[3]
+         - QuadMatrix.identity(n, m)).is_zero(), "P0+P1+P2+P3 = I")
     ortho = all((projs[i] @ projs[j]).is_zero()
                 for i in range(4) for j in range(4) if i != j)
-    record("projector_orthogonality", ortho, "Pi Pj = 0 for i != j")
+    ortho_ok = record("projector_orthogonality", ortho, "Pi Pj = 0 for i != j")
     idem = all(((P @ P) - P).is_zero() for P in projs)
-    record("projector_idempotent", idem, "Pi^2 = Pi")
+    idem_ok = record("projector_idempotent", idem, "Pi^2 = Pi")
     recon = (projs[1].scale(sigma[1]) + projs[2].scale(sigma[2])
              + projs[3].scale(sigma[3]))
-    record("laplacian_reconstruction",
-           (recon - QuadMatrix.from_int(L, m)).is_zero(),
-           "lam1 P1 + lam2 P2 + lam3 P3 = L")
+    recon_ok = record("laplacian_reconstruction",
+                      (recon - QuadMatrix.from_int(L, m)).is_zero(),
+                      "lam1 P1 + lam2 P2 + lam3 P3 = L")
     v_half = n // 2
     mults = tuple(grp.multiplicity for grp in es.groups[1:])
     record("multiplicity_pattern", mults == (v_half - 1, v_half - 1, 1),
@@ -263,19 +257,21 @@ def certificate_bipartite(g: Graph,
 
     # the template's pair classes, named W1/W2/W3 by their (L, L^2)
     # signature; UnknownSignatureError propagates
-    classes = _pair_classes(L, L2, es)
     rows: list[ClassRow] = []
-    for _, _, ds, members in classes:
+    for _, _, ds, members in _pair_classes(L, L2, es):
         pc = classify_pair(L, L2, *members[0], n, d, lam)
         rows.append(ClassRow(pc.tag, pc.signature, len(members), ds))
-    constant = len(classes) == len({sig for _, sig, _, _ in classes})
     rows.sort(key=lambda row: row.tag)
     counts = {row.tag: row.count for row in rows}
     record("pair_classification_complete",
            sum(counts.values()) == n * (n - 1),
            f"counts W1={counts['W1']}, W2={counts['W2']}, W3={counts['W3']}")
-    record("class_constancy_spot_check", constant,
-           "one Delta set per class over all of its pairs")
+    # the signature fixes a pair's Delta set (see _pair_classes) when these
+    # checks hold: four distinct sigma with sigma_0 = 0, P0 = J/n, a
+    # resolution of I into orthogonal idempotents, and L = sum sigma_i P_i
+    record("class_constancy_spot_check",
+           spectrum_ok and p0_ok and resolution_ok and ortho_ok and idem_ok
+           and recon_ok, "one Delta set per class over all of its pairs")
     deltas = {row.tag: row.deltas for row in rows}
 
     inv_n = QuadValue(Fraction(1, n))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import tracemalloc
@@ -117,15 +118,10 @@ def _paley13_cone():
     return build_graph(14, list(paley.edges) + [(u, 13) for u in range(13)])
 
 
-def test_keyed_pair_classes_match_every_pair_delta_sets(builtins,
-                                                        exact_systems):
-    # No graph tried needs the L^3 columns of the key: keying by L^3 alone,
-    # by L and L^2 alone, or by the signature alone gives the same classes on
-    # every builtin and on the two graphs below.  That is no accident: with
-    # the resolution sum_{i>=1} P_i = I - J/n as a k = 0 row, the proof in
-    # `_pair_classes` goes through with k = 0, 1, 2, and since
-    # L^2(u,u) = L(u,u)^2 + L(u,u) the signature alone fixes the DeltaSet
-    # of a pair of a connected four-eigenvalue graph.
+def test_pair_classes_match_every_pair_delta_sets(builtins, exact_systems):
+    # the oracle splits a signature group whenever two of its pairs have
+    # different DeltaSets, so this fails if the signature ever stops fixing
+    # the DeltaSet (the proof in `_pair_classes`)
     rng = random.Random(4)
     graphs = {name: g for name, g in builtins.items()
               if exact_systems[name] is not None}
@@ -139,47 +135,17 @@ def test_keyed_pair_classes_match_every_pair_delta_sets(builtins,
         L = laplacian(build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges]))
         cases.append((f"{name} relabeled {perm}", L, exact_eigensystem(L)))
     for name, L, es in cases:
-        L2, L3 = L @ L, L @ L @ L
+        L2 = L @ L
         assert _pair_classes(L, L2, es) == _pair_classes_by_delta_set(
             L, L2, es), name
-        # the key alone, over all pairs whatever their signature, groups the
-        # pairs exactly as their DeltaSets do
-        projectors = [grp.projector for grp in es.groups[1:]]
-        by_key, by_delta = {}, {}
-        for u in range(es.n):
-            for v in range(es.n):
-                if u != v:
-                    key = tuple(int(P[u, w]) for P in (L, L2, L3)
-                                for w in (u, v))
-                    by_key.setdefault(key, []).append((u, v))
-                    by_delta.setdefault(delta_set(projectors, u, v),
-                                        []).append((u, v))
-        assert sorted(by_key.values()) == sorted(by_delta.values()), name
-
-
-def test_pair_classes_split_a_signature_group_by_key():
-    # the path 0-1-2-3-4-5 has six eigenvalues, so its key fixes no DeltaSet,
-    # but it does split a signature group: (1, 2) and (2, 3) share the
-    # signature (2, 2, -1, -4), while L^3(1, 1) = 19 and L^3(2, 2) = 20
-    L = laplacian(build_graph(6, [(i, i + 1) for i in range(5)]))
-    L2, L3 = L @ L, L @ L @ L
-    classes = _pair_classes(L, L2, jacobi_eigendecompose(L))
-    tag = {pair: t for t, _, _, pairs in classes for pair in pairs}
-    assert tag[(1, 2)] != tag[(2, 3)]
-    assert tag[(1, 2)].split(".")[0] == tag[(2, 3)].split(".")[0]
-    assert tag[(1, 2)] == tag[(4, 3)]  # mirror image
-    for _, sig, _, pairs in classes:
-        assert len({(L2[u, u], L3[u, u], L3[u, v]) for u, v in pairs}) == 1
-        assert {(L[u, u], L[v, v], L[u, v], L2[u, v])
-                for u, v in pairs} == {sig}
 
 
 @pytest.mark.parametrize("g", [cycle(7), _circulant(13, {1, 5, 8, 12}),
                                _circulant(13, {2, 3, 4, 6, 7, 9, 10, 11})],
                          ids=["cycle-7", "circulant-13", "circulant-13-bar"])
 def test_numeric_delta_table_rows_hold_for_every_pair(g):
-    # cubic eigenvalues: the float table, whose keyed classes do not split
-    # on these graphs, gives every pair its row's DeltaSet
+    # cubic eigenvalues: the float table gives every pair its signature
+    # class's DeltaSet
     cert = delta_sign_analysis(g)
     assert cert.method == "numeric-delta-table"
     assert [row.tag for row in cert.classes] == [
@@ -232,6 +198,23 @@ def test_certificate_check_names_include_required_identities():
             "closed_form_equals_lagrange", "projector_resolution",
             "projector_orthogonality", "projector_idempotent",
             "laplacian_reconstruction"} <= names
+
+
+def test_class_constancy_fails_without_the_projector_checks():
+    # swapping the projectors of lam1 and lam2 breaks L = sum sigma_i P_i,
+    # on which the proof that the signature fixes the Delta set rests
+    g = fano_incidence()
+    es = exact_eigensystem(laplacian(g))
+    zero, one, two, three = es.groups
+    doctored = dataclasses.replace(es, groups=(
+        zero, dataclasses.replace(one, projector=two.projector),
+        dataclasses.replace(two, projector=one.projector), three))
+    for system, holds in ((es, True), (doctored, False)):
+        cert = certificate_bipartite(g, system)
+        passed = {c.name: c.passed for c in cert.checks}
+        assert passed["laplacian_reconstruction"] is holds
+        assert passed["class_constancy_spot_check"] is holds
+        assert (cert.verdict == PROVEN) is holds
 
 
 def _closed_form_class_deltas(n, d, lam):

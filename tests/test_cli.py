@@ -32,8 +32,8 @@ def test_builtin_writes_edge_list(tmp_path, capsys):
     out = tmp_path / "heawood.g"
     code, _, _ = run(capsys, "builtin", "fano", "--out", str(out))
     assert code == 0
-    g = read_edge_list(out.open())
-    assert g == builtin_graph("fano")
+    with out.open() as fh:
+        assert read_edge_list(fh) == builtin_graph("fano")
     lines = out.read_text().splitlines()
     assert lines[0] == "14 21"
     pairs = [tuple(map(int, ln.split())) for ln in lines[1:]]
@@ -45,7 +45,8 @@ def test_builtin_writes_edge_list(tmp_path, capsys):
 def test_builtin_round_trip(tmp_path, capsys, name):
     out = tmp_path / "g.txt"
     assert run(capsys, "builtin", name, "--out", str(out))[0] == 0
-    assert read_edge_list(out.open()).edges == builtin_graph(name).edges
+    with out.open() as fh:
+        assert read_edge_list(fh).edges == builtin_graph(name).edges
 
 
 def test_analyze_json_fano(tmp_path, capsys):
@@ -152,7 +153,8 @@ def test_design_incidence(tmp_path, capsys):
     gpath = tmp_path / "fano.g"
     code, _, _ = run(capsys, "design-incidence", str(dpath), "--out", str(gpath))
     assert code == 0
-    assert read_edge_list(gpath.open()) == builtin_graph("fano")
+    with gpath.open() as fh:
+        assert read_edge_list(fh) == builtin_graph("fano")
 
 
 def test_catalog_command(capsys):

@@ -60,16 +60,15 @@ def test_analyze_builds_each_eigensystem_once(calls, name, minimal, exact,
         if count}
 
 
-@pytest.mark.parametrize("name, subclasses", [
+@pytest.mark.parametrize("name, classes", [
     ("crown-7", 3),     # W1, W2, W3
     ("cayley-s3", 3),
-    ("cycle-7", 3),     # float delta table: one DeltaSet per keyed class
+    ("cycle-7", 3),     # float delta table: one DeltaSet per signature class
     ("cycle-6", 3),
     ("wheel-6", 4),
     ("cycle-5", 0),
 ])
-def test_analyze_runs_delta_set_once_per_subclass(monkeypatch, name,
-                                                  subclasses):
+def test_analyze_runs_delta_set_once_per_subclass(monkeypatch, name, classes):
     calls = _count_calls(monkeypatch, mnhd.heat, ("delta_set",))
     report = analyze(builtin_graph(name))
-    assert calls["delta_set"] == subclasses == len(report.certificate.classes)
+    assert calls["delta_set"] == classes == len(report.certificate.classes)
