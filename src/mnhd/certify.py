@@ -136,7 +136,8 @@ def _pair_classes(L: np.ndarray, L2: np.ndarray, es: Eigensystem
     with four distinct eigenvalues, decomposed by `es`.  The pairs are grouped
     by their (L(u,u), L(v,v), L(u,v), L^2(u,v)) signature and the groups are
     tagged S1, S2, ... in sorted signature order.  `delta_set` runs once per
-    class, on its first pair, with the projectors of `es` (exact or float).
+    class, on its first pair, with the projectors of `es` (exact, or formed
+    here from the float eigenvectors of a numeric `es`).
 
     On such a graph the signature fixes the DeltaSet.  With eigenvalues
     sigma_0 = 0 < sigma_1, sigma_2, sigma_3 and P_0 = J/n, the rows
@@ -450,7 +451,8 @@ def numeric_check(g: Graph, grid: Sequence[float] | None = None,
                   tol: float = 1e-9, es: Eigensystem | None = None) -> NumericVerdict:
     """Forward differences of r_t over the grid for every ordered pair; the
     verdict is evidence about MNHD, not a proof.  H_t streams in one slice per
-    time, so only the previous ratio matrix and the running minimum are kept.
+    time from the numeric eigensystem `es`, so only the previous ratio matrix
+    and the running minimum are kept.
     Ties go to the earliest step, then to the first pair in row-major order.
     The grid must hold at least two finite, nonnegative, strictly increasing
     times, and `tol` must be finite and nonnegative."""

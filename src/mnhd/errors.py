@@ -100,3 +100,7 @@ class InvariantViolationError(MnhdError, ArithmeticError):
 
 class ExactEigensystemRequiredError(MnhdError, ValueError):
     """An exact-only computation was given a numeric eigensystem."""
+
+
+class NumericEigensystemRequiredError(MnhdError, ValueError):
+    """A float-only computation was given an exact eigensystem."""

@@ -1,5 +1,6 @@
-"""Heat kernels H_t = exp(-tL), evaluated by `heat_slices` one n x n slice per
-time step (`heat_stack` stacks them), the normalized ratio r_t(u,v) =
+"""Heat kernels H_t = exp(-tL) = V diag(exp(-t*lambda)) V^T, evaluated by
+`heat_slices` from the eigenvectors of the numeric eigensystem one n x n
+slice per time step (`heat_stack` stacks them), the normalized ratio r_t(u,v) =
 H_t(u,v)/H_t(u,u) (`ratio_curve`), the derivative-sign function
 
     h_{u,v}(t) = H_t'(u,v) H_t(u,u) - H_t(u,v) H_t'(u,u),
@@ -25,29 +26,36 @@ import numpy as np
 
 from .errors import (ExactEigensystemRequiredError, GraphInputError,
                      InvalidParameterError, InvariantViolationError,
-                     NegativeTimeError, SameVertexError)
+                     NegativeTimeError, NumericEigensystemRequiredError,
+                     SameVertexError)
 from .quadratic import QuadMatrix, QuadValue
 from .spectral import Eigensystem, FourSpectrum
 
 
 def heat_slices(es: Eigensystem, grid: Sequence[float]) -> Iterator[np.ndarray]:
-    """H_t = sum_lambda exp(-t*lambda) P_lambda for each t in grid, yielded one
-    n x n slice at a time; at t = 0 the slice is the identity exactly.  The
-    grid is checked (finite, nonnegative times) and the float projectors are
-    stacked when this is called, before the first slice is asked for."""
+    """H_t = V diag(exp(-t*w)) V^T for each t in grid, yielded one n x n slice
+    at a time, from the eigenvector columns V of a numeric eigensystem and
+    each column's group value w; at t = 0 the slice is the identity exactly.
+    Working memory is a few n x n matrices whatever the number of distinct
+    eigenvalues.  The eigensystem and the grid (finite, nonnegative times)
+    are checked, and V is assembled, when this is called, before the first
+    slice is asked for; an exact eigensystem raises
+    NumericEigensystemRequiredError."""
+    if es.mode != "numeric":
+        raise NumericEigensystemRequiredError(
+            "heat_slices needs a numeric eigensystem")
     grid = np.asarray(grid, dtype=float)
     if (grid < 0).any():
         raise NegativeTimeError("grid contains negative times")
     if not np.isfinite(grid).all():
         raise InvalidParameterError("grid contains times that are not finite")
-    groups = es.float_groups()
-    values = np.array([v for v, _ in groups])
-    projs = np.stack([p for _, p in groups])  # (k, n, n)
+    V = np.hstack([g.vectors for g in es.groups])
+    w = np.repeat([g.value for g in es.groups],
+                  [g.multiplicity for g in es.groups])
 
     def slices() -> Iterator[np.ndarray]:
         for t in grid:
-            yield (np.eye(es.n) if t == 0
-                   else np.einsum("k,kij->ij", np.exp(-t * values), projs))
+            yield np.eye(es.n) if t == 0 else (V * np.exp(-t * w)) @ V.T
 
     return slices()
 

@@ -62,29 +62,37 @@ def group_spectrum(raw: Sequence[float], tol: float = DEFAULT_TOL) -> list[tuple
 
 @dataclass(frozen=True)
 class EigenGroup:
-    value: float | QuadValue
+    """An exact eigenvalue, its multiplicity and its exact spectral projector."""
+
+    value: QuadValue
     multiplicity: int
-    projector: np.ndarray | QuadMatrix
+    projector: QuadMatrix
+
+
+@dataclass(frozen=True)
+class NumericEigenGroup:
+    """A float eigenvalue (a `group_spectrum` cluster mean), its multiplicity
+    and an orthonormal basis of its eigenspace as the columns of `vectors`
+    (n x multiplicity).  The projector is formed only when it is read."""
+
+    value: float
+    multiplicity: int
+    vectors: np.ndarray
+
+    @property
+    def projector(self) -> np.ndarray:
+        return self.vectors @ self.vectors.T
 
 
 @dataclass(frozen=True)
 class Eigensystem:
     n: int
-    groups: tuple[EigenGroup, ...]
+    groups: tuple[EigenGroup, ...] | tuple[NumericEigenGroup, ...]
     mode: str  # "numeric" or "exact"
     matrix: np.ndarray | None = None  # the matrix decomposed
 
     def values(self) -> list[float | QuadValue]:
         return [g.value for g in self.groups]
-
-    def float_groups(self) -> list[tuple[float, np.ndarray]]:
-        out = []
-        for g in self.groups:
-            value = float(g.value)
-            proj = g.projector.to_float() if isinstance(g.projector, QuadMatrix) \
-                else g.projector
-            out.append((value, proj))
-        return out
 
     def smallest_positive(self) -> float:
         """The smallest eigenvalue above 1e-12; inf when there is none."""
@@ -100,8 +108,9 @@ def jacobi_eigendecompose(M: np.ndarray, tol: float = DEFAULT_TOL,
     Sweeps run until every off-diagonal magnitude is below machine level
     (which in particular satisfies the contract off < tol*||M||_F); if the cap
     is hit first and the contract is unmet, NoConvergenceError is raised.
-    Eigenvalues are grouped with group_spectrum and each group's projector is
-    assembled from eigenvector outer products.
+    Eigenvalues are grouped with group_spectrum; each group keeps its block
+    of columns of the sorted eigenvector matrix (a view, so the system holds
+    n^2 floats of eigenvectors whatever the number of groups).
     """
     M = np.asarray(M, dtype=np.float64)
     n = M.shape[0]
@@ -150,8 +159,7 @@ def jacobi_eigendecompose(M: np.ndarray, tol: float = DEFAULT_TOL,
     groups = []
     start = 0
     for value, mult in group_spectrum(list(eigenvalues), group_tol):
-        block = V[:, start:start + mult]
-        groups.append(EigenGroup(value, mult, block @ block.T))
+        groups.append(NumericEigenGroup(value, mult, V[:, start:start + mult]))
         start += mult
     return Eigensystem(n, tuple(groups), "numeric", M)
 

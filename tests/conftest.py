@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 from mnhd.certify import analyze
-from mnhd.graphs import all_builtin_names, builtin_graph
+from mnhd.graphs import all_builtin_names, build_graph, builtin_graph, crown
 from mnhd.errors import (NonQuadraticEigenvaluesError,
                          NotFourEigenvaluesError)
 from mnhd.graphs import laplacian
@@ -49,3 +51,20 @@ def exact_systems(builtins):
 def reports(builtins):
     """One full analyze() per builtin, shared by every sweep-style test."""
     return {name: analyze(g) for name, g in builtins.items()}
+
+
+@pytest.fixture(scope="session")
+def crown50_system():
+    g = crown(50)
+    return g, jacobi_eigendecompose(laplacian(g))
+
+
+@pytest.fixture(scope="session")
+def random_gnp():
+    """A builder of seeded G(n, p) graphs: each pair (i, j), i < j, in
+    row-major order is an edge when a `random.Random(seed)` draw is below p."""
+    def build(n, seed, p=0.2):
+        rng = random.Random(seed)
+        return build_graph(n, [(i, j) for i in range(n)
+                               for j in range(i + 1, n) if rng.random() < p])
+    return build

@@ -418,12 +418,6 @@ def _gnp(n, seed, p=0.2):
                            if rng.random() < p])
 
 
-@pytest.fixture(scope="module")
-def crown50_system():
-    g = crown(50)
-    return g, jacobi_eigendecompose(laplacian(g))
-
-
 def test_streamed_numeric_check_matches_full_table(builtins, numeric_systems,
                                                    crown50_system):
     cases = [(name, g, numeric_systems[name]) for name, g in builtins.items()]
@@ -458,6 +452,23 @@ def test_numeric_check_memory_below_one_stack(crown50_system):
         tracemalloc.stop()
     # one (61, 100, 100) float64 stack of H_t is about 4.7 MiB
     assert peak < 61 * g.n * g.n * 8
+
+
+def test_eigensystem_and_numeric_check_memory_is_quadratic(random_gnp):
+    # G(100, 0.2) has a simple spectrum: one stored n x n projector per
+    # distinct eigenvalue, or a stack of them, is n^3 floats (about 15.9 MiB
+    # for both), where the eigenvectors and a few slices are O(n^2)
+    g = random_gnp(100, 100)
+    L = laplacian(g)
+    tracemalloc.start()
+    try:
+        es = jacobi_eigendecompose(L)
+        numeric_check(g, es=es)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(es.groups) == g.n
+    assert peak < 16 * g.n * g.n * 8
 
 
 def test_numeric_check_needs_two_times():

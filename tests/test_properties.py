@@ -1,13 +1,16 @@
 """Properties of `analyze` over generated inputs: its report does not depend
 on vertex labels, and on any small graph it either returns a report that
-fits the schema or raises a typed MnhdError."""
+fits the schema or raises a typed MnhdError.  Every report it returns, on
+relabeled builtins and on small graphs alike, is consistent across routes:
+a ProvenMNHD verdict comes with a passing numeric check, and the exact
+spectrum agrees with the float one."""
 
 import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mnhd.certify import REPORT_SCHEMA, analyze
+from mnhd.certify import PROVEN, REPORT_SCHEMA, analyze
 from mnhd.errors import MnhdError
 from mnhd.graphs import all_builtin_names, build_graph
 
@@ -19,6 +22,16 @@ def _summary(report):
             sorted((row.tag, row.signature, row.count) for row in cert.classes))
 
 
+def _assert_routes_agree(report, n):
+    if report.certificate.verdict == PROVEN:
+        assert report.numeric.verdict == "PassesAtTolerance", report.numeric
+    assert sum(entry.multiplicity for entry in report.spectrum) == n
+    for entry in report.spectrum:
+        if entry.exact is not None:  # relative above 1, absolute near 0
+            exact = float(entry.exact)
+            assert abs(entry.value - exact) <= 1e-8 * max(1.0, abs(exact)), entry
+
+
 @pytest.mark.parametrize("name", all_builtin_names())
 @settings(deadline=None, max_examples=2)
 @given(data=st.data())
@@ -26,7 +39,9 @@ def test_report_does_not_depend_on_labels(builtins, reports, name, data):
     g = builtins[name]
     perm = data.draw(st.permutations(range(g.n)))
     relabeled = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
-    assert _summary(analyze(relabeled)) == _summary(reports[name])
+    report = analyze(relabeled)
+    assert _summary(report) == _summary(reports[name])
+    _assert_routes_agree(report, g.n)
 
 
 @st.composite
@@ -46,3 +61,4 @@ def test_analyze_returns_a_valid_report_or_a_typed_error(g):
     except MnhdError:
         return
     jsonschema.validate(report.to_dict(), REPORT_SCHEMA)
+    _assert_routes_agree(report, g.n)

@@ -11,6 +11,7 @@ import pytest
 from mnhd.errors import (AmbiguousGapError, DegenerateParamsError,
                          NoCaseMatchesError, NonQuadraticEigenvaluesError,
                          NonSymmetricError, NotFourEigenvaluesError,
+                         NumericEigensystemRequiredError,
                          RepeatedEigenvalueError)
 from mnhd.graphs import (adjacency, build_graph, cayley_s3, crown, cycle,
                          design_742_incidence, facts, fano_incidence,
@@ -101,13 +102,14 @@ def test_numeric_projector_identities(builtins, numeric_systems):
     for name, g in builtins.items():
         L = laplacian(g)
         es = numeric_systems[name]
-        total = sum(p for _, p in es.float_groups())
+        projs = [grp.projector for grp in es.groups]
+        total = sum(projs)
         assert np.max(np.abs(total - np.eye(g.n))) < 1e-9, name
-        recon = sum(v * p for v, p in es.float_groups())
+        recon = sum(grp.value * P for grp, P in zip(es.groups, projs))
         assert np.max(np.abs(recon - L)) < 1e-9, name
-        for i, (_, Pi) in enumerate(es.float_groups()):
+        for i, Pi in enumerate(projs):
             assert np.max(np.abs(Pi @ Pi - Pi)) < 1e-9, name
-            for j, (_, Pj) in enumerate(es.float_groups()):
+            for j, Pj in enumerate(projs):
                 if i != j:
                     assert np.max(np.abs(Pi @ Pj)) < 1e-9, name
 
@@ -370,12 +372,18 @@ def test_jacobi_no_convergence_with_zero_sweep_cap():
 
 
 def test_heat_from_exact_eigensystem():
-    from mnhd.heat import heat_stack
+    # heat kernels come from the numeric eigensystem alone; its projectors,
+    # formed from the eigenvectors on demand, match the exact ones
+    from mnhd.heat import heat_slices
     es = exact_eigensystem(laplacian(cycle(6)))
-    H = heat_stack(es, [1.0])[0]
     ref = jacobi_eigendecompose(laplacian(cycle(6)))
-    assert np.max(np.abs(H - heat_stack(ref, [1.0])[0])) < 1e-12
-    assert np.array_equal(heat_stack(es, [0.0])[0], np.eye(6))
+    assert [g.multiplicity for g in es.groups] == [
+        g.multiplicity for g in ref.groups]
+    for exact, numeric in zip(es.groups, ref.groups):
+        assert np.max(np.abs(exact.projector.to_float()
+                             - numeric.projector)) < 1e-12
+    with pytest.raises(NumericEigensystemRequiredError):
+        heat_slices(es, [1.0])
 
 
 def test_integer_roots_match_full_scan():
