@@ -168,8 +168,8 @@ def certificate_bipartite(g: Graph,
                           es: Eigensystem | None = None) -> Certificate:
     """Run the exact MNHD certificate for a connected regular bipartite graph
     with four distinct Laplacian eigenvalues, on its exact eigensystem `es`
-    and the Laplacian `es.matrix` it decomposes (both built here when `es`
-    is not given).  Returns NotApplicable when the structural preconditions
+    and the powers of the Laplacian it keeps (built here when `es` is not
+    given).  Returns NotApplicable when the structural preconditions
     fail; otherwise performs every check in exact arithmetic and returns
     ProvenMNHD only if all of them hold."""
     method = "bipartite-certificate"
@@ -180,8 +180,8 @@ def certificate_bipartite(g: Graph,
         return _not_applicable(method, "graph is not regular")
     if f.bipartition is None:
         return _not_applicable(method, "graph is not bipartite")
-    L = laplacian(g) if es is None else es.matrix
     if es is None:
+        L = laplacian(g)
         try:
             es = exact_eigensystem(L)
         except NotFourEigenvaluesError:
@@ -208,8 +208,8 @@ def certificate_bipartite(g: Graph,
     if d - lam < 1:
         return Certificate(FAILED, method, "d - lambda < 1", tuple(checks))
 
-    L2 = int_matmul(L, L)
-    fs, P1, P2, P3 = closed_form_projectors(L, L2, n, d, lam)
+    L, L2 = es.powers[1:3]
+    fs = FourSpectrum.from_design(n, d, lam)
     lam1, lam2, lam3 = fs.nonzero()
     c1, c2, c3 = fs.constants()
 
@@ -230,7 +230,8 @@ def certificate_bipartite(g: Graph,
 
     # projector algebra on the engine's Lagrange projectors, all exact
     projs = [grp.projector for grp in es.groups]
-    record("closed_form_equals_lagrange", projs[1:] == [P1, P2, P3],
+    record("closed_form_equals_lagrange",
+           projs[1:] == closed_form_projectors(es.powers, fs),
            "quadratic closed form reproduces the Lagrange projectors")
     m = projs[0].m
     p0_ok = record(
@@ -378,14 +379,14 @@ def delta_sign_analysis(g: Graph,
                         es: Eigensystem | None = None) -> Certificate:
     """Certify each pair class of a connected four-eigenvalue graph with the
     exponential-sign template, from exact DeltaSets of the exact eigensystem
-    `es` and its Laplacian `es.matrix` (both built here when `es` is not
-    given); method delta-sign-template.  Falls back to the float table of
+    `es` and the powers of the Laplacian it keeps (built here when `es` is
+    not given); method delta-sign-template.  Falls back to the float table of
     `_numeric_delta_table` when the eigenvalues are not quadratic."""
     method = "delta-sign-template"
     if not facts(g).connected:
         return _not_applicable(method, "graph is not connected")
-    L = laplacian(g) if es is None else es.matrix
     if es is None:
+        L = laplacian(g)
         try:
             es = exact_eigensystem(L)
         except NonQuadraticEigenvaluesError as exc:
@@ -396,7 +397,7 @@ def delta_sign_analysis(g: Graph,
     rows: list[ClassRow] = []
     checks: list[CertificateCheck] = []
     n = g.n
-    for tag, sig, ds, members in _pair_classes(L, int_matmul(L, L), es):
+    for tag, sig, ds, members in _pair_classes(*es.powers[1:3], es):
         deltas_ok = all(x.sign() >= 0 for x in (ds.d1, ds.d2, ds.d3))
         checks.append(CertificateCheck(
             f"{tag}_delta_nonneg", f"D1={ds.d1}, D2={ds.d2}, D3={ds.d3}",
@@ -451,8 +452,10 @@ def numeric_check(g: Graph, grid: Sequence[float] | None = None,
                   tol: float = 1e-9, es: Eigensystem | None = None) -> NumericVerdict:
     """Forward differences of r_t over the grid for every ordered pair; the
     verdict is evidence about MNHD, not a proof.  H_t streams in one slice per
-    time from the numeric eigensystem `es`, so only the previous ratio matrix
-    and the running minimum are kept.
+    time from the numeric eigensystem `es`, so only the previous ratio matrix,
+    its rounding bound and the running minimum are kept.
+    A difference within n eps sqrt(H_t(v,v) / H_t(u,u)), the rounding bound of
+    R_t(u,v) (Cauchy-Schwarz on H_t(u,v)), is a tie at 0, not a violation.
     Ties go to the earliest step, then to the first pair in row-major order.
     The grid must hold at least two finite, nonnegative, strictly increasing
     times, and `tol` must be finite and nonnegative."""
@@ -470,16 +473,19 @@ def numeric_check(g: Graph, grid: Sequence[float] | None = None,
     if (np.diff(grid) <= 0).any():
         raise InvalidParameterError("grid times must be strictly increasing")
     min_diff, worst_idx, worst_t = np.inf, 0, grid[1]
-    prev = None
+    rounding = g.n * np.finfo(np.float64).eps
+    prev = prev_noise = None
     for t, H in zip(grid, slices):
         R = H / np.diagonal(H)[:, None]
+        noise = rounding * np.sqrt(np.diagonal(H) / np.diagonal(H)[:, None])
         if prev is not None:
             diff = R - prev
+            diff[np.abs(diff) <= np.maximum(noise, prev_noise)] = 0.0
             np.fill_diagonal(diff, np.inf)
             idx = int(np.argmin(diff))
             if diff.flat[idx] < min_diff:
                 min_diff, worst_idx, worst_t = diff.flat[idx], idx, t
-        prev = R
+        prev, prev_noise = R, noise
     u, v = divmod(worst_idx, g.n)
     verdict = "PassesAtTolerance" if min_diff >= -tol else "ViolatedAt"
     return NumericVerdict(float(min_diff), (u, v), float(worst_t), tol, verdict)
@@ -616,8 +622,8 @@ REPORT_SCHEMA = {
 def analyze(g: Graph) -> MnhdReport:
     """Full pipeline: facts, numeric spectrum, classification when it applies,
     the strongest applicable exact route, and the numeric cross-check.  L and
-    each eigensystem are built once; the exact eigensystem, which carries L,
-    is handed to the route that runs."""
+    each eigensystem are built once; the exact eigensystem, which carries the
+    powers of L, is handed to the route that runs."""
     f = facts(g)
     L = laplacian(g)
     es = jacobi_eigendecompose(L)

@@ -14,7 +14,8 @@ sums, scalings and comparisons never overflow.  Products (`QuadMatrix @`,
 `int_inner` and `int_combination` run on an int64 kernel only when a bound
 computed from the largest operand magnitudes proves that no entry and no
 partial sum reaches 2^62; past that bound the same arithmetic runs on Python
-ints.  No float takes part in either path.
+ints.  No float takes part in either path.  `quad_combination`, which builds
+each exact projector as a polynomial in L, is two `int_combination`s.
 """
 
 from __future__ import annotations
@@ -230,10 +231,6 @@ class QuadValue:
         return {"a": str(self.a), "b": str(self.b), "m": self.m}
 
 
-def _lcm(x: int, y: int) -> int:
-    return x // math.gcd(x, y) * y
-
-
 # ---------------------------------------------------------------------------
 # checked integer kernels
 
@@ -275,15 +272,28 @@ def int_inner(x: np.ndarray, y: np.ndarray) -> int:
 
 def int_combination(coeffs: Sequence[int], mats: Sequence[np.ndarray]
                     ) -> np.ndarray:
-    """Exact sum(c * M) of integer matrices with integer coefficients: int64
-    when sum |c| * max|M| < 2^62, else object dtype."""
-    checked = [_int64(M) for M in mats]
+    """Exact sum(c * M) of integer matrices with integer coefficients, one
+    per matrix: int64 when sum |c| * max|M| < 2^62, else object dtype."""
+    checked = [_int64(M) for _, M in zip(coeffs, mats, strict=True)]
     if None not in checked and sum(
             abs(c) * mx for c, (_, mx) in zip(coeffs, checked)) < INT64_BOUND:
         terms = [c * M for c, (M, mx) in zip(coeffs, checked) if c and mx]
     else:
         terms = [c * np.asarray(M, dtype=object) for c, M in zip(coeffs, mats)]
     return sum(terms, np.zeros(mats[0].shape, dtype=np.int64))
+
+
+def quad_combination(coeffs: Sequence[QuadValue], mats: Sequence[np.ndarray],
+                     m: int) -> "QuadMatrix":
+    """Exact sum(c * M) over integer matrices M, coefficients c in Q(sqrt(m)):
+    two `int_combination`s, reduced while int64, then stored as object dtype."""
+    if any(c.b and c.m != m for c in coeffs):
+        raise MixedRadicandsError(f"coefficients {coeffs} not in Q(sqrt({m}))")
+    den = math.lcm(*(x.denominator for c in coeffs for x in (c.a, c.b)))
+    P = QuadMatrix(int_combination([int(c.a * den) for c in coeffs], mats),
+                   int_combination([int(c.b * den) for c in coeffs], mats),
+                   den, m).reduce()
+    return QuadMatrix(P.a.astype(object), P.b.astype(object), P.den, m)
 
 
 def _int64_matmul(xa: np.ndarray, xb: np.ndarray, ya: np.ndarray,
@@ -333,12 +343,8 @@ class QuadMatrix:
     @classmethod
     def constant(cls, n: int, value: QuadValue, m: int | None = None) -> "QuadMatrix":
         """Matrix with every entry equal to value."""
-        if m is None:
-            m = value.m
-        den = _lcm(value.a.denominator, value.b.denominator if value.b else 1)
-        a = np.full((n, n), int(value.a * den), dtype=object)
-        b = np.full((n, n), int(value.b * den), dtype=object)
-        return cls(a, b, den, m)
+        return quad_combination([value], [np.ones((n, n), dtype=np.int64)],
+                                value.m if m is None else m)
 
     def _coerce(self, other: "QuadMatrix") -> int:
         if self.m != 0 and other.m != 0 and self.m != other.m:
@@ -347,13 +353,13 @@ class QuadMatrix:
 
     def __add__(self, other: "QuadMatrix") -> "QuadMatrix":
         m = self._coerce(other)
-        den = _lcm(self.den, other.den)
+        den = math.lcm(self.den, other.den)
         s, t = den // self.den, den // other.den
         return QuadMatrix(self.a * s + other.a * t, self.b * s + other.b * t, den, m)
 
     def __sub__(self, other: "QuadMatrix") -> "QuadMatrix":
         m = self._coerce(other)
-        den = _lcm(self.den, other.den)
+        den = math.lcm(self.den, other.den)
         s, t = den // self.den, den // other.den
         return QuadMatrix(self.a * s - other.a * t, self.b * s - other.b * t, den, m)
 
@@ -379,7 +385,7 @@ class QuadMatrix:
         if c.b != 0 and self.m != 0 and c.m != self.m:
             raise MixedRadicandsError(f"sqrt({c.m}) vs sqrt({self.m})")
         m = self.m or c.m
-        q = _lcm(c.a.denominator, c.b.denominator if c.b else 1)
+        q = math.lcm(c.a.denominator, c.b.denominator)
         ca, cb = int(c.a * q), int(c.b * q)
         a = ca * self.a + m * cb * self.b
         b = ca * self.b + cb * self.a
@@ -412,13 +418,10 @@ class QuadMatrix:
         if self.n != other.n:
             return False
         # compare cross-multiplied integer parts; radicands must be compatible
-        if self.m != other.m and not (self._is_rational() and other._is_rational()):
+        if self.m != other.m and (self.b.any() or other.b.any()):
             return False
         return (np.array_equal(self.a * other.den, other.a * self.den)
                 and np.array_equal(self.b * other.den, other.b * self.den))
-
-    def _is_rational(self) -> bool:
-        return not self.b.any()
 
     def is_zero(self) -> bool:
         return not self.a.any() and not self.b.any()

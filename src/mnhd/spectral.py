@@ -1,6 +1,6 @@
-"""Eigendecomposition of symmetric integer matrices, numerically (cyclic
-Jacobi) and exactly (minimal polynomial plus Lagrange projectors over a
-quadratic field), spectrum grouping, projector closed forms, and the
+"""Eigendecomposition of symmetric integer matrices: numerically (cyclic
+Jacobi), exactly (minimal polynomial, then Lagrange projectors summed over
+its integer powers of L), spectrum grouping, projector closed forms, and the
 three-case classification of regular four-eigenvalue spectra.
 """
 
@@ -20,7 +20,7 @@ from .errors import (AmbiguousGapError, DegenerateParamsError,
                      NonSymmetricError, NotFourEigenvaluesError,
                      RepeatedEigenvalueError)
 from .quadratic import (QuadMatrix, QuadValue, int_combination, int_inner,
-                        int_matmul)
+                        int_matmul, quad_combination)
 
 DEFAULT_TOL = 1e-9
 JACOBI_SWEEP_CAP = 100
@@ -89,7 +89,7 @@ class Eigensystem:
     n: int
     groups: tuple[EigenGroup, ...] | tuple[NumericEigenGroup, ...]
     mode: str  # "numeric" or "exact"
-    matrix: np.ndarray | None = None  # the matrix decomposed
+    powers: tuple[np.ndarray, ...] = ()  # exact: I, L, ..., L^k of L decomposed
 
     def values(self) -> list[float | QuadValue]:
         return [g.value for g in self.groups]
@@ -161,17 +161,18 @@ def jacobi_eigendecompose(M: np.ndarray, tol: float = DEFAULT_TOL,
     for value, mult in group_spectrum(list(eigenvalues), group_tol):
         groups.append(NumericEigenGroup(value, mult, V[:, start:start + mult]))
         start += mult
-    return Eigensystem(n, tuple(groups), "numeric", M)
+    return Eigensystem(n, tuple(groups), "numeric")
 
 
 # ---------------------------------------------------------------------------
 # exact path
 
 
-def minimal_polynomial(L: np.ndarray, max_degree: int | None = None) -> list[int]:
+def minimal_polynomial(L: np.ndarray, max_degree: int | None = None
+                       ) -> tuple[list[int], list[np.ndarray]]:
     """Monic integer minimal polynomial of an integer matrix, as ascending
-    coefficients [c0, ..., c_{k-1}, 1].  The degree equals the number of
-    distinct eigenvalues when L is symmetric.
+    coefficients [c0, ..., c_{k-1}, 1], with the powers [I, L, ..., L^k]; the
+    degree is the number of distinct eigenvalues of a symmetric L.
 
     The first power L^k that depends on I, L, ..., L^{k-1} is found from the
     exact Frobenius Gram matrix G_ij = sum(L^i * L^j) of the powers: the
@@ -185,10 +186,10 @@ def minimal_polynomial(L: np.ndarray, max_degree: int | None = None) -> list[int
     """
     n = L.shape[0]
     cap = n if max_degree is None else min(max_degree, n)
-    powers = [np.eye(n, dtype=np.int64)]
+    powers = [np.eye(n, dtype=np.int64), L]
     gram: list[list[int]] = []  # gram[i][j] = <L^i, L^j> for the independent powers
     for k in range(cap + 1):
-        if k:
+        if k > 1:
             powers.append(int_matmul(powers[-1], L))
         g = [int_inner(P, powers[k]) for P in powers[:k]]
         norm = int_inner(powers[k], powers[k])
@@ -202,7 +203,7 @@ def minimal_polynomial(L: np.ndarray, max_degree: int | None = None) -> list[int
             if int_combination(coeffs, powers).any():
                 raise InvariantViolationError(
                     f"p(L) != 0 for the minimal polynomial {coeffs}")
-            return coeffs
+            return coeffs, powers[:k + 1]
         for row, x in zip(gram, g):
             row.append(x)
         gram.append(g + [norm])
@@ -254,15 +255,15 @@ def _deflate(coeffs: list[int], root: int) -> list[int]:
     return list(reversed(out))
 
 
-def exact_eigenvalues(L: np.ndarray) -> list[QuadValue]:
+def exact_eigenvalues(mu: Sequence[int]) -> list[QuadValue]:
     """Distinct eigenvalues of an integer Laplacian with exactly four of them,
-    as exact QuadValues over a single radicand.
+    from its minimal polynomial mu (ascending coefficients), as exact
+    QuadValues over a single radicand.
 
     Raises NotFourEigenvaluesError when the count differs from four and
     NonQuadraticEigenvaluesError when the nonzero eigenvalues are cubic
     irrationalities (classification case III).
     """
-    mu = minimal_polynomial(L, max_degree=4)
     if len(mu) != 5:
         raise NotFourEigenvaluesError(
             f"{len(mu) - 1} distinct eigenvalues, need 4")
@@ -287,36 +288,32 @@ def exact_eigenvalues(L: np.ndarray) -> list[QuadValue]:
         "nonzero eigenvalues are roots of an irreducible cubic")
 
 
-def lagrange_projector(L: np.ndarray, sigma: Sequence[QuadValue], i: int) -> QuadMatrix:
-    """Spectral projector onto the sigma[i]-eigenspace as the Lagrange
-    polynomial prod_{j != i} (L - sigma[j] I) / (sigma[i] - sigma[j]),
-    evaluated in exact arithmetic.  sigma must be the exact distinct spectrum.
-    """
+def lagrange_projector(powers: Sequence[np.ndarray], sigma: Sequence[QuadValue],
+                       i: int) -> QuadMatrix:
+    """Spectral projector onto the sigma[i]-eigenspace: the Lagrange polynomial
+    prod_{j != i} (x - sigma[j]) / (sigma[i] - sigma[j]), expanded into exact
+    coefficients and summed over the powers [I, L, ..., L^{len(sigma)-1}] of
+    L.  sigma must be the exact distinct spectrum."""
     if len(set(sigma)) != len(sigma):
         raise RepeatedEigenvalueError("sigma contains repeated eigenvalues")
-    m = 0
-    for lam in sigma:
-        if lam.b != 0:
-            m = lam.m
-    P = QuadMatrix.identity(L.shape[0], m)
-    base = QuadMatrix.from_int(L, m)
-    denominator = QuadValue(1)
+    coeffs, denominator = [QuadValue(1)], QuadValue(1)  # ascending in x
     for j, lam in enumerate(sigma):
-        if j == i:
-            continue
-        P = P @ (base - QuadMatrix.identity(L.shape[0], m).scale(lam))
-        denominator = denominator * (sigma[i] - lam)
-        P = P.reduce()
-    return P.scale(denominator.inverse()).reduce()
+        if j != i:
+            coeffs = [lo - lam * hi for lo, hi in zip([0, *coeffs], [*coeffs, 0])]
+            denominator = denominator * (sigma[i] - lam)
+    return quad_combination([c / denominator for c in coeffs],
+                            powers[:len(coeffs)],
+                            max(lam.m for lam in sigma))
 
 
 def exact_eigensystem(L: np.ndarray) -> Eigensystem:
     """Exact eigensystem of a four-eigenvalue integer Laplacian: QuadValue
     eigenvalues, Lagrange projectors, multiplicities from projector traces."""
-    sigma = exact_eigenvalues(L)
+    mu, powers = minimal_polynomial(L, max_degree=4)
+    sigma = exact_eigenvalues(mu)
     groups = []
     for i, lam in enumerate(sigma):
-        P = lagrange_projector(L, sigma, i)
+        P = lagrange_projector(powers, sigma, i)
         mult = P.trace()
         if not mult.is_integer:
             raise InvariantViolationError(
@@ -326,7 +323,7 @@ def exact_eigensystem(L: np.ndarray) -> Eigensystem:
     if total != L.shape[0]:
         raise InvariantViolationError(
             f"multiplicities sum to {total}, not n = {L.shape[0]}")
-    return Eigensystem(L.shape[0], tuple(groups), "exact", L)
+    return Eigensystem(L.shape[0], tuple(groups), "exact", tuple(powers))
 
 
 # ---------------------------------------------------------------------------
@@ -377,29 +374,22 @@ class FourSpectrum:
         return (self.c1, self.c2, self.c3)
 
 
-def closed_form_projectors(L: np.ndarray, L2: np.ndarray, n: int, d: int,
-                           lam: int
-                           ) -> tuple[FourSpectrum, QuadMatrix, QuadMatrix, QuadMatrix]:
-    """Exact projectors of a d-regular bipartite four-eigenvalue Laplacian L,
-    given L2 = L @ L:
+def closed_form_projectors(powers: Sequence[np.ndarray], fs: FourSpectrum
+                           ) -> list[QuadMatrix]:
+    """Exact projectors P1, P2, P3 of a connected Laplacian L with the four
+    distinct eigenvalues of `fs`, summed over [I, L, L^2, J] from its powers:
 
-        P_i = c_i * (L^2 - (lam_j + lam_k) L + lam_j lam_k (I - P0))
+        P_i = c_i * (L^2 - (lam_j + lam_k) L + lam_j lam_k (I - J/n))
 
-    with P0 = J/n.  Cross-checked against lagrange_projector by the callers.
+    Cross-checked against lagrange_projector by the callers.
     """
-    fs = FourSpectrum.from_design(n, d, lam)
-    m = fs.lam1.m
-    L2 = QuadMatrix.from_int(L2, m)
-    Lq = QuadMatrix.from_int(L, m)
-    eye = QuadMatrix.identity(n, m)
-    complement = eye - QuadMatrix.constant(n, QuadValue(Fraction(1, n)), m)
-    lams = fs.nonzero()
-    out = []
-    for i in range(3):
-        j, k = [x for x in range(3) if x != i]
-        term = L2 - Lq.scale(lams[j] + lams[k]) + complement.scale(lams[j] * lams[k])
-        out.append(term.scale(fs.constants()[i]).reduce())
-    return fs, out[0], out[1], out[2]
+    n = powers[0].shape[0]
+    mats = [*powers[:3], np.ones((n, n), dtype=np.int64)]
+    lam1, lam2, lam3 = fs.nonzero()
+    others = [(lam2, lam3), (lam1, lam3), (lam1, lam2)]
+    return [quad_combination([c * x * y, -c * (x + y), c, -c * x * y / n],
+                             mats, max(lam1.m, lam2.m, lam3.m))
+            for c, (x, y) in zip(fs.constants(), others)]
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,23 @@ def exact_systems(builtins):
 
 
 @pytest.fixture(scope="session")
+def extra_exact_graphs():
+    """Connected four-eigenvalue graphs with an exact eigensystem beyond the
+    builtins: K3 x K4 (Cartesian; spectrum {0, 3, 4, 7}) and Paley(13) plus a
+    vertex joined to all 13 (spectrum {0, (15 - sqrt13)/2, (15 + sqrt13)/2,
+    14}, not regular)."""
+    k3_box_k4 = build_graph(12, [(u, v) for u in range(12)
+                                 for v in range(u + 1, 12)
+                                 if (u // 4 == v // 4) != (u % 4 == v % 4)])
+    squares = {x * x % 13 for x in range(1, 13)}
+    paley13_cone = build_graph(14, [(u, v) for u in range(13)
+                                    for v in range(u + 1, 13)
+                                    if (v - u) % 13 in squares]
+                               + [(u, 13) for u in range(13)])
+    return {"k3-box-k4": k3_box_k4, "paley13-cone": paley13_cone}
+
+
+@pytest.fixture(scope="session")
 def reports(builtins):
     """One full analyze() per builtin, shared by every sweep-style test."""
     return {name: analyze(g) for name, g in builtins.items()}

@@ -104,28 +104,15 @@ def _circulant(n, connection):
                            if (v - u) % n in connection])
 
 
-def _k3_box_k4():
-    """K3 x K4 (Cartesian): Laplacian spectrum {0, 3, 4, 7}."""
-    return build_graph(12, [(u, v) for u in range(12) for v in range(u + 1, 12)
-                            if (u // 4 == v // 4) != (u % 4 == v % 4)])
-
-
-def _paley13_cone():
-    """Paley(13) plus a vertex joined to all 13: spectrum
-    {0, (15 - sqrt13)/2, (15 + sqrt13)/2, 14}, not regular."""
-    squares = {x * x % 13 for x in range(1, 13)}
-    paley = _circulant(13, squares)
-    return build_graph(14, list(paley.edges) + [(u, 13) for u in range(13)])
-
-
-def test_pair_classes_match_every_pair_delta_sets(builtins, exact_systems):
+def test_pair_classes_match_every_pair_delta_sets(builtins, exact_systems,
+                                                  extra_exact_graphs):
     # the oracle splits a signature group whenever two of its pairs have
     # different DeltaSets, so this fails if the signature ever stops fixing
     # the DeltaSet (the proof in `_pair_classes`)
     rng = random.Random(4)
     graphs = {name: g for name, g in builtins.items()
               if exact_systems[name] is not None}
-    graphs.update({"k3-box-k4": _k3_box_k4(), "paley13-cone": _paley13_cone()})
+    graphs.update(extra_exact_graphs)
     cases = []
     for name, g in graphs.items():
         L = laplacian(g)
@@ -469,6 +456,27 @@ def test_eigensystem_and_numeric_check_memory_is_quadratic(random_gnp):
         tracemalloc.stop()
     assert len(es.groups) == g.n
     assert peak < 16 * g.n * g.n * 8
+
+
+def test_numeric_check_counts_rounding_noise_as_a_tie(builtins,
+                                                      numeric_systems,
+                                                      random_gnp):
+    # once r_t has converged its raw forward differences are rounding noise,
+    # down to -2.2e-16 on crown-5 and -1.3e-15 on cycle-49; they are ties at
+    # 0, so graphs that pass do so at tolerance 0, and violations stay
+    cases = [(name, g, numeric_systems[name]) for name, g in builtins.items()]
+    cases += [(f"cycle-{k}", cycle(k), None) for k in (25, 49)]
+    for name, g, es in cases:
+        got = numeric_check(g, tol=0, es=es)
+        assert got.verdict == "PassesAtTolerance", name
+        assert got.min_diff >= 0.0, name
+    assert numeric_check(builtins["crown-5"], tol=0).min_diff == 0.0
+    p4 = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    violators = [("P4", p4)] + [(f"gnp-{n}", random_gnp(n, n))
+                                for n in (8, 12, 20, 40)]
+    for name, g in violators:
+        got = numeric_check(g, tol=0)
+        assert got.verdict == "ViolatedAt" and got.min_diff < -1e-3, name
 
 
 def test_numeric_check_needs_two_times():

@@ -9,9 +9,11 @@ from collections import Counter
 import pytest
 
 import mnhd.heat
+import mnhd.quadratic
 import mnhd.spectral
 from mnhd.certify import analyze
 from mnhd.graphs import builtin_graph
+from mnhd.quadratic import QuadMatrix
 
 COUNTED = ("minimal_polynomial", "exact_eigensystem", "lagrange_projector",
            "jacobi_eigendecompose")
@@ -72,3 +74,24 @@ def test_analyze_runs_delta_set_once_per_subclass(monkeypatch, name, classes):
     calls = _count_calls(monkeypatch, mnhd.heat, ("delta_set",))
     report = analyze(builtin_graph(name))
     assert calls["delta_set"] == classes == len(report.certificate.classes)
+
+
+@pytest.mark.parametrize("name, products, int_products", [
+    ("crown-7", 16, 3),   # orthogonality and idempotence checks; L^2..L^4
+    ("cayley-s3", 0, 3),  # every projector is a combination of powers of L
+    ("cycle-7", 0, 4),    # L^2..L^4, then L^2 again for the float table
+    ("cycle-5", 0, 0),
+])
+def test_analyze_matrix_product_counts(monkeypatch, name, products,
+                                       int_products):
+    calls = _count_calls(monkeypatch, mnhd.quadratic, ("int_matmul",))
+    matmul = QuadMatrix.__matmul__
+
+    def counting(self, other):
+        calls["QuadMatrix.__matmul__"] += 1
+        return matmul(self, other)
+
+    monkeypatch.setattr(QuadMatrix, "__matmul__", counting)
+    analyze(builtin_graph(name))
+    assert (calls["QuadMatrix.__matmul__"], calls["int_matmul"]) == (
+        products, int_products)

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -8,7 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mnhd.errors import MixedRadicandsError
-from mnhd.quadratic import QuadMatrix, QuadValue, square_free_split
+from mnhd.quadratic import (QuadMatrix, QuadValue, quad_combination,
+                            square_free_split)
 
 F = Fraction
 
@@ -243,3 +245,33 @@ def test_quadmatrix_kernel_matches_python_ints_at_int64_bound(monkeypatch,
     for Q in (C, QuadMatrix(A.a * 12, A.b * 12, 18, m)):
         R = Q.reduce()
         assert (R.a.tolist(), R.b.tolist(), R.den) == _python_reduce(Q)
+
+
+@pytest.mark.parametrize("m", [0, 5])
+@pytest.mark.parametrize("top", [2 ** 20, 2 ** 61, 2 ** 70])
+def test_quad_combination_matches_python_int_sums(m, top):
+    # 2^20 entries sum on int64; 2^61 entries fit int64 but their sums
+    # pass the 2^62 bound, and 2^70 entries do not fit, so both of those
+    # take the object-dtype fallback
+    rng = random.Random(top + m)
+    n = 3
+    mats = [np.array([[rng.randint(-top, top) for _ in range(n)]
+                      for _ in range(n)],
+                     dtype=np.int64 if top < 2 ** 63 else object)
+            for _ in range(4)]
+    mats.append(np.eye(n, dtype=np.int64))
+    coeffs = [QuadValue(F(rng.randint(-9, 9), rng.randint(1, 12)),
+                        F(rng.randint(-9, 9), rng.randint(1, 12)), m)
+              for _ in mats]
+    P = quad_combination(coeffs, mats, m)
+    for i in range(n):
+        for j in range(n):
+            assert P.entry(i, j) == sum(
+                (c * int(M[i, j]) for c, M in zip(coeffs, mats)),
+                QuadValue(0)), (i, j)
+    assert math.gcd(P.den, *P.a.ravel().tolist(), *P.b.ravel().tolist()) == 1
+    assert P.m == m and P.a.dtype == P.b.dtype == object
+    with pytest.raises(MixedRadicandsError):
+        quad_combination([QuadValue(0, 1, 2)], mats[:1], 3)
+    with pytest.raises(ValueError):  # a coefficient without a matrix
+        quad_combination(coeffs, mats[:-1], m)

@@ -16,7 +16,7 @@ from mnhd.errors import (AmbiguousGapError, DegenerateParamsError,
 from mnhd.graphs import (adjacency, build_graph, cayley_s3, crown, cycle,
                          design_742_incidence, facts, fano_incidence,
                          laplacian, wheel6)
-from mnhd.quadratic import QuadValue
+from mnhd.quadratic import QuadMatrix, QuadValue
 from mnhd.spectral import (FourSpectrum, VanDamCase, _integer_roots,
                            classify_spectrum,
                            closed_form_projectors, exact_eigensystem,
@@ -129,17 +129,20 @@ def test_laplacian_adjacency_spectra_compatible(builtins, numeric_systems):
 
 
 def test_minimal_polynomial_k2():
-    mu = minimal_polynomial(np.array([[1, -1], [-1, 1]]))
+    L = np.array([[1, -1], [-1, 1]])
+    mu, powers = minimal_polynomial(L)
     assert mu == [0, -2, 1]  # x(x - 2)
+    assert [P.tolist() for P in powers] == [[[1, 0], [0, 1]], L.tolist(),
+                                            (2 * L).tolist()]
 
 
 def test_minimal_polynomial_c7():
-    assert minimal_polynomial(laplacian(cycle(7))) == [0, -7, 14, -7, 1]
+    assert minimal_polynomial(laplacian(cycle(7)))[0] == [0, -7, 14, -7, 1]
 
 
 def test_minimal_polynomial_crown5():
     # x(x-3)(x-5)(x-8) = x^4 - 16x^3 + 79x^2 - 120x
-    assert minimal_polynomial(laplacian(crown(5))) == [0, -120, 79, -16, 1]
+    assert minimal_polynomial(laplacian(crown(5)))[0] == [0, -120, 79, -16, 1]
 
 
 def test_minimal_polynomial_degree_cap():
@@ -177,6 +180,18 @@ def _minimal_polynomial_by_elimination(L, max_degree=None):
     raise NotFourEigenvaluesError(f"minimal polynomial degree exceeds {cap}")
 
 
+def _minimal_polynomial_checking_powers(L, max_degree=None):
+    """minimal_polynomial's coefficients, once the powers it returns with
+    them are checked to be I, L, ..., L^k in Python ints."""
+    coeffs, powers = minimal_polynomial(L, max_degree)
+    assert len(powers) == len(coeffs)
+    expected = np.eye(L.shape[0], dtype=object)
+    for P in powers:
+        assert np.array_equal(np.asarray(P, dtype=object), expected)
+        expected = expected @ np.asarray(L, dtype=object)
+    return coeffs
+
+
 def _minimal_polynomial_outcome(fn, L, max_degree):
     try:
         return fn(L, max_degree)
@@ -207,7 +222,8 @@ def test_minimal_polynomial_matches_elimination_on_builtins(builtins,
                                                             max_degree):
     for name, g in builtins.items():
         L = laplacian(g)
-        assert (_minimal_polynomial_outcome(minimal_polynomial, L, max_degree)
+        assert (_minimal_polynomial_outcome(
+                    _minimal_polynomial_checking_powers, L, max_degree)
                 == _minimal_polynomial_outcome(
                     _minimal_polynomial_by_elimination, L, max_degree)), name
 
@@ -216,7 +232,8 @@ def test_minimal_polynomial_matches_elimination_on_builtins(builtins,
 def test_minimal_polynomial_matches_elimination_on_random_matrices(max_degree):
     outcomes = []
     for M in _random_integer_matrices():
-        mine = _minimal_polynomial_outcome(minimal_polynomial, M, max_degree)
+        mine = _minimal_polynomial_outcome(
+            _minimal_polynomial_checking_powers, M, max_degree)
         assert mine == _minimal_polynomial_outcome(
             _minimal_polynomial_by_elimination, M, max_degree), M
         outcomes.append(mine)
@@ -226,31 +243,35 @@ def test_minimal_polynomial_matches_elimination_on_random_matrices(max_degree):
         assert NotFourEigenvaluesError in outcomes
 
 
+def _sigma(L):
+    return exact_eigenvalues(minimal_polynomial(L, max_degree=4)[0])
+
+
 def test_exact_eigenvalues_design_742():
-    sigma = exact_eigenvalues(laplacian(design_742_incidence()))
+    sigma = _sigma(laplacian(design_742_incidence()))
     assert sigma == [QuadValue(0), QuadValue(4, -1, 2), QuadValue(4, 1, 2),
                      QuadValue(8)]
 
 
 def test_exact_eigenvalues_wheel():
-    sigma = exact_eigenvalues(laplacian(wheel6()))
+    sigma = _sigma(laplacian(wheel6()))
     assert sigma == [QuadValue(0), QuadValue(F(7, 2), F(-1, 2), 5),
                      QuadValue(F(7, 2), F(1, 2), 5), QuadValue(6)]
 
 
 def test_exact_eigenvalues_cayley():
-    sigma = exact_eigenvalues(laplacian(cayley_s3()))
+    sigma = _sigma(laplacian(cayley_s3()))
     assert sigma == [QuadValue(0), QuadValue(2), QuadValue(3), QuadValue(5)]
 
 
 def test_exact_eigenvalues_c7_not_quadratic():
     with pytest.raises(NonQuadraticEigenvaluesError):
-        exact_eigenvalues(laplacian(cycle(7)))
+        _sigma(laplacian(cycle(7)))
 
 
 def test_exact_eigenvalues_wrong_count():
     with pytest.raises(NotFourEigenvaluesError):
-        exact_eigenvalues(np.array([[1, -1], [-1, 1]]))
+        _sigma(np.array([[1, -1], [-1, 1]]))
 
 
 def test_exact_eigensystem_multiplicities():
@@ -262,34 +283,73 @@ def test_exact_eigensystem_multiplicities():
 # -- projectors --------------------------------------------------------------
 
 
+def _lagrange_by_products(L, sigma, i):
+    """Reference: the Lagrange projector as the chain of QuadMatrix products
+    prod_{j != i} (L - sigma[j] I) / (sigma[i] - sigma[j]), reduced after
+    each step."""
+    n = L.shape[0]
+    m = next((lam.m for lam in sigma if lam.b), 0)
+    P = QuadMatrix.identity(n, m)
+    base = QuadMatrix.from_int(L, m)
+    denominator = QuadValue(1)
+    for j, lam in enumerate(sigma):
+        if j != i:
+            P = (P @ (base - QuadMatrix.identity(n, m).scale(lam))).reduce()
+            denominator = denominator * (sigma[i] - lam)
+    return P.scale(denominator.inverse()).reduce()
+
+
+def test_projectors_match_product_chain(exact_systems, extra_exact_graphs):
+    # the Lagrange and closed-form combinations over the powers of L against
+    # the product chain, over radicands 2 (design-742), 5 (wheel-6) and 13
+    systems = {name: es for name, es in exact_systems.items() if es is not None}
+    systems.update({name: exact_eigensystem(laplacian(g))
+                    for name, g in extra_exact_graphs.items()})
+    radicands = set()
+    for name, es in systems.items():
+        sigma = es.values()
+        closed = closed_form_projectors(
+            es.powers, FourSpectrum.from_eigenvalues(*sigma[1:]))
+        for i, grp in enumerate(es.groups):
+            expected = _lagrange_by_products(es.powers[1], sigma, i)
+            assert grp.projector == expected, (name, i)
+            assert lagrange_projector(es.powers, sigma, i) == expected, (name, i)
+            assert grp.projector.a.dtype == grp.projector.b.dtype == object
+            if i:
+                assert closed[i - 1] == expected, (name, i)
+        radicands |= {lam.m for lam in sigma}
+    assert {0, 2, 5, 13} <= radicands
+
+
 def test_lagrange_projector_k2():
     L = np.array([[1, -1], [-1, 1]])
     sigma = [QuadValue(0), QuadValue(2)]
-    P = lagrange_projector(L, sigma, 1)
+    P = lagrange_projector(minimal_polynomial(L)[1], sigma, 1)
     assert P.to_lists() == [[QuadValue(F(1, 2)), QuadValue(F(-1, 2))],
                             [QuadValue(F(-1, 2)), QuadValue(F(1, 2))]]
 
 
 def test_lagrange_projector_zero_eigenspace_is_constants():
     g = crown(5)
-    sigma = exact_eigenvalues(laplacian(g))
-    P0 = lagrange_projector(laplacian(g), sigma, 0)
+    mu, powers = minimal_polynomial(laplacian(g), max_degree=4)
+    P0 = lagrange_projector(powers, exact_eigenvalues(mu), 0)
     assert all(P0.entry(i, j) == QuadValue(F(1, g.n))
                for i in range(g.n) for j in range(g.n))
 
 
 def test_lagrange_projector_repeated_eigenvalue():
+    eye = np.eye(2, dtype=int)
     with pytest.raises(RepeatedEigenvalueError):
-        lagrange_projector(np.eye(2, dtype=int), [QuadValue(1), QuadValue(1)], 0)
+        lagrange_projector([eye, eye], [QuadValue(1), QuadValue(1)], 0)
 
 
 def test_closed_form_projectors_742():
     L = laplacian(design_742_incidence())
-    fs, P1, P2, P3 = closed_form_projectors(L, L @ L, 14, 4, 2)
+    fs = FourSpectrum.from_design(14, 4, 2)
+    P1, P2, P3 = closed_form_projectors(minimal_polynomial(L)[1], fs)
     assert (P1.trace(), P2.trace(), P3.trace()) == (QuadValue(6), QuadValue(6),
                                                     QuadValue(1))
     # resolution including P0
-    from mnhd.quadratic import QuadMatrix
     P0 = QuadMatrix.constant(14, QuadValue(F(1, 14)), fs.lam1.m)
     total = P0 + P1 + P2 + P3
     assert (total - QuadMatrix.identity(14, fs.lam1.m)).is_zero()
@@ -319,10 +379,11 @@ def test_closed_form_equals_lagrange_sample(incidence_builtins):
         L = laplacian(g)
         d = facts(g).regular_degree
         lam = (2 * d * (d - 1)) // (g.n - 2)
-        fs, P1, P2, P3 = closed_form_projectors(L, L @ L, g.n, d, lam)
-        sigma = [fs.lam0, fs.lam1, fs.lam2, fs.lam3]
-        for i, P in enumerate((P1, P2, P3), start=1):
-            assert P == lagrange_projector(L, sigma, i), name
+        powers = minimal_polynomial(L)[1]
+        fs = FourSpectrum.from_design(g.n, d, lam)
+        closed = closed_form_projectors(powers, fs)
+        for i, P in enumerate(closed, start=1):
+            assert P == lagrange_projector(powers, fs.as_tuple(), i), name
 
 
 # -- classification ----------------------------------------------------------
