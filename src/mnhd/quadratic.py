@@ -8,14 +8,13 @@ through floating point.
 
 QuadMatrix holds a square matrix of such values as a pair of integer matrices
 plus one common denominator, so matrix products reduce to a few integer
-matmuls.  The integer matrices are object-dtype arrays of Python ints, so
-sums, scalings and comparisons never overflow.  Products (`QuadMatrix @`,
-`int_matmul`), the gcd in `QuadMatrix.reduce` and the integer helpers
-`int_inner` and `int_combination` run on an int64 kernel only when a bound
-computed from the largest operand magnitudes proves that no entry and no
-partial sum reaches 2^62; past that bound the same arithmetic runs on Python
-ints.  No float takes part in either path.  `quad_combination`, which builds
-each exact projector as a polynomial in L, is two `int_combination`s.
+matmuls.  Every QuadMatrix operation runs on the checked integer kernels
+`int_matmul` and `int_combination` (`int_inner` sits beside them), which use
+int64 only when a bound computed from the largest operand magnitudes proves
+that no entry and no partial sum reaches 2^62, and object-dtype Python ints
+past it; the integer matrices are stored as the kernels return them.  No
+float takes part in either path.  `quad_combination`, which builds each exact
+projector as a polynomial in L, is two `int_combination`s.
 """
 
 from __future__ import annotations
@@ -239,23 +238,22 @@ class QuadValue:
 INT64_BOUND = 1 << 62
 
 
-def max_abs(x: np.ndarray) -> int:
-    """Largest |entry| of an integer array, as a Python int (0 when empty)."""
-    return max(int(x.max()), -int(x.min())) if x.size else 0
-
-
 def _int64(x: np.ndarray) -> tuple[np.ndarray, int] | None:
-    """(x as int64, max |x|), or None when an entry does not fit in int64."""
+    """(x as int64, max |x| as a Python int), or None when an entry does not
+    fit in int64."""
     try:
         y = np.asarray(x, dtype=np.int64)
     except OverflowError:
         return None
-    return y, max_abs(y)
+    return y, max(int(y.max()), -int(y.min())) if y.size else 0
 
 
 def int_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Exact product of two integer matrices: int64 when
-    n * max|x| * max|y| < 2^62, else object dtype (Python ints)."""
+    """Exact product of two integer matrices: int64 zeros, without
+    multiplying, when a factor is all zero; int64 when
+    n * max|x| * max|y| < 2^62; else object dtype (Python ints)."""
+    if not (x.any() and y.any()):
+        return np.zeros((x.shape[0], y.shape[1]), dtype=np.int64)
     xs, ys = _int64(x), _int64(y)
     if xs and ys and x.shape[1] * xs[1] * ys[1] < INT64_BOUND:
         return xs[0] @ ys[0]
@@ -273,58 +271,42 @@ def int_inner(x: np.ndarray, y: np.ndarray) -> int:
 def int_combination(coeffs: Sequence[int], mats: Sequence[np.ndarray]
                     ) -> np.ndarray:
     """Exact sum(c * M) of integer matrices with integer coefficients, one
-    per matrix: int64 when sum |c| * max|M| < 2^62, else object dtype."""
-    checked = [_int64(M) for _, M in zip(coeffs, mats, strict=True)]
+    per matrix: int64 when sum |c| * max|M| < 2^62 over the nonzero c, else
+    object dtype."""
+    pairs = [(c, M) for c, M in zip(coeffs, mats, strict=True) if c]
+    checked = [_int64(M) for _, M in pairs]
     if None not in checked and sum(
-            abs(c) * mx for c, (_, mx) in zip(coeffs, checked)) < INT64_BOUND:
-        terms = [c * M for c, (M, mx) in zip(coeffs, checked) if c and mx]
+            abs(c) * mx for (c, _), (_, mx) in zip(pairs, checked)) < INT64_BOUND:
+        terms = [c * M for (c, _), (M, mx) in zip(pairs, checked) if mx]
     else:
-        terms = [c * np.asarray(M, dtype=object) for c, M in zip(coeffs, mats)]
+        terms = [c * np.asarray(M, dtype=object) for c, M in pairs]
     return sum(terms, np.zeros(mats[0].shape, dtype=np.int64))
 
 
 def quad_combination(coeffs: Sequence[QuadValue], mats: Sequence[np.ndarray],
                      m: int) -> "QuadMatrix":
     """Exact sum(c * M) over integer matrices M, coefficients c in Q(sqrt(m)):
-    two `int_combination`s, reduced while int64, then stored as object dtype."""
+    two `int_combination`s over a common denominator, then reduced."""
     if any(c.b and c.m != m for c in coeffs):
         raise MixedRadicandsError(f"coefficients {coeffs} not in Q(sqrt({m}))")
     den = math.lcm(*(x.denominator for c in coeffs for x in (c.a, c.b)))
-    P = QuadMatrix(int_combination([int(c.a * den) for c in coeffs], mats),
-                   int_combination([int(c.b * den) for c in coeffs], mats),
-                   den, m).reduce()
-    return QuadMatrix(P.a.astype(object), P.b.astype(object), P.den, m)
-
-
-def _int64_matmul(xa: np.ndarray, xb: np.ndarray, ya: np.ndarray,
-                  yb: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(xa + xb r)(ya + yb r) with r^2 = m on int64 operands whose bound the
-    caller checked, as object arrays; products with a zero factor are
-    skipped."""
-    a = xa @ ya
-    if m and xb.any() and yb.any():
-        a += m * (xb @ yb)
-    b = np.zeros_like(a)
-    if yb.any():
-        b += xa @ yb
-    if xb.any():
-        b += xb @ ya
-    return a.astype(object), b.astype(object)
+    return QuadMatrix(int_combination([int(c.a * den) for c in coeffs], mats),
+                      int_combination([int(c.b * den) for c in coeffs], mats),
+                      den, m).reduce()
 
 
 class QuadMatrix:
     """Square matrix over Q(sqrt(m)), stored as (A + B*sqrt(m)) / den.
 
-    A and B are object-dtype integer ndarrays; den is a positive integer.
-    Products and sums stay exact; entries come back out as QuadValue.
-    Products and `reduce` use the checked int64 kernel when its bound holds.
+    A and B are integer ndarrays as `int_matmul` and `int_combination`
+    return them (int64 while their bound holds, else object dtype), and every
+    operation forms its entries through those kernels, so none can wrap; den
+    is a positive integer.  Entries come back out as QuadValue.
     """
 
     __slots__ = ("a", "b", "den", "m", "n")
 
     def __init__(self, a: np.ndarray, b: np.ndarray, den: int, m: int):
-        if den < 0:
-            a, b, den = -a, -b, -den
         self.a = a
         self.b = b
         self.den = den
@@ -333,7 +315,7 @@ class QuadMatrix:
 
     @classmethod
     def from_int(cls, mat: np.ndarray | Iterable, m: int = 0) -> "QuadMatrix":
-        a = np.asarray(mat, dtype=object)
+        a = int_combination([1], [np.asarray(mat)])
         return cls(a, np.zeros_like(a), 1, m)
 
     @classmethod
@@ -351,35 +333,31 @@ class QuadMatrix:
             raise MixedRadicandsError(f"sqrt({self.m}) vs sqrt({other.m})")
         return self.m or other.m
 
-    def __add__(self, other: "QuadMatrix") -> "QuadMatrix":
+    def _plus(self, other: "QuadMatrix", sign: int) -> "QuadMatrix":
+        """self + sign * other over the common denominator."""
         m = self._coerce(other)
         den = math.lcm(self.den, other.den)
-        s, t = den // self.den, den // other.den
-        return QuadMatrix(self.a * s + other.a * t, self.b * s + other.b * t, den, m)
+        s, t = den // self.den, sign * (den // other.den)
+        return QuadMatrix(int_combination([s, t], [self.a, other.a]),
+                          int_combination([s, t], [self.b, other.b]), den, m)
+
+    def __add__(self, other: "QuadMatrix") -> "QuadMatrix":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "QuadMatrix") -> "QuadMatrix":
-        m = self._coerce(other)
-        den = math.lcm(self.den, other.den)
-        s, t = den // self.den, den // other.den
-        return QuadMatrix(self.a * s - other.a * t, self.b * s - other.b * t, den, m)
+        return self._plus(other, -1)
 
     def __neg__(self) -> "QuadMatrix":
-        return QuadMatrix(-self.a, -self.b, self.den, self.m)
+        return self.scale(QuadValue(-1))
 
     def __matmul__(self, other: "QuadMatrix") -> "QuadMatrix":
         m = self._coerce(other)
-        den = self.den * other.den
-        checked = [_int64(x) for x in (self.a, self.b, other.a, other.b)]
-        if None not in checked:
-            (xa, ax), (xb, bx), (ya, ay), (yb, by) = checked
-            # each of the four products (the B-by-B one scaled by m) below
-            # 2^62, so each sum of two stays below 2^63
-            if self.n * max(ax * ay, m * bx * by, ax * by, bx * ay) < INT64_BOUND:
-                a, b = _int64_matmul(xa, xb, ya, yb, m)
-                return QuadMatrix(a, b, den, m)
-        a = self.a @ other.a + m * (self.b @ other.b)
-        b = self.a @ other.b + self.b @ other.a
-        return QuadMatrix(a, b, den, m)
+        aa, bb, ab, ba = (int_matmul(x, y) for x, y in (
+            (self.a, other.a), (self.b, other.b),
+            (self.a, other.b), (self.b, other.a)))
+        return QuadMatrix(int_combination([1, m], [aa, bb]),
+                          int_combination([1, 1], [ab, ba]),
+                          self.den * other.den, m)
 
     def scale(self, c: QuadValue) -> "QuadMatrix":
         if c.b != 0 and self.m != 0 and c.m != self.m:
@@ -387,21 +365,18 @@ class QuadMatrix:
         m = self.m or c.m
         q = math.lcm(c.a.denominator, c.b.denominator)
         ca, cb = int(c.a * q), int(c.b * q)
-        a = ca * self.a + m * cb * self.b
-        b = ca * self.b + cb * self.a
-        return QuadMatrix(a, b, self.den * q, m)
+        return QuadMatrix(int_combination([ca, m * cb], [self.a, self.b]),
+                          int_combination([cb, ca], [self.a, self.b]),
+                          self.den * q, m)
 
     def reduce(self) -> "QuadMatrix":
         """Divide out the gcd of all entries and the denominator."""
-        checked = [_int64(x) for x in (self.a, self.b)]
-        if None not in checked and max(mx for _, mx in checked) < INT64_BOUND:
-            parts = [x for x, _ in checked]
-        else:
-            parts = [self.a, self.b]
-        g = math.gcd(self.den, int(np.gcd.reduce(np.concatenate(
-            [x.reshape(-1) for x in parts]))))
+        h = int(np.gcd.reduce(np.concatenate([self.a.ravel(), self.b.ravel()])))
+        g = math.gcd(self.den, h)
         if g <= 1:
             return self
+        if h == 0:  # the zero matrix; den may not fit the int64 entries
+            return QuadMatrix(self.a, self.b, 1, self.m)
         return QuadMatrix(self.a // g, self.b // g, self.den // g, self.m)
 
     def entry(self, i: int, j: int) -> QuadValue:
@@ -409,8 +384,10 @@ class QuadMatrix:
                          Fraction(int(self.b[i, j]), self.den), self.m)
 
     def trace(self) -> QuadValue:
-        return QuadValue(Fraction(int(np.trace(self.a)), self.den),
-                         Fraction(int(np.trace(self.b)), self.den), self.m)
+        # summed in Python ints: an int64 np.trace could wrap
+        return QuadValue(Fraction(sum(self.a.diagonal().tolist()), self.den),
+                         Fraction(sum(self.b.diagonal().tolist()), self.den),
+                         self.m)
 
     def __eq__(self, other):
         if not isinstance(other, QuadMatrix):
@@ -420,8 +397,9 @@ class QuadMatrix:
         # compare cross-multiplied integer parts; radicands must be compatible
         if self.m != other.m and (self.b.any() or other.b.any()):
             return False
-        return (np.array_equal(self.a * other.den, other.a * self.den)
-                and np.array_equal(self.b * other.den, other.b * self.den))
+        s, t = other.den, -self.den
+        return not (int_combination([s, t], [self.a, other.a]).any()
+                    or int_combination([s, t], [self.b, other.b]).any())
 
     def is_zero(self) -> bool:
         return not self.a.any() and not self.b.any()
@@ -435,4 +413,3 @@ class QuadMatrix:
 
     def __repr__(self):
         return f"QuadMatrix(n={self.n}, m={self.m}, den={self.den})"
-

@@ -89,7 +89,7 @@ class Eigensystem:
     n: int
     groups: tuple[EigenGroup, ...] | tuple[NumericEigenGroup, ...]
     mode: str  # "numeric" or "exact"
-    powers: tuple[np.ndarray, ...] = ()  # exact: I, L, ..., L^k of L decomposed
+    powers: tuple[np.ndarray, ...] = ()  # exact: I, L, ..., L^(k-1), k groups
 
     def values(self) -> list[float | QuadValue]:
         return [g.value for g in self.groups]
@@ -308,7 +308,9 @@ def lagrange_projector(powers: Sequence[np.ndarray], sigma: Sequence[QuadValue],
 
 def exact_eigensystem(L: np.ndarray) -> Eigensystem:
     """Exact eigensystem of a four-eigenvalue integer Laplacian: QuadValue
-    eigenvalues, Lagrange projectors, multiplicities from projector traces."""
+    eigenvalues, Lagrange projectors, multiplicities from projector traces.
+    It keeps the powers I, L, L^2, L^3 that the projectors are summed over;
+    L^4 is needed only for the minimal polynomial's p(L) = 0 check."""
     mu, powers = minimal_polynomial(L, max_degree=4)
     sigma = exact_eigenvalues(mu)
     groups = []
@@ -323,7 +325,7 @@ def exact_eigensystem(L: np.ndarray) -> Eigensystem:
     if total != L.shape[0]:
         raise InvariantViolationError(
             f"multiplicities sum to {total}, not n = {L.shape[0]}")
-    return Eigensystem(L.shape[0], tuple(groups), "exact", tuple(powers))
+    return Eigensystem(L.shape[0], tuple(groups), "exact", tuple(powers[:-1]))
 
 
 # ---------------------------------------------------------------------------

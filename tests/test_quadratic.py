@@ -213,25 +213,14 @@ def _near(rng, top, n):
 @pytest.mark.parametrize("bits", [31, 40])
 @pytest.mark.parametrize("m", [0, 5])
 @pytest.mark.parametrize("side", ["below", "above"])
-def test_quadmatrix_kernel_matches_python_ints_at_int64_bound(monkeypatch,
-                                                              bits, m, side):
-    import mnhd.quadratic as quadratic
-
-    kernel_calls = []
-    kernel = quadratic._int64_matmul
-
-    def spy(*args):
-        kernel_calls.append(args)
-        return kernel(*args)
-
-    monkeypatch.setattr(quadratic, "_int64_matmul", spy)
+def test_quadmatrix_kernel_matches_python_ints_at_int64_bound(bits, m, side):
     rng = np.random.default_rng(bits + m)
     n = 3
     x = 2 ** bits
-    # largest right-hand entry that keeps n * max|x| * max|y| (times m for
-    # the sqrt(m) parts) below 2^62; "above" goes far enough past it that the
-    # true sums overflow int64
-    limit = (2 ** 62 - 1) // (n * x * max(m, 1))
+    # largest right-hand entry that keeps n * max|x| * max|y| * (1 + m), the
+    # bound on A's int64 part (the sqrt(m) products times m added in), below
+    # 2^62; "above" goes far enough past it that the true sums overflow int64
+    limit = (2 ** 62 - 1) // (n * x * (m + 1))
     y = limit if side == "below" else 4 * limit
     A = QuadMatrix(_near(rng, x, n), _near(rng, x, n) if m else
                    np.zeros((n, n), dtype=object), 6, m)
@@ -239,12 +228,73 @@ def test_quadmatrix_kernel_matches_python_ints_at_int64_bound(monkeypatch,
     C = A @ B
     assert (C.a.tolist(), C.b.tolist()) == _python_matmul(A, B, m)
     assert C.den == 60
-    assert len(kernel_calls) == (1 if side == "below" else 0)
+    dtype = np.int64 if side == "below" else object
+    assert C.a.dtype == C.b.dtype == dtype
     if side == "above":
         assert max(abs(v) for v in C.a.ravel().tolist()) >= 2 ** 63
     for Q in (C, QuadMatrix(A.a * 12, A.b * 12, 18, m)):
         R = Q.reduce()
         assert (R.a.tolist(), R.b.tolist(), R.den) == _python_reduce(Q)
+
+
+@pytest.mark.parametrize("m", [0, 5])
+@pytest.mark.parametrize("top", [2 ** 20, 2 ** 61, 2 ** 70])
+def test_quadmatrix_operations_match_python_ints(m, top):
+    # every QuadMatrix operation on int64 and object-dtype operands against
+    # QuadValue entries in Python ints; n = 5 entries near 2^61 make int64
+    # sums, cross-multiplications and traces wrap if any skips the kernels
+    rng = random.Random(top + m)
+    n = 5
+    int64 = np.int64 if top < 2 ** 63 else object
+
+    def rows(positive=False):
+        lo = top - top // 8 if positive else -top
+        return [[rng.randint(lo, top) for _ in range(n)] for _ in range(n)]
+
+    def quad(dtype, den, positive=False):
+        b = rows() if m else [[0] * n for _ in range(n)]
+        return QuadMatrix(np.array(rows(positive), dtype=dtype),
+                          np.array(b, dtype=dtype), den, m)
+
+    def each(f, *Qs):
+        return [[f(*(Q.entry(i, j) for Q in Qs)) for j in range(n)]
+                for i in range(n)]
+
+    A = quad(int64, 6, positive=True)
+    C = quad(int64, 10)
+    B = quad(object, 15)
+    c = QuadValue(F(-7, 3), F(5, 2), m)
+    results = []
+    for X, Y in ((A, C), (A, B), (B, A)):
+        results += [X + Y, X - Y, X @ Y]
+        assert (X + Y).to_lists() == each(lambda x, y: x + y, X, Y)
+        assert (X - Y).to_lists() == each(lambda x, y: x - y, X, Y)
+        assert (X @ Y).to_lists() == _entrywise_matmul(X, Y)
+        assert X != Y
+    for X in (A, B, C):
+        results += [-X, X.scale(c)]
+        assert (-X).to_lists() == each(lambda x: -x, X)
+        assert X.scale(c).to_lists() == each(lambda x: c * x, X)
+        assert X.trace() == sum((X.entry(i, i) for i in range(n)),
+                                QuadValue(0))
+        # the same values over a larger denominator, and one entry off by 1/den
+        same = QuadMatrix(*(np.array([[7 * v for v in row] for row in P.tolist()],
+                                     dtype=object) for P in (X.a, X.b)),
+                          7 * X.den, m)
+        assert X == same and same == X
+        off = X.a.tolist()
+        off[n - 1][0] += 1
+        assert X != QuadMatrix(np.array(off, dtype=object), X.b, X.den, m)
+        R = X.scale(QuadValue(12)).reduce()
+        assert R.to_lists() == each(lambda x: 12 * x, X)
+        assert math.gcd(R.den, *R.a.ravel().tolist(),
+                        *R.b.ravel().tolist()) == 1
+    if top == 2 ** 20:  # every entry fits, so every result stays int64
+        assert {Q.a.dtype for Q in results} == {Q.b.dtype for Q in results} \
+            == {np.dtype(np.int64)}
+    # a zero matrix over a denominator past int64 reduces to den 1
+    Z = QuadMatrix(A.a, A.b, 2 ** 70, m) - QuadMatrix(A.a, A.b, 2 ** 70, m)
+    assert Z.is_zero() and Z.reduce().den == 1
 
 
 @pytest.mark.parametrize("m", [0, 5])
@@ -270,7 +320,11 @@ def test_quad_combination_matches_python_int_sums(m, top):
                 (c * int(M[i, j]) for c, M in zip(coeffs, mats)),
                 QuadValue(0)), (i, j)
     assert math.gcd(P.den, *P.a.ravel().tolist(), *P.b.ravel().tolist()) == 1
-    assert P.m == m and P.a.dtype == P.b.dtype == object
+    # int64 while the sums fit; the a part of 2^61 entries passes the bound
+    # and the b part is zero when m = 0
+    dtype = np.int64 if top == 2 ** 20 else object
+    assert P.m == m and P.a.dtype == dtype
+    assert P.b.dtype == (dtype if m else np.int64)
     with pytest.raises(MixedRadicandsError):
         quad_combination([QuadValue(0, 1, 2)], mats[:1], 3)
     with pytest.raises(ValueError):  # a coefficient without a matrix

@@ -280,6 +280,21 @@ def test_exact_eigensystem_multiplicities():
     assert es.mode == "exact"
 
 
+def test_exact_eigensystem_keeps_one_power_per_eigenvalue(builtins,
+                                                          exact_systems):
+    # I, L, L^2, L^3: the projectors read all four, L^4 only the minimal
+    # polynomial's own check
+    systems = {name: es for name, es in exact_systems.items() if es is not None}
+    assert systems
+    for name, es in systems.items():
+        assert len(es.powers) == len(es.groups) == 4, name
+        L = laplacian(builtins[name])
+        expected = np.eye(L.shape[0], dtype=object)
+        for P in es.powers:
+            assert np.array_equal(np.asarray(P, dtype=object), expected), name
+            expected = expected @ np.asarray(L, dtype=object)
+
+
 # -- projectors --------------------------------------------------------------
 
 
@@ -314,7 +329,7 @@ def test_projectors_match_product_chain(exact_systems, extra_exact_graphs):
             expected = _lagrange_by_products(es.powers[1], sigma, i)
             assert grp.projector == expected, (name, i)
             assert lagrange_projector(es.powers, sigma, i) == expected, (name, i)
-            assert grp.projector.a.dtype == grp.projector.b.dtype == object
+            assert grp.projector.a.dtype == grp.projector.b.dtype == np.int64
             if i:
                 assert closed[i - 1] == expected, (name, i)
         radicands |= {lam.m for lam in sigma}
