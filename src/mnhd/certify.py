@@ -2,10 +2,12 @@
 
 Three routes, in decreasing order of strength.  Each returns a Certificate.
 The two exact ones share one engine: the graph's exact eigensystem, built
-once by `analyze`, and one grouping of the ordered vertex pairs into classes
-by their (L, L^2) signature, read off the integer Laplacian; on a connected
-four-eigenvalue graph the signature fixes a pair's Delta set, so `delta_set`
-runs once per class.
+once by `analyze` and a required argument of both, and one grouping of the
+ordered vertex pairs into classes by their (L, L^2) signature, read off the
+integer Laplacian; on a connected four-eigenvalue graph the signature fixes a
+pair's Delta set, so `delta_set` runs once per class.  `analyze` alone
+decides which route runs: neither exact route builds an eigensystem or runs
+the float eigensolver.
 
 * certificate_bipartite -- an exact certificate for connected regular
   bipartite graphs with four distinct Laplacian eigenvalues.  Such a graph is
@@ -21,10 +23,10 @@ runs once per class.
   certifies h >= 0 either because every exponential coefficient of h is
   nonnegative, or because e^{lam3 t} h(t) is nondecreasing (no growing term
   has a negative coefficient and the growing terms' derivative budget covers
-  the decaying positive ones) and h(0) >= 0.  Graphs whose eigenvalues are
-  not quadratic (classification case III) degrade to a float table over the
-  same classes (method numeric-delta-table) that is labelled as evidence,
-  never proof.
+  the decaying positive ones) and h(0) >= 0.  For a connected
+  four-eigenvalue graph whose eigenvalues are not quadratic (classification
+  case III), `analyze` gives instead a float table over the same classes
+  (method numeric-delta-table) that is labelled as evidence, never proof.
 
 * numeric_check -- forward differences of r_t over a log time grid, for every
   ordered pair.  Evidence only; always run as cross-validation.
@@ -39,8 +41,8 @@ from typing import Sequence
 import numpy as np
 
 from .designs import lambda_from_n_d
-from .errors import (InvalidParameterError, NoCaseMatchesError,
-                     NonQuadraticEigenvaluesError, NotFourEigenvaluesError,
+from .errors import (ExactEigensystemRequiredError, InvalidParameterError,
+                     NoCaseMatchesError, NonQuadraticEigenvaluesError,
                      ShortGridError, UnknownSignatureError)
 from .graphs import Graph, facts, laplacian
 from .heat import (DeltaSet, default_time_grid, delta_set, h_terms_exact,
@@ -164,15 +166,17 @@ def _sign_str(x: QuadValue) -> str:
     return f"{x} ~ {float(x):+.6g}"
 
 
-def certificate_bipartite(g: Graph,
-                          es: Eigensystem | None = None) -> Certificate:
+def certificate_bipartite(g: Graph, es: Eigensystem) -> Certificate:
     """Run the exact MNHD certificate for a connected regular bipartite graph
     with four distinct Laplacian eigenvalues, on its exact eigensystem `es`
-    and the powers of the Laplacian it keeps (built here when `es` is not
-    given).  Returns NotApplicable when the structural preconditions
-    fail; otherwise performs every check in exact arithmetic and returns
-    ProvenMNHD only if all of them hold."""
+    (from `exact_eigensystem`; a numeric one raises
+    ExactEigensystemRequiredError) and the powers of the Laplacian it keeps.
+    Returns NotApplicable when the structural preconditions fail; otherwise
+    performs every check in exact arithmetic and returns ProvenMNHD only if
+    all of them hold."""
     method = "bipartite-certificate"
+    if es.mode != "exact":
+        raise ExactEigensystemRequiredError(f"{method} needs an exact eigensystem")
     f = facts(g)
     if not f.connected:
         return _not_applicable(method, "graph is not connected")
@@ -180,15 +184,6 @@ def certificate_bipartite(g: Graph,
         return _not_applicable(method, "graph is not regular")
     if f.bipartition is None:
         return _not_applicable(method, "graph is not bipartite")
-    if es is None:
-        L = laplacian(g)
-        try:
-            es = exact_eigensystem(L)
-        except NotFourEigenvaluesError:
-            count = len(jacobi_eigendecompose(L).groups)
-            return _not_applicable(method, (
-                f"{count} distinct Laplacian eigenvalues, need four"
-                if count < 4 else "more than four distinct Laplacian eigenvalues"))
 
     n, d = g.n, f.regular_degree
     checks: list[CertificateCheck] = []
@@ -375,23 +370,17 @@ def _template_row(lam3: QuadValue, terms: dict[QuadValue, QuadValue],
     return False, None, f"budget {budget} < cost {cost} for signature {sig}"
 
 
-def delta_sign_analysis(g: Graph,
-                        es: Eigensystem | None = None) -> Certificate:
+def delta_sign_analysis(g: Graph, es: Eigensystem) -> Certificate:
     """Certify each pair class of a connected four-eigenvalue graph with the
-    exponential-sign template, from exact DeltaSets of the exact eigensystem
-    `es` and the powers of the Laplacian it keeps (built here when `es` is
-    not given); method delta-sign-template.  Falls back to the float table of
-    `_numeric_delta_table` when the eigenvalues are not quadratic."""
+    exponential-sign template, from exact DeltaSets of its exact eigensystem
+    `es` (from `exact_eigensystem`; a numeric one raises
+    ExactEigensystemRequiredError) and the powers of the Laplacian it keeps;
+    method delta-sign-template."""
     method = "delta-sign-template"
+    if es.mode != "exact":
+        raise ExactEigensystemRequiredError(f"{method} needs an exact eigensystem")
     if not facts(g).connected:
         return _not_applicable(method, "graph is not connected")
-    if es is None:
-        L = laplacian(g)
-        try:
-            es = exact_eigensystem(L)
-        except NonQuadraticEigenvaluesError as exc:
-            return _numeric_delta_table(L, jacobi_eigendecompose(L), str(exc))
-        # NotFourEigenvaluesError propagates: the template needs four
 
     fs = FourSpectrum.from_eigenvalues(*es.values()[1:])
     rows: list[ClassRow] = []
@@ -418,12 +407,10 @@ def delta_sign_analysis(g: Graph,
 
 def _numeric_delta_table(L: np.ndarray, es: Eigensystem,
                          why: str) -> Certificate:
-    """Float DeltaSets per pair class of the integer Laplacian L from its
-    Jacobi eigensystem `es`, tagged as the template tags them; method
-    numeric-delta-table, verdict NumericOnly."""
-    if len(es.groups) != 4:
-        raise NotFourEigenvaluesError(
-            f"{len(es.groups)} distinct eigenvalues, need 4")
+    """Float DeltaSets per pair class of the integer Laplacian L of a
+    connected graph from its Jacobi eigensystem `es` of four groups, tagged
+    as the template tags them; method numeric-delta-table, verdict
+    NumericOnly."""
     rows = [ClassRow(tag, sig, len(pairs), ds) for tag, sig, ds, pairs in
             _pair_classes(L, int_matmul(L, L), es)]
     return Certificate(NUMERIC_ONLY, "numeric-delta-table",

@@ -19,7 +19,7 @@ from .heat import default_time_grid, ratio_curve, write_curve_csv
 from .reference import (CAYLEY_S3_CLASS_NAMES, CAYLEY_S3_REFERENCE,
                         DELTA_FIELDS, WHEEL6_CLASS_NAMES, WHEEL6_REFERENCE,
                         catalog_spectrum_comparison, compare_delta_rows)
-from .spectral import jacobi_eigendecompose
+from .spectral import exact_eigensystem, jacobi_eigendecompose
 
 @contextmanager
 def _open_out(path: str | None):
@@ -70,7 +70,7 @@ def _report_text(report) -> str:
 
 
 def _delta_table_text(title: str, g: graphs.Graph, reference, names) -> list[str]:
-    cert = delta_sign_analysis(g)
+    cert = delta_sign_analysis(g, exact_eigensystem(graphs.laplacian(g)))
     lines = [title, f"  verdict: {cert.verdict}"]
     comparisons = compare_delta_rows(cert.classes, reference)
     mismatch = {(c.signature, c.field): c for c in comparisons if not c.match}

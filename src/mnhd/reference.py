@@ -16,7 +16,7 @@ from .designs import catalog
 from .graphs import builtin_graph, laplacian
 from .heat import DeltaSet
 from .quadratic import QuadValue
-from .spectral import jacobi_eigendecompose
+from .spectral import exact_eigensystem
 
 _F = Fraction
 
@@ -106,28 +106,24 @@ class CatalogComparison:
     n: int
     params: tuple[int, int, int]
     builder: str | None
-    max_error: float | None  # None when no builder exists
+    match: bool | None  # None when no builder exists
 
     @property
     def status(self) -> str:
         if self.builder is None:
             return "needs design file"
-        return "match" if self.max_error <= 1e-9 else f"MISMATCH ({self.max_error:.2e})"
+        return "match" if self.match else "MISMATCH"
 
 
 def catalog_spectrum_comparison() -> list[CatalogComparison]:
-    """Rebuild every catalog row with a built-in constructor and compare the
-    numerically computed distinct spectrum against the catalog values."""
+    """Rebuild every catalog row with a built-in constructor and compare its
+    exact distinct spectrum, from `exact_eigensystem`, with the catalog's
+    exact values."""
     out = []
     for row in catalog():
-        if row.builder is None:
-            out.append(CatalogComparison(row.n, row.params, None, None))
-            continue
-        g = builtin_graph(row.builder)
-        es = jacobi_eigendecompose(laplacian(g))
-        computed = [float(grp.value) for grp in es.groups]
-        expected = [float(x) for x in row.spectrum]
-        err = (max(abs(a - b) for a, b in zip(computed, expected))
-               if len(computed) == len(expected) else float("inf"))
-        out.append(CatalogComparison(row.n, row.params, row.builder, err))
+        match = None
+        if row.builder is not None:
+            L = laplacian(builtin_graph(row.builder))
+            match = exact_eigensystem(L).values() == list(row.spectrum)
+        out.append(CatalogComparison(row.n, row.params, row.builder, match))
     return out

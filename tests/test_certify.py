@@ -13,7 +13,8 @@ from mnhd.certify import (NOT_APPLICABLE, NUMERIC_ONLY, PROVEN,
                           REPORT_SCHEMA, _pair_classes, analyze,
                           certificate_bipartite, classify_pair,
                           delta_sign_analysis, numeric_check)
-from mnhd.errors import (InvalidParameterError, NotFourEigenvaluesError,
+from mnhd.errors import (ExactEigensystemRequiredError, InvalidParameterError,
+                         NonQuadraticEigenvaluesError, NotFourEigenvaluesError,
                          ShortGridError, UnknownSignatureError)
 from mnhd.graphs import (build_graph, cayley_s3, crown, cycle,
                          design_742_incidence, facts, fano_incidence,
@@ -131,9 +132,11 @@ def test_pair_classes_match_every_pair_delta_sets(builtins, exact_systems,
                                _circulant(13, {2, 3, 4, 6, 7, 9, 10, 11})],
                          ids=["cycle-7", "circulant-13", "circulant-13-bar"])
 def test_numeric_delta_table_rows_hold_for_every_pair(g):
-    # cubic eigenvalues: the float table gives every pair its signature
-    # class's DeltaSet
-    cert = delta_sign_analysis(g)
+    # cubic eigenvalues: there is no exact eigensystem, and analyze's float
+    # table gives every pair its signature class's DeltaSet
+    with pytest.raises(NonQuadraticEigenvaluesError):
+        exact_eigensystem(laplacian(g))
+    cert = analyze(g).certificate
     assert cert.method == "numeric-delta-table"
     assert [row.tag for row in cert.classes] == [
         f"S{i}" for i in range(1, len(cert.classes) + 1)]
@@ -155,8 +158,10 @@ def test_numeric_delta_table_rows_hold_for_every_pair(g):
 # -- the bipartite certificate -----------------------------------------------
 
 
-def test_certificate_proves_all_incidence_builtins(incidence_builtins, reports):
-    cert = certificate_bipartite(incidence_builtins["design-742"])
+def test_certificate_proves_all_incidence_builtins(incidence_builtins,
+                                                   exact_systems, reports):
+    cert = certificate_bipartite(incidence_builtins["design-742"],
+                                 exact_systems["design-742"])
     assert cert.verdict == PROVEN
     for name in incidence_builtins:
         cert = reports[name].certificate
@@ -166,19 +171,54 @@ def test_certificate_proves_all_incidence_builtins(incidence_builtins, reports):
         assert {r.tag for r in cert.classes} == {"W1", "W2", "W3"}, name
 
 
+def _k2_k3_k4():
+    """K2 + K3 + K4, disconnected, with the four Laplacian eigenvalues
+    0, 2, 3, 4 and so an exact eigensystem."""
+    edges = [(u, v) for lo, hi in ((0, 2), (2, 5), (5, 9))
+             for u in range(lo, hi) for v in range(u + 1, hi)]
+    return build_graph(9, edges)
+
+
 def test_certificate_not_applicable_cases():
-    assert certificate_bipartite(cayley_s3()).reason == "graph is not bipartite"
-    assert certificate_bipartite(wheel6()).reason == "graph is not regular"
+    for g, reason in ((cayley_s3(), "graph is not bipartite"),
+                      (wheel6(), "graph is not regular"),
+                      (_k2_k3_k4(), "graph is not connected")):
+        cert = certificate_bipartite(g, exact_eigensystem(laplacian(g)))
+        assert (cert.verdict, cert.reason) == (NOT_APPLICABLE, reason)
+    g = _k2_k3_k4()
+    cert = delta_sign_analysis(g, exact_eigensystem(laplacian(g)))
+    assert (cert.verdict, cert.reason) == (NOT_APPLICABLE,
+                                           "graph is not connected")
+    # a graph without four distinct eigenvalues has no exact eigensystem to
+    # give a route; analyze names the count
     k33 = build_graph(6, [(i, 3 + j) for i in range(3) for j in range(3)])
-    assert "3 distinct" in certificate_bipartite(k33).reason
-    cert = certificate_bipartite(cycle(8))  # five distinct eigenvalues
-    assert cert.verdict == NOT_APPLICABLE
+    for g, count in ((k33, 3), (cycle(8), 5)):
+        with pytest.raises(NotFourEigenvaluesError):
+            exact_eigensystem(laplacian(g))
+        cert = analyze(g).certificate
+        assert cert.verdict == NOT_APPLICABLE
+        assert f"{count} distinct" in cert.reason
     disconnected = build_graph(4, [(0, 1), (2, 3)])
-    assert certificate_bipartite(disconnected).reason == "graph is not connected"
+    assert analyze(disconnected).certificate.reason == "graph is not connected"
+
+
+def test_exact_routes_reject_a_numeric_eigensystem(monkeypatch):
+    g = fano_incidence()
+    L = laplacian(g)
+    numeric, exact = jacobi_eigendecompose(L), exact_eigensystem(L)
+    for route in (certificate_bipartite, delta_sign_analysis):
+        with pytest.raises(ExactEigensystemRequiredError):
+            route(g, numeric)
+    # given the exact eigensystem, neither route builds one of its own
+    for name in ("exact_eigensystem", "jacobi_eigendecompose"):
+        monkeypatch.setattr(f"mnhd.certify.{name}", None)
+    for route in (certificate_bipartite, delta_sign_analysis):
+        assert route(g, exact).verdict == PROVEN
 
 
 def test_certificate_check_names_include_required_identities():
-    cert = certificate_bipartite(design_742_incidence())
+    g = design_742_incidence()
+    cert = certificate_bipartite(g, exact_eigensystem(laplacian(g)))
     names = {c.name for c in cert.checks}
     assert {"w3_cancellation_1", "w3_cancellation_2",
             "constants_product_identity", "order_identity",
@@ -271,8 +311,9 @@ def test_order_identity_for_all_catalog_params():
 # -- generalized template ----------------------------------------------------
 
 
-def test_delta_sign_analysis_cayley_exact_table():
-    analysis = delta_sign_analysis(cayley_s3())
+def test_delta_sign_analysis_cayley_exact_table(builtins, exact_systems):
+    analysis = delta_sign_analysis(builtins["cayley-s3"],
+                                   exact_systems["cayley-s3"])
     assert analysis.verdict == PROVEN
     assert analysis.method == "delta-sign-template"
     assert len(analysis.classes) == 3
@@ -281,8 +322,8 @@ def test_delta_sign_analysis_cayley_exact_table():
     assert all(c.match for c in comparisons)
 
 
-def test_delta_sign_analysis_wheel_rows():
-    analysis = delta_sign_analysis(wheel6())
+def test_delta_sign_analysis_wheel_rows(builtins, exact_systems):
+    analysis = delta_sign_analysis(builtins["wheel-6"], exact_systems["wheel-6"])
     assert analysis.verdict == PROVEN
     assert analysis.method == "delta-sign-template"
     assert len(analysis.classes) == 4
@@ -302,16 +343,21 @@ def test_delta_sign_analysis_wheel_rows():
     assert ok.match and ok.computed == QuadValue(F(-1, 60), F(-1, 300), 5)
 
 
-def test_delta_sign_analysis_routes():
-    routes = {r.signature: r.route
-              for r in delta_sign_analysis(cayley_s3()).classes}
+def test_delta_sign_analysis_routes(builtins, exact_systems):
+    analysis = delta_sign_analysis(builtins["cayley-s3"],
+                                   exact_systems["cayley-s3"])
+    routes = {r.signature: r.route for r in analysis.classes}
     assert routes[(3, 3, 0, 2)] == "transform-budget"
     assert routes[(3, 3, -1, -5)] == "nonnegative-coefficients"
     assert routes[(3, 3, -1, -6)] == "nonnegative-coefficients"
 
 
 def test_delta_sign_analysis_c7_numeric_fallback():
-    analysis = delta_sign_analysis(cycle(7))
+    # cubic eigenvalues: no exact eigensystem for the template, so analyze
+    # gives the float table
+    with pytest.raises(NonQuadraticEigenvaluesError):
+        exact_eigensystem(laplacian(cycle(7)))
+    analysis = analyze(cycle(7)).certificate
     assert analysis.verdict == NUMERIC_ONLY
     assert analysis.method == "numeric-delta-table"
     assert len(analysis.classes) == 3  # distance classes 1, 2, 3
@@ -320,14 +366,19 @@ def test_delta_sign_analysis_c7_numeric_fallback():
 
 
 def test_delta_sign_analysis_wrong_eigenvalue_count():
+    # three distinct eigenvalues: no exact eigensystem for the template
     with pytest.raises(NotFourEigenvaluesError):
-        delta_sign_analysis(cycle(5))
+        exact_eigensystem(laplacian(cycle(5)))
+    cert = analyze(cycle(5)).certificate
+    assert cert.verdict == NOT_APPLICABLE and "3 distinct" in cert.reason
 
 
-def test_delta_sign_analysis_on_certificate_graphs(incidence_builtins):
+def test_delta_sign_analysis_on_certificate_graphs(incidence_builtins,
+                                                   exact_systems):
     # the generalized template must also certify the bipartite family
     for name in ("design-742", "cycle-6", "crown-5"):
-        analysis = delta_sign_analysis(incidence_builtins[name])
+        analysis = delta_sign_analysis(incidence_builtins[name],
+                                       exact_systems[name])
         assert analysis.verdict == PROVEN, name
 
 

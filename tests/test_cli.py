@@ -1,11 +1,22 @@
+import dataclasses
 import json
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from mnhd.cli import main, reproduce_tables
+from mnhd.designs import catalog
 from mnhd.errors import GraphInputError
 from mnhd.graphs import all_builtin_names, builtin_graph, read_edge_list
+from mnhd.quadratic import QuadValue
+from mnhd.reference import catalog_spectrum_comparison
+
+# The whole text of `reproduce_tables()` as `scripts/reproduce_tables.py`
+# prints it.  Regenerate (only when a change to the tables is intended):
+#     PYTHONPATH=src python scripts/reproduce_tables.py > tests/data/reproduce_tables.txt
+REPRODUCED = Path(__file__).parent / "data" / "reproduce_tables.txt"
 
 
 def run(capsys, *argv):
@@ -182,6 +193,33 @@ def test_reproduce_tables_function():
     text = reproduce_tables()
     assert "6-wheel delta table" in text
     assert "d1=1/3, d2=1/2, d3=1/6, d12=-1/36, d13=-1/12, d23=-1/9" in text
+
+
+def test_reproduce_tables_text_is_pinned():
+    pinned = REPRODUCED.read_bytes()
+    assert (reproduce_tables() + "\n").encode() == pinned
+    # what the pin holds: the exact catalog comparison matches all 13
+    # constructible rows, and the wheel-6 d23 reference entry is a misprint
+    text = pinned.decode()
+    assert text.count(": match\n") == 13
+    assert text.count(": needs design file\n") == 6
+    assert text.count("MISMATCH") == 1
+    assert ("MISMATCH vs reference at rim pair, adjacent d23: derived "
+            "-1/60-1/300*sqrt(5), reference -1/2-1/10*sqrt(5)") in text
+
+
+def test_catalog_comparison_is_exact(monkeypatch):
+    # crown-5's catalog spectrum with lam2 moved by 2^-60, which no float
+    # comparison at 1e-9 would see
+    row = catalog()[0]
+    assert row.builder == "crown-5"
+    lam0, lam1, lam2, lam3 = row.spectrum
+    moved = dataclasses.replace(row, spectrum=(
+        lam0, lam1, lam2 + QuadValue(Fraction(1, 2 ** 60)), lam3))
+    monkeypatch.setattr("mnhd.reference.catalog", lambda: (row, moved))
+    first, second = catalog_spectrum_comparison()
+    assert (first.match, first.status) == (True, "match")
+    assert (second.match, second.status) == (False, "MISMATCH")
 
 
 def test_input_error_exit_code(tmp_path, capsys):

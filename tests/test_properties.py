@@ -3,7 +3,10 @@ on vertex labels, and on any small graph it either returns a report that
 fits the schema or raises a typed MnhdError.  Every report it returns, on
 relabeled builtins and on small graphs alike, is consistent across routes:
 a ProvenMNHD verdict comes with a passing numeric check, and the exact
-spectrum agrees with the float one."""
+spectrum agrees with the float one.  Edge-list and design files give back
+the graph or design they were written from."""
+
+import io
 
 import jsonschema
 import pytest
@@ -11,8 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mnhd.certify import PROVEN, REPORT_SCHEMA, analyze
+from mnhd.designs import (complement_design, crown_design, design_742,
+                          fano_design, pair_design, read_design, write_design)
 from mnhd.errors import MnhdError
-from mnhd.graphs import all_builtin_names, build_graph
+from mnhd.graphs import (all_builtin_names, build_graph, read_edge_list,
+                         write_edge_list)
 
 
 def _summary(report):
@@ -62,3 +68,29 @@ def test_analyze_returns_a_valid_report_or_a_typed_error(g):
         return
     jsonschema.validate(report.to_dict(), REPORT_SCHEMA)
     _assert_routes_agree(report, g.n)
+
+
+def _round_trip(write, read, obj):
+    buf = io.StringIO()
+    write(obj, buf)
+    buf.seek(0)
+    return read(buf)
+
+
+@settings(deadline=None, max_examples=100)
+@given(g=small_graphs())
+def test_edge_list_round_trip(g):
+    assert _round_trip(write_edge_list, read_edge_list, g) == g
+
+
+builtin_designs = st.one_of(st.sampled_from([fano_design(), design_742()]),
+                            st.integers(2, 15).map(crown_design),
+                            st.integers(3, 8).map(pair_design))
+
+
+@settings(deadline=None, max_examples=100)
+@given(design=builtin_designs, complement=st.booleans())
+def test_design_file_round_trip(design, complement):
+    if complement:
+        design = complement_design(design)
+    assert _round_trip(write_design, read_design, design) == design
