@@ -4,19 +4,19 @@ Three routes, in decreasing order of strength.  Each returns a Certificate.
 The two exact ones share one engine: the graph's exact eigensystem, built
 once by `analyze` and a required argument of both, and one grouping of the
 ordered vertex pairs into classes by their (L, L^2) signature, read off the
-integer Laplacian; on a connected four-eigenvalue graph the signature fixes a
-pair's Delta set, so `delta_set` runs once per class.  `analyze` alone
-decides which route runs: neither exact route builds an eigensystem or runs
-the float eigensolver.
+integer Laplacian; on a connected four-eigenvalue graph it fixes a pair's
+projector entries and Delta set, so `delta_set` runs once per class.
+`analyze` alone decides which route runs: neither exact route builds an
+eigensystem or runs the float eigensolver.
 
 * certificate_bipartite -- an exact certificate for connected regular
   bipartite graphs with four distinct Laplacian eigenvalues.  Such a graph is
   the incidence graph of a symmetric (n/2, d, lambda)-design, and the
-  certificate is a design layer on the engine: it checks the projectors
-  against their quadratic closed form, names the template's pair classes
-  W1/W2/W3, derives from the projector checks that the Delta quantities are
-  constant on all pairs of each class, and records every sign and
-  cancellation condition that together force h_{u,v}(t) >= 0 for all t.
+  certificate is a design layer on the engine: it builds the projectors (no
+  other route does) and checks them against their closed form, names the
+  template's pair classes W1/W2/W3, derives from the projector checks that
+  the Delta quantities are constant on all pairs of each class, and records
+  every sign and cancellation condition that together force h >= 0.
 
 * delta_sign_analysis -- a generalized exact template for any connected graph
   with four distinct eigenvalues in a quadratic field: per signature class it
@@ -50,7 +50,8 @@ from .heat import (DeltaSet, default_time_grid, delta_set, h_terms_exact,
 from .quadratic import QuadMatrix, QuadValue, int_matmul
 from .spectral import (Eigensystem, FourSpectrum, VanDamCase,
                        classify_spectrum, closed_form_projectors,
-                       exact_eigensystem, jacobi_eigendecompose)
+                       exact_eigensystem, jacobi_eigendecompose,
+                       lagrange_coefficients, lagrange_projector)
 # Not called here (exact_eigensystem runs it); the benchmark's self-check
 # (perfbench/run.py --selfcheck) wraps it in this namespace to test its tracer.
 from .spectral import minimal_polynomial  # noqa: F401
@@ -109,18 +110,15 @@ def _not_applicable(method: str, reason: str) -> Certificate:
 
 def classify_pair(L: np.ndarray, L2: np.ndarray, u: int, v: int,
                   n: int, d: int, lam: int) -> PairClass:
-    """Classify a pair by its (L(u,v), L^2(u,v)) signature:
+    """Classify a pair u != v by its (L(u,v), L^2(u,v)) signature:
 
         W1 adjacent               (-1, -2d)
         W2 same side              ( 0, lambda)
         W3 opposite, nonadjacent  ( 0, 0)
-        W0 diagonal
 
     Any other signature contradicts the incidence-graph structure and raises
     UnknownSignatureError.
     """
-    if u == v:
-        return PairClass("W0", (int(L[u, u]), int(L2[u, u])))
     sig = (int(L[u, v]), int(L2[u, v]))
     expected = {(-1, -2 * d): "W1", (0, lam): "W2", (0, 0): "W3"}
     tag = expected.get(sig)
@@ -131,31 +129,35 @@ def classify_pair(L: np.ndarray, L2: np.ndarray, u: int, v: int,
     return PairClass(tag, sig)
 
 
-def _pair_classes(L: np.ndarray, L2: np.ndarray, es: Eigensystem
+def _pair_classes(L: np.ndarray, L2: np.ndarray, sigma: Sequence
                   ) -> list[tuple[str, tuple, DeltaSet, list[Pair]]]:
     """(tag, signature, DeltaSet, pairs) per class of the ordered pairs
     u != v of the integer Laplacian L (with L2 = L @ L) of a connected graph
-    with four distinct eigenvalues, decomposed by `es`.  The pairs are grouped
-    by their (L(u,u), L(v,v), L(u,v), L^2(u,v)) signature and the groups are
-    tagged S1, S2, ... in sorted signature order.  `delta_set` runs once per
-    class, on its first pair, with the projectors of `es` (exact, or formed
-    here from the float eigenvectors of a numeric `es`).
+    with distinct eigenvalues 0 and `sigma` (exact, or float cluster means),
+    grouped by the (L(u,u), L(v,v), L(u,v), L^2(u,v)) signature and tagged
+    S1, S2, ... in sorted signature order.  The signature fixes the projector
+    entries that `delta_set` takes, once per class: with P_0 = J/n and
+    a_i0 + a_i1 x + a_i2 x^2 the Lagrange polynomial of sigma_i over sigma,
 
-    On such a graph the signature fixes the DeltaSet.  With eigenvalues
-    sigma_0 = 0 < sigma_1, sigma_2, sigma_3 and P_0 = J/n, the rows
-    sum_{i>=1} P_i = I - J/n and L^k = sum_{i>=1} sigma_i^k P_i (k = 1, 2)
-    form an invertible (1, sigma, sigma^2) Vandermonde system, so
-    (L(u,u), L^2(u,u)) fixes x_i = P_i(u,u) and (L(u,v), L^2(u,v)) fixes
-    y_i = P_i(u,v), and the DeltaSet is a function of x and y.  On a simple
-    graph L^2(u,u) = L(u,u)^2 + L(u,u), so the signature gives all four."""
-    us, vs = np.nonzero(~np.eye(es.n, dtype=bool))  # row-major pair order
+        P_i = a_i0 (I - J/n) + a_i1 L + a_i2 L^2
+
+    solves the Vandermonde rows sum_{i>=1} P_i = I - J/n and L^k =
+    sum_{i>=1} sigma_i^k P_i (k = 1, 2), and L^2(u,u) = L(u,u)^2 + L(u,u)."""
+    us, vs = np.nonzero(~np.eye(len(L), dtype=bool))  # row-major pair order
     sigs = np.stack([L[us, us], L[vs, vs], L[us, vs], L2[us, vs]], axis=1)
     groups: dict[tuple, list[Pair]] = {}
     for sig, u, v in zip(sigs.tolist(), us.tolist(), vs.tolist()):
         groups.setdefault(tuple(sig), []).append((u, v))
-    projectors = [grp.projector for grp in es.groups[1:]]
-    return [(f"S{idx}", sig, delta_set(projectors, *groups[sig][0]), groups[sig])
-            for idx, sig in enumerate(sorted(groups), start=1)]
+    coeffs = [lagrange_coefficients(sigma, i) for i in range(len(sigma))]
+
+    def entries(x: int, y: int) -> list:  # P_i(x, y) for the nonzero sigma_i
+        centered = int(x == y) - Fraction(1, len(L))  # (I - J/n)(x, y)
+        return [a0 * centered + a1 * int(L[x, y]) + a2 * int(L2[x, y])
+                for a0, a1, a2 in coeffs]
+
+    return [(f"S{idx}", sig, delta_set(entries(u, u), entries(u, v)), pairs)
+            for idx, (sig, pairs) in enumerate(sorted(groups.items()), start=1)
+            for u, v in pairs[:1]]
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +225,8 @@ def certificate_bipartite(g: Graph, es: Eigensystem) -> Certificate:
     record("order_identity", QuadValue(q) == QuadValue(Fraction(n * lam, 2)),
            f"d^2 - d + lambda = {q} = n*lambda/2")
 
-    # projector algebra on the engine's Lagrange projectors, all exact
-    projs = [grp.projector for grp in es.groups]
+    # projector algebra on the Lagrange projectors, all exact
+    projs = [lagrange_projector(es.powers, sigma, i) for i in range(4)]
     record("closed_form_equals_lagrange",
            projs[1:] == closed_form_projectors(es.powers, fs),
            "quadratic closed form reproduces the Lagrange projectors")
@@ -255,7 +257,7 @@ def certificate_bipartite(g: Graph, es: Eigensystem) -> Certificate:
     # the template's pair classes, named W1/W2/W3 by their (L, L^2)
     # signature; UnknownSignatureError propagates
     rows: list[ClassRow] = []
-    for _, _, ds, members in _pair_classes(L, L2, es):
+    for _, _, ds, members in _pair_classes(L, L2, sigma[1:]):
         pc = classify_pair(L, L2, *members[0], n, d, lam)
         rows.append(ClassRow(pc.tag, pc.signature, len(members), ds))
     rows.sort(key=lambda row: row.tag)
@@ -382,11 +384,12 @@ def delta_sign_analysis(g: Graph, es: Eigensystem) -> Certificate:
     if not facts(g).connected:
         return _not_applicable(method, "graph is not connected")
 
-    fs = FourSpectrum.from_eigenvalues(*es.values()[1:])
+    sigma = es.values()[1:]
+    fs = FourSpectrum.from_eigenvalues(*sigma)
     rows: list[ClassRow] = []
     checks: list[CertificateCheck] = []
     n = g.n
-    for tag, sig, ds, members in _pair_classes(*es.powers[1:3], es):
+    for tag, sig, ds, members in _pair_classes(*es.powers[1:3], sigma):
         deltas_ok = all(x.sign() >= 0 for x in (ds.d1, ds.d2, ds.d3))
         checks.append(CertificateCheck(
             f"{tag}_delta_nonneg", f"D1={ds.d1}, D2={ds.d2}, D3={ds.d3}",
@@ -408,11 +411,11 @@ def delta_sign_analysis(g: Graph, es: Eigensystem) -> Certificate:
 def _numeric_delta_table(L: np.ndarray, es: Eigensystem,
                          why: str) -> Certificate:
     """Float DeltaSets per pair class of the integer Laplacian L of a
-    connected graph from its Jacobi eigensystem `es` of four groups, tagged
-    as the template tags them; method numeric-delta-table, verdict
+    connected graph from the cluster means of its Jacobi eigensystem `es`,
+    tagged as the template tags them; method numeric-delta-table, verdict
     NumericOnly."""
     rows = [ClassRow(tag, sig, len(pairs), ds) for tag, sig, ds, pairs in
-            _pair_classes(L, int_matmul(L, L), es)]
+            _pair_classes(L, int_matmul(L, L), es.values()[1:])]
     return Certificate(NUMERIC_ONLY, "numeric-delta-table",
                        f"not proven: {why}; float table is evidence only",
                        classes=tuple(rows))

@@ -12,7 +12,8 @@ and its expansion into exponential terms with Delta coefficients
 
 r_t is nondecreasing in t for every pair u != v exactly when h_{u,v} >= 0 on
 [0, inf); the certificate machinery in `certify` reasons about the exact
-exponential coefficients produced here.  `h_function`, `h_rate` and
+exponential coefficients produced here from the projector entries it reads
+off each pair class.  `h_function`, `h_rate` and
 `h_terms_from_eigensystem` compute h independently so the tests can compare.
 """
 
@@ -28,8 +29,8 @@ from .errors import (ExactEigensystemRequiredError, GraphInputError,
                      InvalidParameterError, InvariantViolationError,
                      NegativeTimeError, NumericEigensystemRequiredError,
                      SameVertexError)
-from .quadratic import QuadMatrix, QuadValue
-from .spectral import Eigensystem, FourSpectrum
+from .quadratic import QuadValue
+from .spectral import Eigensystem, FourSpectrum, lagrange_coefficients
 
 
 def heat_slices(es: Eigensystem, grid: Sequence[float]) -> Iterator[np.ndarray]:
@@ -123,16 +124,9 @@ class DeltaSet:
         return tuple(float(x) for x in self.as_tuple())
 
 
-def delta_set(projectors: Sequence[QuadMatrix] | Sequence[np.ndarray],
-              u: int, v: int) -> DeltaSet:
-    """Deltas for the pair (u, v) from the three nonzero-eigenvalue
-    projectors, exact when the projectors are exact."""
-    if isinstance(projectors[0], QuadMatrix):
-        uu = [P.entry(u, u) for P in projectors]
-        uv = [P.entry(u, v) for P in projectors]
-    else:
-        uu = [P[u, u] for P in projectors]
-        uv = [P[u, v] for P in projectors]
+def delta_set(uu: Sequence, uv: Sequence) -> DeltaSet:
+    """Deltas of a pair (u, v) from uu[i] = P_i(u,u) and uv[i] = P_i(u,v) of
+    the three nonzero-eigenvalue projectors; exact when they are exact."""
     d = [puu - puv for puu, puv in zip(uu, uv)]
     cross = [uv[i] * uu[j] - uv[j] * uu[i]
              for i, j in ((0, 1), (0, 2), (1, 2))]
@@ -164,14 +158,19 @@ def h_terms_exact(fs: FourSpectrum, ds: DeltaSet, n: int
 def h_terms_from_eigensystem(es: Eigensystem, u: int, v: int
                              ) -> dict[QuadValue, QuadValue]:
     """The same exponential-coefficient map computed from the derivative
-    product H'(u,v)H(u,u) - H(u,v)H'(u,u) with H' = -sum lam exp(-t*lam) P.
-    Independent of the Delta-based expansion; used as its cross-check."""
+    product H'(u,v)H(u,u) - H(u,v)H'(u,u) with H' = -sum lam exp(-t*lam) P,
+    each P(u,x) from the full Lagrange polynomial over the powers of `es`;
+    independent of the Delta expansion and of the signature formula."""
     if es.mode != "exact":
         raise ExactEigensystemRequiredError(
             "h_terms_from_eigensystem needs an exact eigensystem")
+    sigma = es.values()
     entries = []
-    for g in es.groups:
-        entries.append((g.value, g.projector.entry(u, u), g.projector.entry(u, v)))
+    for i, lam in enumerate(sigma):
+        coeffs = lagrange_coefficients(sigma, i)
+        uu, uv = (sum((a * int(P[u, x]) for a, P in zip(coeffs, es.powers)),
+                      QuadValue(0)) for x in (u, v))
+        entries.append((lam, uu, uv))
     terms: dict[QuadValue, QuadValue] = {}
     for lam_i, uu_i, uv_i in entries:
         for lam_j, uu_j, uv_j in entries:

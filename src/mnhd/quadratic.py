@@ -13,7 +13,7 @@ matmuls.  Every QuadMatrix operation runs on the checked integer kernels
 int64 only when a bound computed from the largest operand magnitudes proves
 that no entry and no partial sum reaches 2^62, and object-dtype Python ints
 past it; the integer matrices are stored as the kernels return them.  No
-float takes part in either path.  `quad_combination`, which builds each exact
+float takes part in either path.  `quad_combination`, which builds an exact
 projector as a polynomial in L, is two `int_combination`s.
 """
 
@@ -382,12 +382,6 @@ class QuadMatrix:
     def entry(self, i: int, j: int) -> QuadValue:
         return QuadValue(Fraction(int(self.a[i, j]), self.den),
                          Fraction(int(self.b[i, j]), self.den), self.m)
-
-    def trace(self) -> QuadValue:
-        # summed in Python ints: an int64 np.trace could wrap
-        return QuadValue(Fraction(sum(self.a.diagonal().tolist()), self.den),
-                         Fraction(sum(self.b.diagonal().tolist()), self.den),
-                         self.m)
 
     def __eq__(self, other):
         if not isinstance(other, QuadMatrix):

@@ -1,7 +1,8 @@
 """Eigendecomposition of symmetric integer matrices: numerically (cyclic
-Jacobi), exactly (minimal polynomial, then Lagrange projectors summed over
-its integer powers of L), spectrum grouping, projector closed forms, and the
-three-case classification of regular four-eigenvalue spectra.
+Jacobi), exactly (minimal polynomial; multiplicities from Lagrange
+coefficients and traces of powers of L), spectrum grouping, Lagrange and
+closed-form projectors, and the three-case classification of regular
+four-eigenvalue spectra.
 """
 
 from __future__ import annotations
@@ -62,26 +63,21 @@ def group_spectrum(raw: Sequence[float], tol: float = DEFAULT_TOL) -> list[tuple
 
 @dataclass(frozen=True)
 class EigenGroup:
-    """An exact eigenvalue, its multiplicity and its exact spectral projector."""
+    """An exact eigenvalue and its multiplicity (the projector's trace)."""
 
     value: QuadValue
     multiplicity: int
-    projector: QuadMatrix
 
 
 @dataclass(frozen=True)
 class NumericEigenGroup:
     """A float eigenvalue (a `group_spectrum` cluster mean), its multiplicity
     and an orthonormal basis of its eigenspace as the columns of `vectors`
-    (n x multiplicity).  The projector is formed only when it is read."""
+    (n x multiplicity)."""
 
     value: float
     multiplicity: int
     vectors: np.ndarray
-
-    @property
-    def projector(self) -> np.ndarray:
-        return self.vectors @ self.vectors.T
 
 
 @dataclass(frozen=True)
@@ -288,39 +284,44 @@ def exact_eigenvalues(mu: Sequence[int]) -> list[QuadValue]:
         "nonzero eigenvalues are roots of an irreducible cubic")
 
 
-def lagrange_projector(powers: Sequence[np.ndarray], sigma: Sequence[QuadValue],
-                       i: int) -> QuadMatrix:
-    """Spectral projector onto the sigma[i]-eigenspace: the Lagrange polynomial
-    prod_{j != i} (x - sigma[j]) / (sigma[i] - sigma[j]), expanded into exact
-    coefficients and summed over the powers [I, L, ..., L^{len(sigma)-1}] of
-    L.  sigma must be the exact distinct spectrum."""
+def lagrange_coefficients(sigma: Sequence, i: int) -> list:
+    """Ascending coefficients of the Lagrange polynomial prod_{j != i}
+    (x - sigma[j]) / (sigma[i] - sigma[j]): QuadValues or floats, as sigma."""
     if len(set(sigma)) != len(sigma):
         raise RepeatedEigenvalueError("sigma contains repeated eigenvalues")
-    coeffs, denominator = [QuadValue(1)], QuadValue(1)  # ascending in x
+    one = sigma[i] - sigma[i] + 1  # 1 in sigma's number type
+    coeffs, denominator = [one], one  # ascending in x
     for j, lam in enumerate(sigma):
         if j != i:
             coeffs = [lo - lam * hi for lo, hi in zip([0, *coeffs], [*coeffs, 0])]
             denominator = denominator * (sigma[i] - lam)
-    return quad_combination([c / denominator for c in coeffs],
-                            powers[:len(coeffs)],
-                            max(lam.m for lam in sigma))
+    return [c / denominator for c in coeffs]
+
+
+def lagrange_projector(powers: Sequence[np.ndarray], sigma: Sequence[QuadValue],
+                       i: int) -> QuadMatrix:
+    """Projector onto the sigma[i]-eigenspace: its Lagrange polynomial summed
+    over the powers I, L, ..., L^{k-1}, sigma the exact k-value spectrum."""
+    return quad_combination(lagrange_coefficients(sigma, i),
+                            powers[:len(sigma)], max(lam.m for lam in sigma))
 
 
 def exact_eigensystem(L: np.ndarray) -> Eigensystem:
     """Exact eigensystem of a four-eigenvalue integer Laplacian: QuadValue
-    eigenvalues, Lagrange projectors, multiplicities from projector traces.
-    It keeps the powers I, L, L^2, L^3 that the projectors are summed over;
-    L^4 is needed only for the minimal polynomial's p(L) = 0 check."""
+    eigenvalues, multiplicities tr(P) = sum_j a_j tr(L^j) over Lagrange
+    coefficients a_j.  It keeps the powers I, L, L^2, L^3 that projectors are
+    summed over; L^4 is needed only for the minimal polynomial's check."""
     mu, powers = minimal_polynomial(L, max_degree=4)
     sigma = exact_eigenvalues(mu)
+    traces = [sum(P.diagonal().tolist()) for P in powers[:-1]]  # Python ints
     groups = []
     for i, lam in enumerate(sigma):
-        P = lagrange_projector(powers, sigma, i)
-        mult = P.trace()
+        mult = sum((a * t for a, t in zip(lagrange_coefficients(sigma, i),
+                                          traces)), QuadValue(0))
         if not mult.is_integer:
             raise InvariantViolationError(
                 f"projector trace {mult} of eigenvalue {lam} is not an integer")
-        groups.append(EigenGroup(lam, int(mult.as_fraction()), P))
+        groups.append(EigenGroup(lam, int(mult.as_fraction())))
     total = sum(g.multiplicity for g in groups)
     if total != L.shape[0]:
         raise InvariantViolationError(
@@ -404,14 +405,14 @@ class VanDamCase(enum.Enum):
     CASE_III = "III"
 
 
-def _is_integral(value: float | QuadValue, tol: float) -> bool:
+def _is_integral(value: float | QuadValue) -> bool:
     if isinstance(value, QuadValue):
         return value.is_integer
-    return abs(value - round(value)) <= tol
+    return abs(value - round(value)) <= DEFAULT_TOL
 
 
 def classify_spectrum(spectrum: Sequence[tuple[float | QuadValue, int]],
-                      n: int, d: int, tol: float = DEFAULT_TOL) -> VanDamCase:
+                      n: int, d: int) -> VanDamCase:
     """Classify a regular four-eigenvalue Laplacian spectrum:
 
     I   all four eigenvalues integral;
@@ -421,8 +422,8 @@ def classify_spectrum(spectrum: Sequence[tuple[float | QuadValue, int]],
     """
     if len(spectrum) != 4:
         raise NoCaseMatchesError(f"need 4 distinct eigenvalues, got {len(spectrum)}")
-    integral = [(v, mult) for v, mult in spectrum if _is_integral(v, tol)]
-    others = [(v, mult) for v, mult in spectrum if not _is_integral(v, tol)]
+    integral = [(v, mult) for v, mult in spectrum if _is_integral(v)]
+    others = [(v, mult) for v, mult in spectrum if not _is_integral(v)]
     if len(integral) == 4:
         return VanDamCase.CASE_I
     if len(integral) == 2 and len(others) == 2:
@@ -431,13 +432,14 @@ def classify_spectrum(spectrum: Sequence[tuple[float | QuadValue, int]],
             if isinstance(v1, QuadValue) and isinstance(v2, QuadValue):
                 conjugate = v1.conjugate() == v2
             else:
-                conjugate = abs(float(v1) + float(v2) - round(float(v1) + float(v2))) <= 2 * tol
+                total = float(v1) + float(v2)
+                conjugate = abs(total - round(total)) <= 2 * DEFAULT_TOL
             if conjugate:
                 return VanDamCase.CASE_II
     if len(integral) == 1:
         v0, m0 = integral[0]
         mults = {mult for _, mult in others}
-        if abs(float(v0)) <= tol and m0 == 1 and len(mults) == 1:
+        if abs(float(v0)) <= DEFAULT_TOL and m0 == 1 and len(mults) == 1:
             mult = mults.pop()
             if 3 * mult == n - 1 and d in (mult, 2 * mult):
                 return VanDamCase.CASE_III

@@ -17,7 +17,8 @@ from mnhd.heat import default_time_grid, delta_set, h_rate, heat_stack
 from mnhd.quadratic import QuadMatrix, QuadValue
 from mnhd.reference import (CAYLEY_S3_REFERENCE, WHEEL6_REFERENCE,
                             WHEEL6_SUSPECT_ENTRIES, compare_delta_rows)
-from mnhd.spectral import FourSpectrum, VanDamCase, classify_spectrum
+from mnhd.spectral import (FourSpectrum, VanDamCase, classify_spectrum,
+                           lagrange_projector)
 
 F = Fraction
 
@@ -26,10 +27,20 @@ CONSTRUCTIBLE = ([f"crown-{v}" for v in range(5, 16)]
 BIPARTITE_BUILTINS = CONSTRUCTIBLE + ["cycle-6"]
 
 
+def _projectors(es):
+    """The exact Lagrange projectors P0..P3 of an exact eigensystem."""
+    return [lagrange_projector(es.powers, es.values(), i) for i in range(4)]
+
+
 def _four_spectrum(es):
-    nonzero = [grp for grp in es.groups if grp.value != QuadValue(0)]
-    fs = FourSpectrum.from_eigenvalues(*[grp.value for grp in nonzero])
-    return fs, [grp.projector for grp in nonzero]
+    fs = FourSpectrum.from_eigenvalues(*es.values()[1:])
+    return fs, _projectors(es)[1:]
+
+
+def _deltas(projs, u, v):
+    """delta_set on the (u, u) and (u, v) entries of the projectors."""
+    return delta_set([P.entry(u, u) for P in projs],
+                     [P.entry(u, v) for P in projs])
 
 
 def _h0_exact(fs, ds, n):
@@ -91,7 +102,7 @@ def test_criterion_03_wheel6_delta_table_exact(builtins, exact_systems):
     suspect_b = comparisons[WHEEL6_SUSPECT_ENTRIES[1]]
     assert not suspect_b.match  # adjacent-rim d23 does not: misprint
     assert suspect_b.computed == QuadValue(F(-1, 60), F(-1, 300), 5)
-    # internal consistency of the projector-derived rows
+    # internal consistency of rows derived from the Lagrange projectors
     es = exact_systems["wheel-6"]
     fs, projs = _four_spectrum(es)
     from mnhd.heat import h_terms_exact, h_terms_from_eigensystem
@@ -100,7 +111,7 @@ def test_criterion_03_wheel6_delta_table_exact(builtins, exact_systems):
         for v in range(6):
             if u == v:
                 continue
-            ds = delta_set(projs, u, v)
+            ds = _deltas(projs, u, v)
             assert ds.d1 + ds.d2 + ds.d3 == QuadValue(1)
             assert _h0_exact(fs, ds, 6) == QuadValue(-int(L[u, v]))
             assert h_terms_exact(fs, ds, 6) == h_terms_from_eigensystem(es, u, v)
@@ -144,7 +155,7 @@ def test_criterion_06_derivative_at_zero(builtins, numeric_systems,
             for u in range(g.n):
                 for v in range(g.n):
                     if u != v:
-                        h0 = _h0_exact(fs, delta_set(projs, u, v), g.n)
+                        h0 = _h0_exact(fs, _deltas(projs, u, v), g.n)
                         assert h0 == QuadValue(-int(L[u, v])), name
         num_es = numeric_systems[name]  # numeric path within 1e-12
         for u in range(g.n):
@@ -181,7 +192,7 @@ def test_criterion_08_projector_resolution(builtins, exact_systems, reports):
         L = laplacian(g)
         es = exact_systems[name]
         m = next((grp.value.m for grp in es.groups if grp.value.m), 0)
-        projs = [grp.projector for grp in es.groups]
+        projs = _projectors(es)
         total = projs[0]
         for P in projs[1:]:
             total = total + P

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 import tracemalloc
@@ -9,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import mnhd.certify
 from mnhd.certify import (NOT_APPLICABLE, NUMERIC_ONLY, PROVEN,
                           REPORT_SCHEMA, _pair_classes, analyze,
                           certificate_bipartite, classify_pair,
@@ -24,7 +24,7 @@ from mnhd.quadratic import QuadValue
 from mnhd.reference import (CAYLEY_S3_REFERENCE, WHEEL6_REFERENCE,
                             WHEEL6_SUSPECT_ENTRIES, compare_delta_rows)
 from mnhd.spectral import (FourSpectrum, exact_eigensystem,
-                           jacobi_eigendecompose)
+                           jacobi_eigendecompose, lagrange_projector)
 
 F = Fraction
 
@@ -52,7 +52,8 @@ def test_classify_pair_742():
                        if L[u, v] == 0)
     pc = classify_pair(L, L2, *nonincident, n, d, lam)
     assert (pc.tag, pc.signature) == ("W3", (0, 0))
-    assert classify_pair(L, L2, 3, 3, n, d, lam).tag == "W0"
+    with pytest.raises(UnknownSignatureError):  # no class for u = v
+        classify_pair(L, L2, 3, 3, n, d, lam)
 
 
 def test_classify_pair_unknown_signature():
@@ -81,19 +82,23 @@ def test_classification_exhaustive_and_exclusive(incidence_builtins):
 
 def _pair_classes_by_delta_set(L, L2, es):
     """Reference for _pair_classes on an exact eigensystem: the signature
-    groups split by the exact DeltaSet of every pair, tagged the same way."""
+    groups split by the exact DeltaSet of every pair, read off the full
+    Lagrange projector matrices, tagged the same way."""
     groups = {}
     for u in range(es.n):
         for v in range(es.n):
             if u != v:
                 sig = (int(L[u, u]), int(L[v, v]), int(L[u, v]), int(L2[u, v]))
                 groups.setdefault(sig, []).append((u, v))
-    projectors = [grp.projector for grp in es.groups[1:]]
+    projectors = [lagrange_projector(es.powers, es.values(), i)
+                  for i in (1, 2, 3)]
     out = []
     for idx, sig in enumerate(sorted(groups), start=1):
         by_delta = {}
         for u, v in groups[sig]:
-            by_delta.setdefault(delta_set(projectors, u, v), []).append((u, v))
+            ds = delta_set([P.entry(u, u) for P in projectors],
+                           [P.entry(u, v) for P in projectors])
+            by_delta.setdefault(ds, []).append((u, v))
         for sub, (ds, pairs) in enumerate(by_delta.items(), start=1):
             tag = f"S{idx}" if len(by_delta) == 1 else f"S{idx}.{sub}"
             out.append((tag, sig, ds, pairs))
@@ -107,9 +112,11 @@ def _circulant(n, connection):
 
 def test_pair_classes_match_every_pair_delta_sets(builtins, exact_systems,
                                                   extra_exact_graphs):
-    # the oracle splits a signature group whenever two of its pairs have
-    # different DeltaSets, so this fails if the signature ever stops fixing
-    # the DeltaSet (the proof in `_pair_classes`)
+    # two formulas: each class's DeltaSet from its signature against every
+    # pair's from the full Lagrange matrices.  The oracle splits a signature
+    # group whenever two of its pairs have different DeltaSets, so this fails
+    # if the signature ever stops fixing the DeltaSet (the proof in
+    # `_pair_classes`) or the signature formula gets an entry wrong
     rng = random.Random(4)
     graphs = {name: g for name, g in builtins.items()
               if exact_systems[name] is not None}
@@ -124,8 +131,8 @@ def test_pair_classes_match_every_pair_delta_sets(builtins, exact_systems,
         cases.append((f"{name} relabeled {perm}", L, exact_eigensystem(L)))
     for name, L, es in cases:
         L2 = L @ L
-        assert _pair_classes(L, L2, es) == _pair_classes_by_delta_set(
-            L, L2, es), name
+        assert _pair_classes(L, L2, es.values()[1:]) == \
+            _pair_classes_by_delta_set(L, L2, es), name
 
 
 @pytest.mark.parametrize("g", [cycle(7), _circulant(13, {1, 5, 8, 12}),
@@ -133,7 +140,8 @@ def test_pair_classes_match_every_pair_delta_sets(builtins, exact_systems,
                          ids=["cycle-7", "circulant-13", "circulant-13-bar"])
 def test_numeric_delta_table_rows_hold_for_every_pair(g):
     # cubic eigenvalues: there is no exact eigensystem, and analyze's float
-    # table gives every pair its signature class's DeltaSet
+    # table, computed from each class's signature and the cluster means,
+    # gives every pair the DeltaSet of its eigenvector projectors V V^T
     with pytest.raises(NonQuadraticEigenvaluesError):
         exact_eigensystem(laplacian(g))
     cert = analyze(g).certificate
@@ -145,12 +153,13 @@ def test_numeric_delta_table_rows_hold_for_every_pair(g):
     L2 = L @ L
     es = jacobi_eigendecompose(L)
     rows = {row.signature: row for row in cert.classes}
-    projectors = [grp.projector for grp in es.groups[1:]]
+    projectors = [grp.vectors @ grp.vectors.T for grp in es.groups[1:]]
     for u in range(g.n):
         for v in range(g.n):
             if u != v:
                 row = rows[(L[u, u], L[v, v], L[u, v], L2[u, v])]
-                got = delta_set(projectors, u, v).as_floats()
+                got = delta_set([P[u, u] for P in projectors],
+                                [P[u, v] for P in projectors]).as_floats()
                 assert np.allclose(got, row.deltas.as_floats(), rtol=0,
                                    atol=1e-9), (u, v, row.tag)
 
@@ -227,17 +236,21 @@ def test_certificate_check_names_include_required_identities():
             "laplacian_reconstruction"} <= names
 
 
-def test_class_constancy_fails_without_the_projector_checks():
-    # swapping the projectors of lam1 and lam2 breaks L = sum sigma_i P_i,
-    # on which the proof that the signature fixes the Delta set rests
+def test_class_constancy_fails_without_the_projector_checks(monkeypatch):
+    # swapping the projectors of lam1 and lam2 that the certificate builds
+    # breaks L = sum sigma_i P_i, on which the proof that the signature fixes
+    # the Delta set rests
     g = fano_incidence()
     es = exact_eigensystem(laplacian(g))
-    zero, one, two, three = es.groups
-    doctored = dataclasses.replace(es, groups=(
-        zero, dataclasses.replace(one, projector=two.projector),
-        dataclasses.replace(two, projector=one.projector), three))
-    for system, holds in ((es, True), (doctored, False)):
-        cert = certificate_bipartite(g, system)
+    built = mnhd.certify.lagrange_projector
+
+    def swapped(powers, sigma, i):
+        return built(powers, sigma, {1: 2, 2: 1}.get(i, i))
+
+    for holds in (True, False):
+        if not holds:
+            monkeypatch.setattr(mnhd.certify, "lagrange_projector", swapped)
+        cert = certificate_bipartite(g, es)
         passed = {c.name: c.passed for c in cert.checks}
         assert passed["laplacian_reconstruction"] is holds
         assert passed["class_constancy_spot_check"] is holds

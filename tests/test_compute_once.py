@@ -48,11 +48,11 @@ def calls(monkeypatch):
 
 
 @pytest.mark.parametrize("name, minimal, exact, lagrange, jacobi", [
-    ("crown-7", 1, 1, 4, 1),     # bipartite certificate
-    ("cayley-s3", 1, 1, 4, 1),   # delta-sign template
+    ("crown-7", 1, 1, 4, 1),     # bipartite certificate builds P0..P3
+    ("cayley-s3", 1, 1, 0, 1),   # delta-sign template: no projector matrix
     ("cycle-7", 1, 1, 0, 1),     # cubic eigenvalues: float delta table
     ("cycle-6", 1, 1, 4, 1),
-    ("wheel-6", 1, 1, 4, 1),
+    ("wheel-6", 1, 1, 0, 1),
     ("cycle-5", 0, 0, 0, 1),     # three eigenvalues: numeric check only
 ])
 def test_analyze_builds_each_eigensystem_once(calls, name, minimal, exact,

@@ -16,9 +16,10 @@ from mnhd.graphs import (build_graph, cayley_s3, crown, cycle,
 from mnhd.heat import (DeltaSet, default_time_grid, delta_set, h_function,
                        h_rate, h_terms_exact, h_terms_from_eigensystem,
                        heat_slices, heat_stack, ratio_curve, write_curve_csv)
-from mnhd.quadratic import QuadMatrix, QuadValue
+from mnhd.quadratic import QuadValue
 from mnhd.spectral import (Eigensystem, FourSpectrum, NumericEigenGroup,
-                           exact_eigensystem, jacobi_eigendecompose)
+                           exact_eigensystem, jacobi_eigendecompose,
+                           lagrange_projector)
 
 F = Fraction
 
@@ -28,11 +29,18 @@ def _es(g):
 
 
 def _exact_parts(g):
-    """(eigensystem, FourSpectrum, nonzero projectors) for the exact path."""
+    """(eigensystem, FourSpectrum, nonzero-eigenvalue Lagrange projectors)
+    for the exact path."""
     es = exact_eigensystem(laplacian(g))
-    nonzero = [grp for grp in es.groups if grp.value != QuadValue(0)]
-    fs = FourSpectrum.from_eigenvalues(*[grp.value for grp in nonzero])
-    return es, fs, [grp.projector for grp in nonzero]
+    sigma = es.values()
+    fs = FourSpectrum.from_eigenvalues(*sigma[1:])
+    return es, fs, [lagrange_projector(es.powers, sigma, i) for i in (1, 2, 3)]
+
+
+def _deltas(projs, u, v):
+    """delta_set on the (u, u) and (u, v) entries of the projectors."""
+    return delta_set([P.entry(u, u) for P in projs],
+                     [P.entry(u, v) for P in projs])
 
 
 def test_heat_stack_at_zero_is_identity():
@@ -50,7 +58,8 @@ def _projector_sum_stack(es, grid):
     projector per distinct eigenvalue: the formula `heat_slices` used before
     it kept the eigenvectors, kept as its reference."""
     values = np.array([float(grp.value) for grp in es.groups])
-    projs = np.stack([grp.projector for grp in es.groups])  # (k, n, n)
+    projs = np.stack([grp.vectors @ grp.vectors.T
+                      for grp in es.groups])  # (k, n, n)
     return np.stack([np.eye(es.n) if t == 0
                      else np.einsum("k,kij->ij", np.exp(-t * values), projs)
                      for t in grid])
@@ -201,7 +210,7 @@ def test_write_curve_csv_format():
 def test_delta_set_cayley_non_adjacent_pair():
     _, _, projs = _exact_parts(cayley_s3())
     # (0, 3) is a non-adjacent pair
-    ds = delta_set(projs, 0, 3)
+    ds = _deltas(projs, 0, 3)
     assert ds == DeltaSet(QuadValue(F(1, 3)), QuadValue(F(1, 2)),
                           QuadValue(F(1, 6)), QuadValue(F(-1, 36)),
                           QuadValue(F(-1, 12)), QuadValue(F(-1, 9)))
@@ -209,11 +218,11 @@ def test_delta_set_cayley_non_adjacent_pair():
 
 def test_delta_set_wheel_hub_classes():
     _, _, projs = _exact_parts(wheel6())
-    rim_to_hub = delta_set(projs, 0, 5)
+    rim_to_hub = _deltas(projs, 0, 5)
     assert rim_to_hub == DeltaSet(QuadValue(F(2, 5)), QuadValue(F(2, 5)),
                                   QuadValue(F(1, 5)), QuadValue(0),
                                   QuadValue(F(1, 15)), QuadValue(F(1, 15)))
-    hub_to_rim = delta_set(projs, 5, 0)
+    hub_to_rim = _deltas(projs, 5, 0)
     assert hub_to_rim == DeltaSet(QuadValue(0), QuadValue(0), QuadValue(1),
                                   QuadValue(0), QuadValue(0), QuadValue(0))
 
@@ -221,7 +230,7 @@ def test_delta_set_wheel_hub_classes():
 def test_delta_antisymmetry_by_definition():
     _, _, projs = _exact_parts(design_742_incidence())
     u, v = 0, 1
-    ds = delta_set(projs, u, v)
+    ds = _deltas(projs, u, v)
     for (i, j), dij in zip(((0, 1), (0, 2), (1, 2)),
                            (ds.d12, ds.d13, ds.d23)):
         Pi, Pj = projs[i], projs[j]
@@ -238,7 +247,7 @@ def test_delta_sum_is_one(make):
     for u in range(g.n):
         for v in range(g.n):
             if u != v:
-                ds = delta_set(projs, u, v)
+                ds = _deltas(projs, u, v)
                 assert ds.d1 + ds.d2 + ds.d3 == QuadValue(1)
 
 
@@ -250,16 +259,16 @@ def test_h_at_zero_equals_minus_laplacian_entry():
     L = laplacian(g)
     _, fs, projs = _exact_parts(g)
     adjacent = (0, 7) if L[0, 7] == -1 else (0, 8)
-    assert h_function(fs, delta_set(projs, *adjacent), g.n, 0.0) == pytest.approx(1.0)
+    assert h_function(fs, _deltas(projs, *adjacent), g.n, 0.0) == pytest.approx(1.0)
     same_side = (0, 1)
-    assert h_function(fs, delta_set(projs, *same_side), g.n, 0.0) == pytest.approx(0.0)
+    assert h_function(fs, _deltas(projs, *same_side), g.n, 0.0) == pytest.approx(0.0)
 
 
 def test_h_terms_exact_match_derivative_product_route():
     for g in (design_742_incidence(), cayley_s3(), wheel6(), crown(5)):
         es, fs, projs = _exact_parts(g)
         for (u, v) in ((0, 1), (0, g.n - 1), (1, g.n - 2)):
-            ds = delta_set(projs, u, v)
+            ds = _deltas(projs, u, v)
             assert h_terms_exact(fs, ds, g.n) == h_terms_from_eigensystem(es, u, v)
 
 
@@ -294,7 +303,7 @@ def test_h_expansion_agrees_with_rate_formula_numerically():
         _, fs, projs = _exact_parts(g)
         grid = default_time_grid(es)
         for (u, v) in ((0, 1), (1, g.n - 1)):
-            ds = delta_set(projs, u, v)
+            ds = _deltas(projs, u, v)
             for t in grid[::6]:
                 expansion = h_function(fs, ds, g.n, float(t))
                 direct = h_rate(es, L, u, v, float(t))
@@ -314,7 +323,7 @@ def test_h_rate_at_zero_all_pairs(builtins, numeric_systems):
 def test_h_function_float_path():
     g = cayley_s3()
     es, fs, projs = _exact_parts(g)
-    ds_exact = delta_set(projs, 0, 3)
+    ds_exact = _deltas(projs, 0, 3)
     ds_float = DeltaSet(*ds_exact.as_floats())
     for t in (0.0, 0.5, 2.0):
         assert h_function(fs, ds_float, g.n, t) == pytest.approx(

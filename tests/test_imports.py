@@ -1,3 +1,5 @@
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -41,3 +43,26 @@ def test_every_submodule_imports_first():
     assert out.stdout.split() == ["certify", "cli", "designs", "errors",
                                   "graphs", "heat", "quadratic", "reference",
                                   "spectral"]
+
+
+def _tracer_targets() -> dict:
+    """`TARGETS` of perfbench/tracer.py, read from its source: the file is
+    parsed, not imported, so this writes nothing next to it."""
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    for node in ast.parse(tracer.read_text(encoding="utf-8")).body:
+        names = [getattr(t, "id", None) for t in getattr(node, "targets", [])]
+        if isinstance(node, ast.Assign) and names == ["TARGETS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py defines no TARGETS")
+
+
+def test_every_tracer_target_exists_in_the_library():
+    # a target that no longer resolves makes the traced benchmark report a
+    # null metric for it while the run itself exits 0
+    targets = _tracer_targets()
+    assert targets
+    for name, (module_name, path) in targets.items():
+        owner = importlib.import_module(module_name)
+        for part in path.split("."):
+            owner = getattr(owner, part, None)
+        assert callable(owner), (name, module_name, path)

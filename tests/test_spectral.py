@@ -21,8 +21,8 @@ from mnhd.spectral import (FourSpectrum, VanDamCase, _integer_roots,
                            classify_spectrum,
                            closed_form_projectors, exact_eigensystem,
                            exact_eigenvalues, group_spectrum,
-                           jacobi_eigendecompose, lagrange_projector,
-                           minimal_polynomial)
+                           jacobi_eigendecompose, lagrange_coefficients,
+                           lagrange_projector, minimal_polynomial)
 
 F = Fraction
 
@@ -79,7 +79,7 @@ def test_jacobi_identity_matrix():
     assert len(es.groups) == 1
     g = es.groups[0]
     assert g.value == pytest.approx(1.0) and g.multiplicity == 5
-    assert np.allclose(g.projector, np.eye(5))
+    assert np.allclose(g.vectors @ g.vectors.T, np.eye(5))
 
 
 def test_jacobi_rejects_nonsymmetric():
@@ -102,7 +102,7 @@ def test_numeric_projector_identities(builtins, numeric_systems):
     for name, g in builtins.items():
         L = laplacian(g)
         es = numeric_systems[name]
-        projs = [grp.projector for grp in es.groups]
+        projs = [grp.vectors @ grp.vectors.T for grp in es.groups]
         total = sum(projs)
         assert np.max(np.abs(total - np.eye(g.n))) < 1e-9, name
         recon = sum(grp.value * P for grp, P in zip(es.groups, projs))
@@ -314,9 +314,15 @@ def _lagrange_by_products(L, sigma, i):
     return P.scale(denominator.inverse()).reduce()
 
 
+def _trace(P):
+    return sum((P.entry(i, i) for i in range(P.n)), QuadValue(0))
+
+
 def test_projectors_match_product_chain(exact_systems, extra_exact_graphs):
     # the Lagrange and closed-form combinations over the powers of L against
-    # the product chain, over radicands 2 (design-742), 5 (wheel-6) and 13
+    # the product chain, over radicands 2 (design-742), 5 (wheel-6) and 13;
+    # each multiplicity, which exact_eigensystem takes from the Lagrange
+    # coefficients and the traces of the powers, is the chain's trace
     systems = {name: es for name, es in exact_systems.items() if es is not None}
     systems.update({name: exact_eigensystem(laplacian(g))
                     for name, g in extra_exact_graphs.items()})
@@ -327,9 +333,10 @@ def test_projectors_match_product_chain(exact_systems, extra_exact_graphs):
             es.powers, FourSpectrum.from_eigenvalues(*sigma[1:]))
         for i, grp in enumerate(es.groups):
             expected = _lagrange_by_products(es.powers[1], sigma, i)
-            assert grp.projector == expected, (name, i)
-            assert lagrange_projector(es.powers, sigma, i) == expected, (name, i)
-            assert grp.projector.a.dtype == grp.projector.b.dtype == np.int64
+            P = lagrange_projector(es.powers, sigma, i)
+            assert P == expected, (name, i)
+            assert P.a.dtype == P.b.dtype == np.int64
+            assert _trace(expected) == QuadValue(grp.multiplicity), (name, i)
             if i:
                 assert closed[i - 1] == expected, (name, i)
         radicands |= {lam.m for lam in sigma}
@@ -356,13 +363,32 @@ def test_lagrange_projector_repeated_eigenvalue():
     eye = np.eye(2, dtype=int)
     with pytest.raises(RepeatedEigenvalueError):
         lagrange_projector([eye, eye], [QuadValue(1), QuadValue(1)], 0)
+    with pytest.raises(RepeatedEigenvalueError):
+        lagrange_coefficients([1.0, 2.0, 1.0], 1)
+
+
+def test_lagrange_coefficients_exact_and_float():
+    # the same polynomial in each number type: exact QuadValues for exact
+    # sigma, floats for float sigma, and 1 at sigma[i], 0 at the others
+    sigma = _sigma(laplacian(wheel6()))
+    for i in range(4):
+        exact = lagrange_coefficients(sigma, i)
+        assert all(isinstance(a, QuadValue) for a in exact)
+        for j, lam in enumerate(sigma):
+            value = QuadValue(0)
+            for a in reversed(exact):  # Horner
+                value = value * lam + a
+            assert value == QuadValue(int(i == j))
+        approx = lagrange_coefficients([float(x) for x in sigma], i)
+        assert all(isinstance(a, float) for a in approx)
+        assert np.allclose(approx, [float(a) for a in exact], rtol=1e-12)
 
 
 def test_closed_form_projectors_742():
     L = laplacian(design_742_incidence())
     fs = FourSpectrum.from_design(14, 4, 2)
     P1, P2, P3 = closed_form_projectors(minimal_polynomial(L)[1], fs)
-    assert (P1.trace(), P2.trace(), P3.trace()) == (QuadValue(6), QuadValue(6),
+    assert (_trace(P1), _trace(P2), _trace(P3)) == (QuadValue(6), QuadValue(6),
                                                     QuadValue(1))
     # resolution including P0
     P0 = QuadMatrix.constant(14, QuadValue(F(1, 14)), fs.lam1.m)
@@ -448,16 +474,17 @@ def test_jacobi_no_convergence_with_zero_sweep_cap():
 
 
 def test_heat_from_exact_eigensystem():
-    # heat kernels come from the numeric eigensystem alone; its projectors,
-    # formed from the eigenvectors on demand, match the exact ones
+    # heat kernels come from the numeric eigensystem alone; the projectors
+    # of its eigenvectors match the exact Lagrange projectors
     from mnhd.heat import heat_slices
     es = exact_eigensystem(laplacian(cycle(6)))
     ref = jacobi_eigendecompose(laplacian(cycle(6)))
     assert [g.multiplicity for g in es.groups] == [
         g.multiplicity for g in ref.groups]
-    for exact, numeric in zip(es.groups, ref.groups):
-        assert np.max(np.abs(exact.projector.to_float()
-                             - numeric.projector)) < 1e-12
+    for i, numeric in enumerate(ref.groups):
+        exact = lagrange_projector(es.powers, es.values(), i)
+        assert np.max(np.abs(exact.to_float()
+                             - numeric.vectors @ numeric.vectors.T)) < 1e-12
     with pytest.raises(NumericEigensystemRequiredError):
         heat_slices(es, [1.0])
 
