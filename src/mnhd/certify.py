@@ -5,7 +5,9 @@ The two exact ones share one engine: the graph's exact eigensystem, built
 once by `analyze` and a required argument of both, and one grouping of the
 ordered vertex pairs into classes by their (L, L^2) signature, read off the
 integer Laplacian; on a connected four-eigenvalue graph it fixes a pair's
-projector entries and Delta set, so `delta_set` runs once per class.
+projector entries and Delta set, so `delta_set` runs once per class.  The
+grouping sorts one packed int64 key per pair, and a class keeps its pair
+count and its first pair, never a list of its pairs.
 `analyze` alone decides which route runs: neither exact route builds an
 eigensystem or runs the float eigensolver.
 
@@ -43,11 +45,12 @@ import numpy as np
 from .designs import lambda_from_n_d
 from .errors import (ExactEigensystemRequiredError, InvalidParameterError,
                      NoCaseMatchesError, NonQuadraticEigenvaluesError,
-                     ShortGridError, UnknownSignatureError)
+                     ShortGridError, SignatureKeyOverflowError,
+                     UnknownSignatureError)
 from .graphs import Graph, facts, laplacian
 from .heat import (DeltaSet, default_time_grid, delta_set, h_terms_exact,
                    heat_slices)
-from .quadratic import QuadMatrix, QuadValue, int_matmul
+from .quadratic import INT64_BOUND, QuadMatrix, QuadValue
 from .spectral import (Eigensystem, FourSpectrum, VanDamCase,
                        classify_spectrum, closed_form_projectors,
                        exact_eigensystem, jacobi_eigendecompose,
@@ -130,34 +133,65 @@ def classify_pair(L: np.ndarray, L2: np.ndarray, u: int, v: int,
 
 
 def _pair_classes(L: np.ndarray, L2: np.ndarray, sigma: Sequence
-                  ) -> list[tuple[str, tuple, DeltaSet, list[Pair]]]:
-    """(tag, signature, DeltaSet, pairs) per class of the ordered pairs
-    u != v of the integer Laplacian L (with L2 = L @ L) of a connected graph
-    with distinct eigenvalues 0 and `sigma` (exact, or float cluster means),
-    grouped by the (L(u,u), L(v,v), L(u,v), L^2(u,v)) signature and tagged
-    S1, S2, ... in sorted signature order.  The signature fixes the projector
-    entries that `delta_set` takes, once per class: with P_0 = J/n and
-    a_i0 + a_i1 x + a_i2 x^2 the Lagrange polynomial of sigma_i over sigma,
+                  ) -> list[tuple[str, tuple, DeltaSet, int, Pair]]:
+    """(tag, signature, DeltaSet, count, first pair) per class of the ordered
+    pairs u != v of the integer Laplacian L (with L2 = L @ L) of a connected
+    graph with distinct eigenvalues 0 and `sigma` (exact, or float cluster
+    means), grouped by the (L(u,u), L(v,v), L(u,v), L^2(u,v)) signature and
+    tagged S1, S2, ... in sorted signature order; the first pair is the
+    class's first in row-major order.
+
+    The grouping runs on arrays: each pair's signature is packed into one
+    int64 key in mixed radix, every field offset by its minimum over the
+    pairs with radix max - min + 1, so keys sort as the signature tuples do,
+    and np.unique counts the keys and finds each one's first pair.  Working
+    memory is a few n x n int64 arrays; a radix product past
+    quadratic.INT64_BOUND raises SignatureKeyOverflowError.
+
+    The signature fixes the projector entries that `delta_set` takes, once
+    per class: with P_0 = J/n and a_i0 + a_i1 x + a_i2 x^2 the Lagrange
+    polynomial of sigma_i over sigma,
 
         P_i = a_i0 (I - J/n) + a_i1 L + a_i2 L^2
 
     solves the Vandermonde rows sum_{i>=1} P_i = I - J/n and L^k =
     sum_{i>=1} sigma_i^k P_i (k = 1, 2), and L^2(u,u) = L(u,u)^2 + L(u,u)."""
-    us, vs = np.nonzero(~np.eye(len(L), dtype=bool))  # row-major pair order
-    sigs = np.stack([L[us, us], L[vs, vs], L[us, vs], L2[us, vs]], axis=1)
-    groups: dict[tuple, list[Pair]] = {}
-    for sig, u, v in zip(sigs.tolist(), us.tolist(), vs.tolist()):
-        groups.setdefault(tuple(sig), []).append((u, v))
+    n = len(L)
+    off = ~np.eye(n, dtype=bool)  # boolean indexing keeps row-major order
+    diag = np.diagonal(L)
+    key = np.zeros(n * (n - 1), dtype=np.int64)
+    radix = 1
+    for field in (np.broadcast_to(diag[:, None], L.shape),
+                  np.broadcast_to(diag, L.shape), L, L2):
+        values = field[off]
+        lo = int(values.min())
+        span = int(values.max()) - lo + 1
+        radix *= span
+        if radix > INT64_BOUND:
+            raise SignatureKeyOverflowError(
+                f"pair signatures span {radix} keys, past the int64 bound "
+                f"{INT64_BOUND}")
+        values -= lo
+        key *= span
+        key += values.astype(np.int64, copy=False)
+    del values  # freed before np.unique sorts a copy of the keys
+    _, firsts, counts = np.unique(key, return_index=True, return_counts=True)
     coeffs = [lagrange_coefficients(sigma, i) for i in range(len(sigma))]
 
     def entries(x: int, y: int) -> list:  # P_i(x, y) for the nonzero sigma_i
-        centered = int(x == y) - Fraction(1, len(L))  # (I - J/n)(x, y)
+        centered = int(x == y) - Fraction(1, n)  # (I - J/n)(x, y)
         return [a0 * centered + a1 * int(L[x, y]) + a2 * int(L2[x, y])
                 for a0, a1, a2 in coeffs]
 
-    return [(f"S{idx}", sig, delta_set(entries(u, u), entries(u, v)), pairs)
-            for idx, (sig, pairs) in enumerate(sorted(groups.items()), start=1)
-            for u, v in pairs[:1]]
+    classes = []
+    for idx, (first, count) in enumerate(zip(firsts.tolist(), counts.tolist()),
+                                         start=1):
+        u, r = divmod(first, n - 1)  # first counts off-diagonal entries
+        v = r + (r >= u)
+        sig = (int(L[u, u]), int(L[v, v]), int(L[u, v]), int(L2[u, v]))
+        classes.append((f"S{idx}", sig, delta_set(entries(u, u), entries(u, v)),
+                        count, (u, v)))
+    return classes
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +291,9 @@ def certificate_bipartite(g: Graph, es: Eigensystem) -> Certificate:
     # the template's pair classes, named W1/W2/W3 by their (L, L^2)
     # signature; UnknownSignatureError propagates
     rows: list[ClassRow] = []
-    for _, _, ds, members in _pair_classes(L, L2, sigma[1:]):
-        pc = classify_pair(L, L2, *members[0], n, d, lam)
-        rows.append(ClassRow(pc.tag, pc.signature, len(members), ds))
+    for _, _, ds, count, first in _pair_classes(L, L2, sigma[1:]):
+        pc = classify_pair(L, L2, *first, n, d, lam)
+        rows.append(ClassRow(pc.tag, pc.signature, count, ds))
     rows.sort(key=lambda row: row.tag)
     counts = {row.tag: row.count for row in rows}
     record("pair_classification_complete",
@@ -389,7 +423,7 @@ def delta_sign_analysis(g: Graph, es: Eigensystem) -> Certificate:
     rows: list[ClassRow] = []
     checks: list[CertificateCheck] = []
     n = g.n
-    for tag, sig, ds, members in _pair_classes(*es.powers[1:3], sigma):
+    for tag, sig, ds, count, _ in _pair_classes(*es.powers[1:3], sigma):
         deltas_ok = all(x.sign() >= 0 for x in (ds.d1, ds.d2, ds.d3))
         checks.append(CertificateCheck(
             f"{tag}_delta_nonneg", f"D1={ds.d1}, D2={ds.d2}, D3={ds.d3}",
@@ -402,20 +436,20 @@ def delta_sign_analysis(g: Graph, es: Eigensystem) -> Certificate:
         checks.append(CertificateCheck(
             f"{tag}_derivative_at_zero", f"h(0) = {h0} = -L(u,v)",
             h0 == QuadValue(-sig[2])))
-        rows.append(ClassRow(tag, sig, len(members), ds,
+        rows.append(ClassRow(tag, sig, count, ds,
                              proven and deltas_ok, route))
     verdict, reason = _verdict(checks)
     return Certificate(verdict, method, reason, tuple(checks), tuple(rows))
 
 
-def _numeric_delta_table(L: np.ndarray, es: Eigensystem,
+def _numeric_delta_table(powers: Sequence[np.ndarray], es: Eigensystem,
                          why: str) -> Certificate:
-    """Float DeltaSets per pair class of the integer Laplacian L of a
-    connected graph from the cluster means of its Jacobi eigensystem `es`,
-    tagged as the template tags them; method numeric-delta-table, verdict
-    NumericOnly."""
-    rows = [ClassRow(tag, sig, len(pairs), ds) for tag, sig, ds, pairs in
-            _pair_classes(L, int_matmul(L, L), es.values()[1:])]
+    """Float DeltaSets per pair class of a connected graph, from the powers
+    I, L, L^2, ... of its integer Laplacian and the cluster means of its
+    Jacobi eigensystem `es`, tagged as the template tags them; method
+    numeric-delta-table, verdict NumericOnly."""
+    rows = [ClassRow(tag, sig, count, ds) for tag, sig, ds, count, _ in
+            _pair_classes(*powers[1:3], es.values()[1:])]
     return Certificate(NUMERIC_ONLY, "numeric-delta-table",
                        f"not proven: {why}; float table is evidence only",
                        classes=tuple(rows))
@@ -613,7 +647,9 @@ def analyze(g: Graph) -> MnhdReport:
     """Full pipeline: facts, numeric spectrum, classification when it applies,
     the strongest applicable exact route, and the numeric cross-check.  L and
     each eigensystem are built once; the exact eigensystem, which carries the
-    powers of L, is handed to the route that runs."""
+    powers of L, is handed to the route that runs, and on cubic eigenvalues
+    the float delta table takes the powers that exact_eigensystem's
+    NonQuadraticEigenvaluesError carries."""
     f = facts(g)
     L = laplacian(g)
     es = jacobi_eigendecompose(L)
@@ -624,7 +660,7 @@ def analyze(g: Graph) -> MnhdReport:
         try:
             exact = exact_eigensystem(L)
         except NonQuadraticEigenvaluesError as exc:
-            cubic = str(exc)
+            cubic, cubic_powers = str(exc), exc.powers
         # NotFourEigenvaluesError propagates: the Jacobi grouping merged two
         # distinct eigenvalues, and no route can run
     exact_values = [None] * len(es.groups) if exact is None else exact.values()
@@ -651,7 +687,7 @@ def analyze(g: Graph) -> MnhdReport:
     elif cubic is None:
         certificate = delta_sign_analysis(g, exact)
     else:
-        certificate = _numeric_delta_table(L, es, cubic)
+        certificate = _numeric_delta_table(cubic_powers, es, cubic)
 
     numeric = numeric_check(g, es=es)
     return MnhdReport(g.n, g.m, f.regular_degree, f.bipartition is not None,

@@ -79,12 +79,21 @@ class UnknownSignatureError(MnhdError):
     """A vertex pair whose (L, L^2) signature matches no expected class."""
 
 
+class SignatureKeyOverflowError(MnhdError, OverflowError):
+    """The ranges of the (L(u,u), L(v,v), L(u,v), L^2(u,v)) pair signatures
+    multiply past the int64 bound, so they do not pack into one int64 key."""
+
+
 class NotFourEigenvaluesError(MnhdError):
     pass
 
 
 class NonQuadraticEigenvaluesError(MnhdError):
-    """Eigenvalues are not expressible as a + b*sqrt(m) over the rationals."""
+    """Eigenvalues are not expressible as a + b*sqrt(m) over the rationals.
+    Raised by `exact_eigensystem`, it carries in `powers` the powers
+    I, L, L^2, L^3 of the Laplacian that the minimal polynomial built."""
+
+    powers: tuple = ()
 
 
 class NoCaseMatchesError(MnhdError):
@@ -99,7 +108,8 @@ class InvariantViolationError(MnhdError, ArithmeticError):
 
 
 class ExactEigensystemRequiredError(MnhdError, ValueError):
-    """An exact-only computation was given a numeric eigensystem."""
+    """An exact-only computation was given a numeric eigensystem, or the
+    float DeltaSet of one."""
 
 
 class NumericEigensystemRequiredError(MnhdError, ValueError):

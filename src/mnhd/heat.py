@@ -182,16 +182,14 @@ def h_terms_from_eigensystem(es: Eigensystem, u: int, v: int
 
 
 def h_function(fs: FourSpectrum, ds: DeltaSet, n: int, t: float) -> float:
-    """Float evaluation of the exponential expansion of h_{u,v} at time t."""
-    if isinstance(ds.d1, QuadValue):
-        terms = h_terms_exact(fs, ds, n)
-        return sum(float(c) * np.exp(-float(rate) * t) for rate, c in terms.items())
-    lams = [float(x) for x in fs.nonzero()]
-    deltas = ds.as_floats()
-    total = sum(lams[i] / n * deltas[i] * np.exp(-t * lams[i]) for i in range(3))
-    for (i, j), dij in zip(((0, 1), (0, 2), (1, 2)), deltas[3:]):
-        total += (lams[j] - lams[i]) * dij * np.exp(-t * (lams[i] + lams[j]))
-    return total
+    """Float evaluation at time t of the exponential expansion of h_{u,v}
+    that `h_terms_exact` gives; a DeltaSet that is not exact raises
+    ExactEigensystemRequiredError."""
+    if not all(isinstance(x, QuadValue) for x in ds.as_tuple()):
+        raise ExactEigensystemRequiredError(
+            "h_function needs the exact DeltaSet of an exact eigensystem")
+    terms = h_terms_exact(fs, ds, n)
+    return sum(float(c) * np.exp(-float(rate) * t) for rate, c in terms.items())
 
 
 def h_rate(es: Eigensystem, L: np.ndarray, u: int, v: int, t: float) -> float:

@@ -310,9 +310,15 @@ def exact_eigensystem(L: np.ndarray) -> Eigensystem:
     """Exact eigensystem of a four-eigenvalue integer Laplacian: QuadValue
     eigenvalues, multiplicities tr(P) = sum_j a_j tr(L^j) over Lagrange
     coefficients a_j.  It keeps the powers I, L, L^2, L^3 that projectors are
-    summed over; L^4 is needed only for the minimal polynomial's check."""
+    summed over; L^4 is needed only for the minimal polynomial's check.  A
+    NonQuadraticEigenvaluesError it raises carries those powers, so that the
+    float delta table does not form L^2 again."""
     mu, powers = minimal_polynomial(L, max_degree=4)
-    sigma = exact_eigenvalues(mu)
+    try:
+        sigma = exact_eigenvalues(mu)
+    except NonQuadraticEigenvaluesError as exc:
+        exc.powers = tuple(powers[:-1])
+        raise
     traces = [sum(P.diagonal().tolist()) for P in powers[:-1]]  # Python ints
     groups = []
     for i, lam in enumerate(sigma):

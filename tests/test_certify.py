@@ -15,7 +15,8 @@ from mnhd.certify import (NOT_APPLICABLE, NUMERIC_ONLY, PROVEN,
                           delta_sign_analysis, numeric_check)
 from mnhd.errors import (ExactEigensystemRequiredError, InvalidParameterError,
                          NonQuadraticEigenvaluesError, NotFourEigenvaluesError,
-                         ShortGridError, UnknownSignatureError)
+                         ShortGridError, SignatureKeyOverflowError,
+                         UnknownSignatureError)
 from mnhd.graphs import (build_graph, cayley_s3, crown, cycle,
                          design_742_incidence, facts, fano_incidence,
                          laplacian, wheel6)
@@ -83,7 +84,8 @@ def test_classification_exhaustive_and_exclusive(incidence_builtins):
 def _pair_classes_by_delta_set(L, L2, es):
     """Reference for _pair_classes on an exact eigensystem: the signature
     groups split by the exact DeltaSet of every pair, read off the full
-    Lagrange projector matrices, tagged the same way."""
+    Lagrange projector matrices, tagged the same way, each with its count
+    and its first pair in row-major order."""
     groups = {}
     for u in range(es.n):
         for v in range(es.n):
@@ -101,7 +103,7 @@ def _pair_classes_by_delta_set(L, L2, es):
             by_delta.setdefault(ds, []).append((u, v))
         for sub, (ds, pairs) in enumerate(by_delta.items(), start=1):
             tag = f"S{idx}" if len(by_delta) == 1 else f"S{idx}.{sub}"
-            out.append((tag, sig, ds, pairs))
+            out.append((tag, sig, ds, len(pairs), pairs[0]))
     return out
 
 
@@ -503,6 +505,33 @@ def test_numeric_check_memory_below_one_stack(crown50_system):
         tracemalloc.stop()
     # one (61, 100, 100) float64 stack of H_t is about 4.7 MiB
     assert peak < 61 * g.n * g.n * 8
+
+
+def test_pair_classes_memory_is_a_few_int64_matrices():
+    # crown-50 has n(n-1) = 9900 ordered pairs: one Python tuple and one
+    # signature list per pair take about 2.2 MiB, far above the bound; the
+    # packed int64 keys and np.unique's sort are a few n x n int64 arrays
+    L = laplacian(crown(50))
+    es = exact_eigensystem(L)
+    args = (*es.powers[1:3], es.values()[1:])
+    _pair_classes(*args)
+    tracemalloc.start()
+    try:
+        _pair_classes(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * L.size * 8
+
+
+def test_pair_classes_reject_signatures_past_the_int64_key():
+    # the four field ranges multiply to more than 2^62 keys: a typed error,
+    # not a wrapped key
+    L = np.array([[1, -1, 0], [-1, 2, -1], [0, -1, 1]], dtype=np.int64)
+    L2 = np.array([[0, 1 << 61, 0], [-(1 << 61), 0, 0], [0, 0, 0]],
+                  dtype=np.int64)
+    with pytest.raises(SignatureKeyOverflowError):
+        _pair_classes(L, L2, [1.0, 2.0, 3.0])
 
 
 def test_eigensystem_and_numeric_check_memory_is_quadratic(random_gnp):

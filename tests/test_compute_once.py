@@ -82,7 +82,7 @@ def test_analyze_runs_delta_set_once_per_subclass(monkeypatch, name, classes):
 @pytest.mark.parametrize("name, products, int_products", [
     ("crown-7", 16, 3),   # orthogonality and idempotence checks; L^2..L^4
     ("cayley-s3", 0, 3),  # every projector is a combination of powers of L
-    ("cycle-7", 0, 4),    # L^2..L^4, then L^2 again for the float table
+    ("cycle-7", 0, 3),    # L^2..L^4; the float table reuses that L^2
     ("cycle-5", 0, 0),
 ])
 def test_analyze_matrix_product_counts(monkeypatch, name, products,

@@ -320,11 +320,8 @@ def test_h_rate_at_zero_all_pairs(builtins, numeric_systems):
                     assert abs(h_rate(es, L, u, v, 0.0) - (-L[u, v])) < 1e-12, name
 
 
-def test_h_function_float_path():
-    g = cayley_s3()
-    es, fs, projs = _exact_parts(g)
-    ds_exact = _deltas(projs, 0, 3)
-    ds_float = DeltaSet(*ds_exact.as_floats())
-    for t in (0.0, 0.5, 2.0):
-        assert h_function(fs, ds_float, g.n, t) == pytest.approx(
-            h_function(fs, ds_exact, g.n, t), abs=1e-12)
+def test_h_function_rejects_float_delta_set():
+    _, fs, projs = _exact_parts(cayley_s3())
+    ds_float = DeltaSet(*_deltas(projs, 0, 3).as_floats())
+    with pytest.raises(ExactEigensystemRequiredError):
+        h_function(fs, ds_float, 6, 0.5)

@@ -3,8 +3,9 @@ on vertex labels, and on any small graph it either returns a report that
 fits the schema or raises a typed MnhdError.  Every report it returns, on
 relabeled builtins and on small graphs alike, is consistent across routes:
 a ProvenMNHD verdict comes with a passing numeric check, and the exact
-spectrum agrees with the float one.  Edge-list and design files give back
-the graph or design they were written from."""
+spectrum agrees with the float one.  The pair classes under every route
+group the ordered pairs as a dict keyed by signature does.  Edge-list and
+design files give back the graph or design they were written from."""
 
 import io
 
@@ -13,12 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mnhd.certify import PROVEN, REPORT_SCHEMA, analyze
+from mnhd.certify import PROVEN, REPORT_SCHEMA, _pair_classes, analyze
 from mnhd.designs import (complement_design, crown_design, design_742,
                           fano_design, pair_design, read_design, write_design)
 from mnhd.errors import MnhdError
-from mnhd.graphs import (all_builtin_names, build_graph, read_edge_list,
-                         write_edge_list)
+from mnhd.graphs import (all_builtin_names, build_graph, laplacian,
+                         read_edge_list, write_edge_list)
 
 
 def _summary(report):
@@ -68,6 +69,41 @@ def test_analyze_returns_a_valid_report_or_a_typed_error(g):
         return
     jsonschema.validate(report.to_dict(), REPORT_SCHEMA)
     _assert_routes_agree(report, g.n)
+
+
+@settings(deadline=None, max_examples=100)
+@given(data=st.data())
+def test_pair_classes_group_every_pair_once(data):
+    # the packed int64 keys against a dict keyed by signature tuples, on a
+    # drawn graph and a relabeling of it; sigma only sets each class's
+    # DeltaSet, so any three distinct values do
+    g = data.draw(small_graphs())
+    perm = data.draw(st.permutations(range(g.n)))
+    relabeled = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    for h in (g, relabeled):
+        L = laplacian(h)
+        L2 = L @ L
+
+        def signature(u, v):
+            return (int(L[u, u]), int(L[v, v]), int(L[u, v]), int(L2[u, v]))
+
+        pairs = [(u, v) for u in range(h.n) for v in range(h.n) if u != v]
+        groups = {}
+        for u, v in pairs:
+            groups.setdefault(signature(u, v), []).append((u, v))
+        classes = _pair_classes(L, L2, [1.0, 2.0, 3.0])
+        assert [(tag, sig, count, first)
+                for tag, sig, _, count, first in classes] == [
+            (f"S{idx}", sig, len(members), members[0])
+            for idx, (sig, members) in enumerate(sorted(groups.items()),
+                                                 start=1)]
+        assert sum(count for *_, count, _ in classes) == h.n * (h.n - 1)
+        sigs = [sig for _, sig, *_ in classes]
+        assert all(a < b for a, b in zip(sigs, sigs[1:]))
+        for _, sig, _, _, first in classes:
+            assert signature(*first) == sig
+            assert all(signature(*pair) != sig
+                       for pair in pairs[:pairs.index(first)])
 
 
 def _round_trip(write, read, obj):
