@@ -14,11 +14,13 @@ eigensystem or runs the float eigensolver.
 * certificate_bipartite -- an exact certificate for connected regular
   bipartite graphs with four distinct Laplacian eigenvalues.  Such a graph is
   the incidence graph of a symmetric (n/2, d, lambda)-design, and the
-  certificate is a design layer on the engine: it builds the projectors (no
-  other route does) and checks them against their closed form, names the
-  template's pair classes W1/W2/W3, derives from the projector checks that
-  the Delta quantities are constant on all pairs of each class, and records
-  every sign and cancellation condition that together force h >= 0.
+  certificate is a design layer on the engine: it checks the projector
+  algebra (closed form, resolution, orthogonality, idempotence,
+  reconstruction) on the projectors' Lagrange polynomials modulo the minimal
+  polynomial of L, so no route builds an n x n exact projector; it names
+  the template's pair classes W1/W2/W3, derives from the projector checks
+  that the Delta quantities are constant on all pairs of each class, and
+  records every sign and cancellation condition that together force h >= 0.
 
 * delta_sign_analysis -- a generalized exact template for any connected graph
   with four distinct eigenvalues in a quadratic field: per signature class it
@@ -36,8 +38,10 @@ eigensystem or runs the float eigensolver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -50,11 +54,10 @@ from .errors import (ExactEigensystemRequiredError, InvalidParameterError,
 from .graphs import Graph, facts, laplacian
 from .heat import (DeltaSet, default_time_grid, delta_set, h_terms_exact,
                    heat_slices)
-from .quadratic import INT64_BOUND, QuadMatrix, QuadValue
+from .quadratic import INT64_BOUND, QuadValue, int_combination, poly_mul_mod
 from .spectral import (Eigensystem, FourSpectrum, VanDamCase,
-                       classify_spectrum, closed_form_projectors,
-                       exact_eigensystem, jacobi_eigendecompose,
-                       lagrange_coefficients, lagrange_projector)
+                       classify_spectrum, exact_eigensystem,
+                       jacobi_eigendecompose, lagrange_coefficients)
 # Not called here (exact_eigensystem runs it); the benchmark's self-check
 # (perfbench/run.py --selfcheck) wraps it in this namespace to test its tracer.
 from .spectral import minimal_polynomial  # noqa: F401
@@ -206,10 +209,20 @@ def certificate_bipartite(g: Graph, es: Eigensystem) -> Certificate:
     """Run the exact MNHD certificate for a connected regular bipartite graph
     with four distinct Laplacian eigenvalues, on its exact eigensystem `es`
     (from `exact_eigensystem`; a numeric one raises
-    ExactEigensystemRequiredError) and the powers of the Laplacian it keeps.
-    Returns NotApplicable when the structural preconditions fail; otherwise
-    performs every check in exact arithmetic and returns ProvenMNHD only if
-    all of them hold."""
+    ExactEigensystemRequiredError), the powers of the Laplacian and the
+    minimal polynomial mu it keeps.  Returns NotApplicable when the
+    structural preconditions fail; otherwise performs every check in exact
+    arithmetic and returns ProvenMNHD only if all of them hold.
+
+    The projector P_i is a_i(L), a_i the Lagrange polynomial of sigma_i
+    (degree 3), and each projector identity is checked as an identity of
+    polynomials modulo mu in Q(sqrt m)[x]: the closed form against a_i (with
+    a_0 for J/n), sum a_i = 1, a_i a_j = 0 (i < j; the ring is commutative),
+    a_i^2 = a_i and sum sigma_i a_i = x.  This is exact because
+    `minimal_polynomial` proved mu(L) = 0 in integers and I, L, L^2, L^3
+    independent (a nonzero Gram Schur complement): p(L) = (p mod mu)(L), and
+    a polynomial of degree < 4 vanishes at L only when it is 0.  Only P0 =
+    J/n is checked on a matrix, a_0(L) summed over the powers of L."""
     method = "bipartite-certificate"
     if es.mode != "exact":
         raise ExactEigensystemRequiredError(f"{method} needs an exact eigensystem")
@@ -259,29 +272,30 @@ def certificate_bipartite(g: Graph, es: Eigensystem) -> Certificate:
     record("order_identity", QuadValue(q) == QuadValue(Fraction(n * lam, 2)),
            f"d^2 - d + lambda = {q} = n*lambda/2")
 
-    # projector algebra on the Lagrange projectors, all exact
-    projs = [lagrange_projector(es.powers, sigma, i) for i in range(4)]
-    record("closed_form_equals_lagrange",
-           projs[1:] == closed_form_projectors(es.powers, fs),
+    # projector algebra on the Lagrange polynomials a_i of sigma, modulo the
+    # minimal polynomial mu of L (see the docstring): P_i = a_i(L)
+    coeffs = [lagrange_coefficients(sigma, i) for i in range(4)]
+    # closed form c_i ((x - lam_j)(x - lam_k) - lam_j lam_k a_0): a_0 stands
+    # for J/n, which closed_form_p0 checks
+    others = [(lam2, lam3), (lam1, lam3), (lam1, lam2)]
+    closed = [[c * (t - x * y * a) for t, a in zip((x * y, -(x + y), 1, 0),
+                                                    coeffs[0])]
+              for c, (x, y) in zip(fs.constants(), others)]
+    record("closed_form_equals_lagrange", closed == coeffs[1:],
            "quadratic closed form reproduces the Lagrange projectors")
-    m = projs[0].m
-    p0_ok = record(
-        "closed_form_p0",
-        projs[0] == QuadMatrix.constant(n, QuadValue(Fraction(1, n)), m),
-        "P0 = J/n")
+    p0_ok = record("closed_form_p0", _is_mean_projector(coeffs[0], es.powers, n),
+                   "P0 = J/n")
     resolution_ok = record(
         "projector_resolution",
-        (projs[0] + projs[1] + projs[2] + projs[3]
-         - QuadMatrix.identity(n, m)).is_zero(), "P0+P1+P2+P3 = I")
-    ortho = all((projs[i] @ projs[j]).is_zero()
-                for i in range(4) for j in range(4) if i != j)
+        [sum(col) for col in zip(*coeffs)] == [1, 0, 0, 0], "P0+P1+P2+P3 = I")
+    ortho = all(not any(poly_mul_mod(a, b, es.mu))
+                for a, b in combinations(coeffs, 2))
     ortho_ok = record("projector_orthogonality", ortho, "Pi Pj = 0 for i != j")
-    idem = all(((P @ P) - P).is_zero() for P in projs)
+    idem = all(poly_mul_mod(a, a, es.mu) == a for a in coeffs)
     idem_ok = record("projector_idempotent", idem, "Pi^2 = Pi")
-    recon = (projs[1].scale(sigma[1]) + projs[2].scale(sigma[2])
-             + projs[3].scale(sigma[3]))
-    recon_ok = record("laplacian_reconstruction",
-                      (recon - QuadMatrix.from_int(L, m)).is_zero(),
+    recon = [sum(value * a[j] for value, a in zip(sigma[1:], coeffs[1:]))
+             for j in range(4)]
+    recon_ok = record("laplacian_reconstruction", recon == [0, 1, 0, 0],
                       "lam1 P1 + lam2 P2 + lam3 P3 = L")
     v_half = n // 2
     mults = tuple(grp.multiplicity for grp in es.groups[1:])
@@ -366,6 +380,20 @@ def _verdict(checks: list[CertificateCheck]) -> tuple[str, str | None]:
     """ProvenMNHD when every check passed, else the failed checks' names."""
     failed = [c.name for c in checks if not c.passed]
     return (FAILED, "; ".join(failed)) if failed else (PROVEN, None)
+
+
+def _is_mean_projector(a0: Sequence[QuadValue], powers: Sequence[np.ndarray],
+                       n: int) -> bool:
+    """a0(L) = J/n, summed over the powers I, L, L^2, ... of L: one
+    int_combination over the common denominator den of a0's coefficients,
+    whose every entry must be den/n.  An irrational coefficient fails, the
+    powers being independent."""
+    if any(c.b for c in a0):
+        return False
+    den = math.lcm(*(c.a.denominator for c in a0))
+    mean, rest = divmod(den, n)
+    return rest == 0 and bool((int_combination(
+        [int(c.a * den) for c in a0], powers) == mean).all())
 
 
 def _h0(fs: FourSpectrum, ds: DeltaSet, n: int) -> QuadValue:
@@ -689,6 +717,7 @@ def analyze(g: Graph) -> MnhdReport:
     else:
         certificate = _numeric_delta_table(cubic_powers, es, cubic)
 
+    del L, exact  # L and its powers are freed before the numeric check runs
     numeric = numeric_check(g, es=es)
     return MnhdReport(g.n, g.m, f.regular_degree, f.bipartition is not None,
                       spectrum, van_dam, certificate, numeric)

@@ -14,7 +14,10 @@ int64 only when a bound computed from the largest operand magnitudes proves
 that no entry and no partial sum reaches 2^62, and object-dtype Python ints
 past it; the integer matrices are stored as the kernels return them.  No
 float takes part in either path.  `quad_combination`, which builds an exact
-projector as a polynomial in L, is two `int_combination`s.
+projector as a polynomial in L, is two `int_combination`s.  `poly_mul_mod`
+multiplies polynomials over Q(sqrt(m)) modulo a monic integer polynomial in
+Python ints; the bipartite certificate checks its projector algebra with it,
+so `analyze` builds no QuadMatrix.
 """
 
 from __future__ import annotations
@@ -83,10 +86,6 @@ class QuadValue:
         return cls(0, 1, k)
 
     # -- predicates ------------------------------------------------------
-
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
 
     @property
     def is_integer(self) -> bool:
@@ -272,27 +271,69 @@ def int_combination(coeffs: Sequence[int], mats: Sequence[np.ndarray]
                     ) -> np.ndarray:
     """Exact sum(c * M) of integer matrices with integer coefficients, one
     per matrix: int64 when sum |c| * max|M| < 2^62 over the nonzero c, else
-    object dtype."""
+    object dtype.  The terms are added into one accumulator as they are
+    formed, so working memory is two matrices whatever their number."""
     pairs = [(c, M) for c, M in zip(coeffs, mats, strict=True) if c]
     checked = [_int64(M) for _, M in pairs]
     if None not in checked and sum(
             abs(c) * mx for (c, _), (_, mx) in zip(pairs, checked)) < INT64_BOUND:
-        terms = [c * M for (c, _), (M, mx) in zip(pairs, checked) if mx]
+        out = np.zeros(mats[0].shape, dtype=np.int64)
+        terms = [(c, M) for (c, _), (M, mx) in zip(pairs, checked) if mx]
     else:
-        terms = [c * np.asarray(M, dtype=object) for c, M in pairs]
-    return sum(terms, np.zeros(mats[0].shape, dtype=np.int64))
+        out = np.zeros(mats[0].shape, dtype=object)
+        terms = pairs
+    for c, M in terms:
+        out += c * np.asarray(M, dtype=out.dtype)
+    return out
+
+
+def _integer_parts(coeffs: Sequence[QuadValue], m: int
+                   ) -> tuple[list[int], list[int], int]:
+    """(A, B, den) with coeffs[k] = (A[k] + B[k] sqrt(m)) / den: integer
+    parts over the common denominator of values in Q(sqrt(m))."""
+    if any(c.b and c.m != m for c in coeffs):
+        raise MixedRadicandsError(f"coefficients {coeffs} not in Q(sqrt({m}))")
+    den = math.lcm(*(x.denominator for c in coeffs for x in (c.a, c.b)))
+    return ([int(c.a * den) for c in coeffs], [int(c.b * den) for c in coeffs],
+            den)
 
 
 def quad_combination(coeffs: Sequence[QuadValue], mats: Sequence[np.ndarray],
                      m: int) -> "QuadMatrix":
     """Exact sum(c * M) over integer matrices M, coefficients c in Q(sqrt(m)):
     two `int_combination`s over a common denominator, then reduced."""
-    if any(c.b and c.m != m for c in coeffs):
-        raise MixedRadicandsError(f"coefficients {coeffs} not in Q(sqrt({m}))")
-    den = math.lcm(*(x.denominator for c in coeffs for x in (c.a, c.b)))
-    return QuadMatrix(int_combination([int(c.a * den) for c in coeffs], mats),
-                      int_combination([int(c.b * den) for c in coeffs], mats),
+    a, b, den = _integer_parts(coeffs, m)
+    return QuadMatrix(int_combination(a, mats), int_combination(b, mats),
                       den, m).reduce()
+
+
+def poly_mul_mod(p: Sequence[QuadValue], q: Sequence[QuadValue],
+                 mu: Sequence[int]) -> list[QuadValue]:
+    """Ascending coefficients of p * q modulo mu, for polynomials p and q
+    with ascending QuadValue coefficients in one Q(sqrt(m)) and mu a monic
+    integer polynomial (ascending, mu[-1] = 1); len(mu) - 1 of them.
+
+    The product is an integer convolution of p's and q's integer parts over
+    their common denominators, and dividing by the monic mu keeps it
+    integral; zero coefficients of p are skipped."""
+    m = next((c.m for c in (*p, *q) if c.b), 0)
+    (pa, pb, pden), (qa, qb, qden) = (_integer_parts(x, m) for x in (p, q))
+    k = len(mu) - 1
+    a = [0] * max(len(p) + len(q) - 1, k)
+    b = a.copy()
+    for i, (x, y) in enumerate(zip(pa, pb)):
+        if x or y:
+            for j, (z, w) in enumerate(zip(qa, qb)):
+                a[i + j] += x * z + m * y * w
+                b[i + j] += x * w + y * z
+    for top in range(len(a) - 1, k - 1, -1):  # x^top = x^(top-k) (x^k - mu)
+        ca, cb = a.pop(), b.pop()
+        for j, c in enumerate(mu[:-1]):
+            a[top - k + j] -= c * ca
+            b[top - k + j] -= c * cb
+    den = pden * qden
+    return [QuadValue(Fraction(x, den), Fraction(y, den), m)
+            for x, y in zip(a, b)]
 
 
 class QuadMatrix:
@@ -397,13 +438,6 @@ class QuadMatrix:
 
     def is_zero(self) -> bool:
         return not self.a.any() and not self.b.any()
-
-    def to_float(self) -> np.ndarray:
-        return (self.a.astype(np.float64)
-                + math.sqrt(self.m) * self.b.astype(np.float64)) / self.den
-
-    def to_lists(self) -> list[list[QuadValue]]:
-        return [[self.entry(i, j) for j in range(self.n)] for i in range(self.n)]
 
     def __repr__(self):
         return f"QuadMatrix(n={self.n}, m={self.m}, den={self.den})"

@@ -2,7 +2,11 @@
 Jacobi), exactly (minimal polynomial; multiplicities from Lagrange
 coefficients and traces of powers of L), spectrum grouping, Lagrange and
 closed-form projectors, and the three-case classification of regular
-four-eigenvalue spectra.
+four-eigenvalue spectra.  `analyze` builds no projector matrix: the exact
+routes read projector entries off Lagrange coefficients and check the
+projector algebra modulo the minimal polynomial.  `lagrange_projector` and
+`closed_form_projectors` remain as the matrix oracle that tests compare
+those routes against.
 """
 
 from __future__ import annotations
@@ -86,6 +90,7 @@ class Eigensystem:
     groups: tuple[EigenGroup, ...] | tuple[NumericEigenGroup, ...]
     mode: str  # "numeric" or "exact"
     powers: tuple[np.ndarray, ...] = ()  # exact: I, L, ..., L^(k-1), k groups
+    mu: tuple[int, ...] = ()  # exact: minimal polynomial of L, ascending
 
     def values(self) -> list[float | QuadValue]:
         return [g.value for g in self.groups]
@@ -310,7 +315,8 @@ def exact_eigensystem(L: np.ndarray) -> Eigensystem:
     """Exact eigensystem of a four-eigenvalue integer Laplacian: QuadValue
     eigenvalues, multiplicities tr(P) = sum_j a_j tr(L^j) over Lagrange
     coefficients a_j.  It keeps the powers I, L, L^2, L^3 that projectors are
-    summed over; L^4 is needed only for the minimal polynomial's check.  A
+    summed over, and the minimal polynomial mu that the projector algebra is
+    reduced by; L^4 is needed only for the minimal polynomial's check.  A
     NonQuadraticEigenvaluesError it raises carries those powers, so that the
     float delta table does not form L^2 again."""
     mu, powers = minimal_polynomial(L, max_degree=4)
@@ -332,7 +338,8 @@ def exact_eigensystem(L: np.ndarray) -> Eigensystem:
     if total != L.shape[0]:
         raise InvariantViolationError(
             f"multiplicities sum to {total}, not n = {L.shape[0]}")
-    return Eigensystem(L.shape[0], tuple(groups), "exact", tuple(powers[:-1]))
+    return Eigensystem(L.shape[0], tuple(groups), "exact", tuple(powers[:-1]),
+                       tuple(mu))
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +380,6 @@ class FourSpectrum:
         c3 = (lam1 * lam2).inverse()
         return cls(QuadValue(0), lam1, lam2, lam3, c1, c2, c3)
 
-    def as_tuple(self) -> tuple[QuadValue, QuadValue, QuadValue, QuadValue]:
-        return (self.lam0, self.lam1, self.lam2, self.lam3)
-
     def nonzero(self) -> tuple[QuadValue, QuadValue, QuadValue]:
         return (self.lam1, self.lam2, self.lam3)
 
@@ -390,7 +394,7 @@ def closed_form_projectors(powers: Sequence[np.ndarray], fs: FourSpectrum
 
         P_i = c_i * (L^2 - (lam_j + lam_k) L + lam_j lam_k (I - J/n))
 
-    Cross-checked against lagrange_projector by the callers.
+    Cross-checked against lagrange_projector by the tests.
     """
     n = powers[0].shape[0]
     mats = [*powers[:3], np.ones((n, n), dtype=np.int64)]

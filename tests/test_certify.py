@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import tracemalloc
@@ -17,7 +18,7 @@ from mnhd.errors import (ExactEigensystemRequiredError, InvalidParameterError,
                          NonQuadraticEigenvaluesError, NotFourEigenvaluesError,
                          ShortGridError, SignatureKeyOverflowError,
                          UnknownSignatureError)
-from mnhd.graphs import (build_graph, cayley_s3, crown, cycle,
+from mnhd.graphs import (build_graph, builtin_graph, cayley_s3, crown, cycle,
                          design_742_incidence, facts, fano_incidence,
                          laplacian, wheel6)
 from mnhd.heat import default_time_grid, delta_set, heat_stack
@@ -239,24 +240,41 @@ def test_certificate_check_names_include_required_identities():
 
 
 def test_class_constancy_fails_without_the_projector_checks(monkeypatch):
-    # swapping the projectors of lam1 and lam2 that the certificate builds
-    # breaks L = sum sigma_i P_i, on which the proof that the signature fixes
-    # the Delta set rests
+    # swapping the Lagrange polynomials of lam1 and lam2 that the certificate
+    # reads as P1 and P2 breaks L = sum sigma_i P_i, on which the proof that
+    # the signature fixes the Delta set rests; the pair classes' own
+    # three-value Lagrange polynomials are left as they are
     g = fano_incidence()
     es = exact_eigensystem(laplacian(g))
-    built = mnhd.certify.lagrange_projector
+    built = mnhd.certify.lagrange_coefficients
 
-    def swapped(powers, sigma, i):
-        return built(powers, sigma, {1: 2, 2: 1}.get(i, i))
+    def swapped(sigma, i):
+        return built(sigma, {1: 2, 2: 1}.get(i, i) if len(sigma) == 4 else i)
 
     for holds in (True, False):
         if not holds:
-            monkeypatch.setattr(mnhd.certify, "lagrange_projector", swapped)
+            monkeypatch.setattr(mnhd.certify, "lagrange_coefficients", swapped)
         cert = certificate_bipartite(g, es)
         passed = {c.name: c.passed for c in cert.checks}
         assert passed["laplacian_reconstruction"] is holds
         assert passed["class_constancy_spot_check"] is holds
         assert (cert.verdict == PROVEN) is holds
+
+
+def test_projector_checks_fail_modulo_a_wrong_minimal_polynomial():
+    # the Fano plane and its complement both have n = 14; reduced modulo the
+    # complement's minimal polynomial, the Fano plane's Lagrange polynomials
+    # are no longer orthogonal idempotents
+    g = fano_incidence()
+    es = exact_eigensystem(laplacian(g))
+    other = exact_eigensystem(laplacian(builtin_graph("fano-complement")))
+    assert other.n == es.n and other.mu != es.mu
+    cert = certificate_bipartite(g, dataclasses.replace(es, mu=other.mu))
+    passed = {c.name: c.passed for c in cert.checks}
+    assert not passed["projector_orthogonality"]
+    assert not passed["projector_idempotent"]
+    assert not passed["class_constancy_spot_check"]
+    assert cert.verdict != PROVEN
 
 
 def _closed_form_class_deltas(n, d, lam):
@@ -522,6 +540,23 @@ def test_pair_classes_memory_is_a_few_int64_matrices():
     finally:
         tracemalloc.stop()
     assert peak < 8 * L.size * 8
+
+
+def test_certificate_memory_is_a_few_int64_matrices():
+    # the projector checks run on degree-3 polynomials modulo the minimal
+    # polynomial: four Lagrange and three closed-form n x n projectors and
+    # their 16 products take about 1.5 MiB on crown-50, far above the bound;
+    # what is left is the pair grouping and one sum over the powers of L
+    g = crown(50)
+    es = exact_eigensystem(laplacian(g))
+    certificate_bipartite(g, es)
+    tracemalloc.start()
+    try:
+        certificate_bipartite(g, es)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * g.n * g.n * 8
 
 
 def test_pair_classes_reject_signatures_past_the_int64_key():

@@ -48,10 +48,10 @@ def calls(monkeypatch):
 
 
 @pytest.mark.parametrize("name, minimal, exact, lagrange, jacobi", [
-    ("crown-7", 1, 1, 4, 1),     # bipartite certificate builds P0..P3
+    ("crown-7", 1, 1, 0, 1),     # bipartite certificate: polynomials mod mu
     ("cayley-s3", 1, 1, 0, 1),   # delta-sign template: no projector matrix
     ("cycle-7", 1, 1, 0, 1),     # cubic eigenvalues: float delta table
-    ("cycle-6", 1, 1, 4, 1),
+    ("cycle-6", 1, 1, 0, 1),
     ("wheel-6", 1, 1, 0, 1),
     ("cycle-5", 0, 0, 0, 1),     # three eigenvalues: numeric check only
 ])
@@ -80,7 +80,7 @@ def test_analyze_runs_delta_set_once_per_subclass(monkeypatch, name, classes):
 
 
 @pytest.mark.parametrize("name, products, int_products", [
-    ("crown-7", 16, 3),   # orthogonality and idempotence checks; L^2..L^4
+    ("crown-7", 0, 3),    # projector checks run mod mu; L^2..L^4
     ("cayley-s3", 0, 3),  # every projector is a combination of powers of L
     ("cycle-7", 0, 3),    # L^2..L^4; the float table reuses that L^2
     ("cycle-5", 0, 0),

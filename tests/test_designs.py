@@ -123,19 +123,20 @@ def test_brute_force_oracle_agrees():
 
 def test_predicted_spectrum_742():
     s = predicted_spectrum(7, 4, 2)
-    assert s.as_tuple() == (QuadValue(0), QuadValue(4, -1, 2),
-                            QuadValue(4, 1, 2), QuadValue(8))
+    assert (s.lam0, s.lam1, s.lam2, s.lam3) == (
+        QuadValue(0), QuadValue(4, -1, 2), QuadValue(4, 1, 2), QuadValue(8))
 
 
 def test_predicted_spectrum_fano():
     s = predicted_spectrum(7, 3, 1)
-    assert s.as_tuple() == (QuadValue(0), QuadValue(3, -1, 2),
-                            QuadValue(3, 1, 2), QuadValue(6))
+    assert (s.lam0, s.lam1, s.lam2, s.lam3) == (
+        QuadValue(0), QuadValue(3, -1, 2), QuadValue(3, 1, 2), QuadValue(6))
 
 
 def test_predicted_spectrum_543_integral():
     s = predicted_spectrum(5, 4, 3)
-    assert s.as_tuple() == (QuadValue(0), QuadValue(3), QuadValue(5), QuadValue(8))
+    assert (s.lam0, s.lam1, s.lam2, s.lam3) == (
+        QuadValue(0), QuadValue(3), QuadValue(5), QuadValue(8))
 
 
 def test_predicted_spectrum_degenerate():
@@ -173,7 +174,7 @@ def test_catalog_consistent_with_predicted_spectrum():
         v, d, lam = row.params
         assert row.n == 2 * v
         s = predicted_spectrum(v, d, lam)
-        assert s.as_tuple() == row.spectrum
+        assert (s.lam0, s.lam1, s.lam2, s.lam3) == row.spectrum
         # the design-form constants equal the generic 1/prod(lam_i - lam_j)
         generic = FourSpectrum.from_eigenvalues(*row.spectrum[1:])
         assert s.constants() == generic.constants(), row.params

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -9,8 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mnhd.errors import MixedRadicandsError
-from mnhd.quadratic import (QuadMatrix, QuadValue, quad_combination,
-                            square_free_split)
+from mnhd.quadratic import (QuadMatrix, QuadValue, int_combination,
+                            poly_mul_mod, quad_combination, square_free_split)
 
 F = Fraction
 
@@ -48,7 +49,7 @@ def test_basic_arithmetic():
 def test_conjugate_product_is_rational():
     x = QuadValue(F(3, 7), F(-2, 5), 11)
     prod = x * x.conjugate()
-    assert prod.is_rational
+    assert prod.b == 0
     assert prod.as_fraction() == F(3, 7) ** 2 - 11 * F(2, 5) ** 2
 
 
@@ -138,6 +139,10 @@ def _rand_quad_matrix(rng, n, m, den):
     return QuadMatrix(a, b, den, m)
 
 
+def _entries(A):
+    return [[A.entry(i, j) for j in range(A.n)] for i in range(A.n)]
+
+
 def _entrywise_matmul(A, B):
     n = A.n
     return [[sum((A.entry(i, k) * B.entry(k, j) for k in range(n)),
@@ -167,10 +172,11 @@ def test_quadmatrix_scale_eq():
     assert (A - A).is_zero()
 
 
-def test_quadmatrix_to_float():
-    A = QuadMatrix.constant(3, QuadValue(F(1, 3), F(1, 2), 2))
-    expected = 1 / 3 + 0.5 * 2 ** 0.5
-    assert np.allclose(A.to_float(), expected)
+def test_quadmatrix_constant_over_a_radicand():
+    value = QuadValue(F(1, 3), F(1, 2), 2)
+    A = QuadMatrix.constant(3, value)
+    assert A.m == 2
+    assert _entries(A) == [[value] * 3] * 3
 
 
 def test_quadmatrix_identity_and_constant():
@@ -266,14 +272,14 @@ def test_quadmatrix_operations_match_python_ints(m, top):
     results = []
     for X, Y in ((A, C), (A, B), (B, A)):
         results += [X + Y, X - Y, X @ Y]
-        assert (X + Y).to_lists() == each(lambda x, y: x + y, X, Y)
-        assert (X - Y).to_lists() == each(lambda x, y: x - y, X, Y)
-        assert (X @ Y).to_lists() == _entrywise_matmul(X, Y)
+        assert _entries(X + Y) == each(lambda x, y: x + y, X, Y)
+        assert _entries(X - Y) == each(lambda x, y: x - y, X, Y)
+        assert _entries(X @ Y) == _entrywise_matmul(X, Y)
         assert X != Y
     for X in (A, B, C):
         results += [-X, X.scale(c)]
-        assert (-X).to_lists() == each(lambda x: -x, X)
-        assert X.scale(c).to_lists() == each(lambda x: c * x, X)
+        assert _entries(-X) == each(lambda x: -x, X)
+        assert _entries(X.scale(c)) == each(lambda x: c * x, X)
         # the same values over a larger denominator, and one entry off by 1/den
         same = QuadMatrix(*(np.array([[7 * v for v in row] for row in P.tolist()],
                                      dtype=object) for P in (X.a, X.b)),
@@ -283,7 +289,7 @@ def test_quadmatrix_operations_match_python_ints(m, top):
         off[n - 1][0] += 1
         assert X != QuadMatrix(np.array(off, dtype=object), X.b, X.den, m)
         R = X.scale(QuadValue(12)).reduce()
-        assert R.to_lists() == each(lambda x: 12 * x, X)
+        assert _entries(R) == each(lambda x: 12 * x, X)
         assert math.gcd(R.den, *R.a.ravel().tolist(),
                         *R.b.ravel().tolist()) == 1
     if top == 2 ** 20:  # every entry fits, so every result stays int64
@@ -292,6 +298,24 @@ def test_quadmatrix_operations_match_python_ints(m, top):
     # a zero matrix over a denominator past int64 reduces to den 1
     Z = QuadMatrix(A.a, A.b, 2 ** 70, m) - QuadMatrix(A.a, A.b, 2 ** 70, m)
     assert Z.is_zero() and Z.reduce().den == 1
+
+
+def test_int_combination_memory_is_two_matrices():
+    # eight int64 terms summed into one accumulator as they are formed: a
+    # list of every term c * M first holds nine n x n matrices at once
+    n = 100
+    mats = [np.full((n, n), k, dtype=np.int64) for k in range(1, 9)]
+    coeffs = list(range(2, 10))
+    expected = sum(c * k for c, k in zip(coeffs, range(1, 9)))
+    int_combination(coeffs, mats)
+    tracemalloc.start()
+    try:
+        out = int_combination(coeffs, mats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.dtype == np.int64 and (out == expected).all()
+    assert peak < 3 * n * n * 8
 
 
 @pytest.mark.parametrize("m", [0, 5])
@@ -326,3 +350,22 @@ def test_quad_combination_matches_python_int_sums(m, top):
         quad_combination([QuadValue(0, 1, 2)], mats[:1], 3)
     with pytest.raises(ValueError):  # a coefficient without a matrix
         quad_combination(coeffs, mats[:-1], m)
+
+
+# -- polynomials modulo a monic integer polynomial ---------------------------
+
+
+def test_poly_mul_mod_reduces_by_the_monic_modulus():
+    r2 = QuadValue.sqrt_int(2)
+    one, x = QuadValue(1), [QuadValue(0), QuadValue(1)]
+    mu = [-2, 0, 1]  # x^2 - 2, whose roots are +-sqrt(2)
+    assert poly_mul_mod(x, x, mu) == [QuadValue(2), QuadValue(0)]
+    assert poly_mul_mod([r2, one], [-r2, one], mu) == [0, 0]  # x^2 - 2
+    # (x + 1/2)(x^2 + x/3) = x^3 + 5/6 x^2 + 1/6 x, modulo x^3 - 2x + 5
+    got = poly_mul_mod([QuadValue(F(1, 2)), one],
+                       [QuadValue(0), QuadValue(F(1, 3)), one], [5, -2, 0, 1])
+    assert got == [QuadValue(-5), QuadValue(F(13, 6)), QuadValue(F(5, 6))]
+    # a product of lower degree than mu is padded, not reduced
+    assert poly_mul_mod([r2], [r2], [0, 0, 0, 1]) == [2, 0, 0]
+    with pytest.raises(MixedRadicandsError):
+        poly_mul_mod([r2], [QuadValue.sqrt_int(3)], mu)

@@ -13,10 +13,11 @@ from mnhd.errors import (AmbiguousGapError, DegenerateParamsError,
                          NonSymmetricError, NotFourEigenvaluesError,
                          NumericEigensystemRequiredError,
                          RepeatedEigenvalueError)
-from mnhd.graphs import (adjacency, build_graph, cayley_s3, crown, cycle,
-                         design_742_incidence, facts, fano_incidence,
-                         laplacian, wheel6)
-from mnhd.quadratic import QuadMatrix, QuadValue
+from mnhd.designs import catalog
+from mnhd.graphs import (adjacency, build_graph, builtin_graph, cayley_s3,
+                         crown, cycle, design_742_incidence, facts,
+                         fano_incidence, laplacian, wheel6)
+from mnhd.quadratic import QuadMatrix, QuadValue, poly_mul_mod, quad_combination
 from mnhd.spectral import (FourSpectrum, VanDamCase, _integer_roots,
                            classify_spectrum,
                            closed_form_projectors, exact_eigensystem,
@@ -343,12 +344,41 @@ def test_projectors_match_product_chain(exact_systems, extra_exact_graphs):
     assert {0, 2, 5, 13} <= radicands
 
 
+def test_projector_ring_matches_the_matrix_products(incidence_builtins):
+    # every exact bipartite builtin and every catalog design mnhd.designs
+    # builds: mu = prod (x - sigma_i), and each product of Lagrange
+    # polynomials modulo mu, summed over I, L, L^2, L^3, is the product of
+    # the Lagrange projector matrices
+    names = set(incidence_builtins) | {row.builder for row in catalog()
+                                       if row.builder}
+    radicands = set()
+    for name in sorted(names):
+        es = exact_eigensystem(laplacian(builtin_graph(name)))
+        sigma = es.values()
+        expanded = [QuadValue(1)]  # ascending in x
+        for lam in sigma:
+            expanded = [lo - lam * hi for lo, hi in
+                        zip([0, *expanded], [*expanded, 0])]
+        assert expanded == list(es.mu), name
+        m = max(lam.m for lam in sigma)
+        coeffs = [lagrange_coefficients(sigma, i) for i in range(4)]
+        projs = [lagrange_projector(es.powers, sigma, i) for i in range(4)]
+        for i in range(4):
+            for j in range(i, 4):
+                ring = poly_mul_mod(coeffs[i], coeffs[j], es.mu)
+                assert (quad_combination(ring, es.powers, m)
+                        == projs[i] @ projs[j]), (name, i, j)
+        radicands.add(m)
+    assert radicands == {0, 2}
+
+
 def test_lagrange_projector_k2():
     L = np.array([[1, -1], [-1, 1]])
     sigma = [QuadValue(0), QuadValue(2)]
     P = lagrange_projector(minimal_polynomial(L)[1], sigma, 1)
-    assert P.to_lists() == [[QuadValue(F(1, 2)), QuadValue(F(-1, 2))],
-                            [QuadValue(F(-1, 2)), QuadValue(F(1, 2))]]
+    assert [[P.entry(i, j) for j in range(2)] for i in range(2)] == [
+        [QuadValue(F(1, 2)), QuadValue(F(-1, 2))],
+        [QuadValue(F(-1, 2)), QuadValue(F(1, 2))]]
 
 
 def test_lagrange_projector_zero_eigenspace_is_constants():
@@ -424,7 +454,8 @@ def test_closed_form_equals_lagrange_sample(incidence_builtins):
         fs = FourSpectrum.from_design(g.n, d, lam)
         closed = closed_form_projectors(powers, fs)
         for i, P in enumerate(closed, start=1):
-            assert P == lagrange_projector(powers, fs.as_tuple(), i), name
+            sigma = (fs.lam0, fs.lam1, fs.lam2, fs.lam3)
+            assert P == lagrange_projector(powers, sigma, i), name
 
 
 # -- classification ----------------------------------------------------------
@@ -483,7 +514,9 @@ def test_heat_from_exact_eigensystem():
         g.multiplicity for g in ref.groups]
     for i, numeric in enumerate(ref.groups):
         exact = lagrange_projector(es.powers, es.values(), i)
-        assert np.max(np.abs(exact.to_float()
+        floats = np.array([[float(exact.entry(u, v)) for v in range(es.n)]
+                           for u in range(es.n)])
+        assert np.max(np.abs(floats
                              - numeric.vectors @ numeric.vectors.T)) < 1e-12
     with pytest.raises(NumericEigensystemRequiredError):
         heat_slices(es, [1.0])
