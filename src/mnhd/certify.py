@@ -209,10 +209,11 @@ def certificate_bipartite(g: Graph, es: Eigensystem) -> Certificate:
     """Run the exact MNHD certificate for a connected regular bipartite graph
     with four distinct Laplacian eigenvalues, on its exact eigensystem `es`
     (from `exact_eigensystem`; a numeric one raises
-    ExactEigensystemRequiredError), the powers of the Laplacian and the
-    minimal polynomial mu it keeps.  Returns NotApplicable when the
-    structural preconditions fail; otherwise performs every check in exact
-    arithmetic and returns ProvenMNHD only if all of them hold.
+    ExactEigensystemRequiredError), the powers of the Laplacian, the minimal
+    polynomial mu and the Lagrange polynomials it keeps.  Returns
+    NotApplicable when the structural preconditions fail; otherwise performs
+    every check in exact arithmetic and returns ProvenMNHD only if all of
+    them hold.
 
     The projector P_i is a_i(L), a_i the Lagrange polynomial of sigma_i
     (degree 3), and each projector identity is checked as an identity of
@@ -272,9 +273,10 @@ def certificate_bipartite(g: Graph, es: Eigensystem) -> Certificate:
     record("order_identity", QuadValue(q) == QuadValue(Fraction(n * lam, 2)),
            f"d^2 - d + lambda = {q} = n*lambda/2")
 
-    # projector algebra on the Lagrange polynomials a_i of sigma, modulo the
-    # minimal polynomial mu of L (see the docstring): P_i = a_i(L)
-    coeffs = [lagrange_coefficients(sigma, i) for i in range(4)]
+    # projector algebra on the Lagrange polynomials a_i of sigma, which the
+    # eigensystem keeps, modulo the minimal polynomial mu of L (see the
+    # docstring): P_i = a_i(L)
+    coeffs = [list(a) for a in es.lagrange]
     # closed form c_i ((x - lam_j)(x - lam_k) - lam_j lam_k a_0): a_0 stands
     # for J/n, which closed_form_p0 checks
     others = [(lam2, lam3), (lam1, lam3), (lam1, lam2)]

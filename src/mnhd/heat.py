@@ -30,7 +30,7 @@ from .errors import (ExactEigensystemRequiredError, GraphInputError,
                      NegativeTimeError, NumericEigensystemRequiredError,
                      SameVertexError)
 from .quadratic import QuadValue
-from .spectral import Eigensystem, FourSpectrum, lagrange_coefficients
+from .spectral import Eigensystem, FourSpectrum
 
 
 def heat_slices(es: Eigensystem, grid: Sequence[float]) -> Iterator[np.ndarray]:
@@ -159,15 +159,14 @@ def h_terms_from_eigensystem(es: Eigensystem, u: int, v: int
                              ) -> dict[QuadValue, QuadValue]:
     """The same exponential-coefficient map computed from the derivative
     product H'(u,v)H(u,u) - H(u,v)H'(u,u) with H' = -sum lam exp(-t*lam) P,
-    each P(u,x) from the full Lagrange polynomial over the powers of `es`;
-    independent of the Delta expansion and of the signature formula."""
+    each P(u,x) from the full Lagrange polynomial that `es` keeps, summed over
+    its powers of L; independent of the Delta expansion and of the signature
+    formula."""
     if es.mode != "exact":
         raise ExactEigensystemRequiredError(
             "h_terms_from_eigensystem needs an exact eigensystem")
-    sigma = es.values()
     entries = []
-    for i, lam in enumerate(sigma):
-        coeffs = lagrange_coefficients(sigma, i)
+    for lam, coeffs in zip(es.values(), es.lagrange):
         uu, uv = (sum((a * int(P[u, x]) for a, P in zip(coeffs, es.powers)),
                       QuadValue(0)) for x in (u, v))
         entries.append((lam, uu, uv))

@@ -1,5 +1,6 @@
-"""Eigendecomposition of symmetric integer matrices: numerically (cyclic
-Jacobi), exactly (minimal polynomial; multiplicities from Lagrange
+"""Eigendecomposition of symmetric integer matrices: numerically (a
+pure-Python cyclic Jacobi, one 2 x n rotation of rows p and q per pair, no
+LAPACK), exactly (minimal polynomial; multiplicities from Lagrange
 coefficients and traces of powers of L), spectrum grouping, Lagrange and
 closed-form projectors, and the three-case classification of regular
 four-eigenvalue spectra.  `analyze` builds no projector matrix: the exact
@@ -91,6 +92,7 @@ class Eigensystem:
     mode: str  # "numeric" or "exact"
     powers: tuple[np.ndarray, ...] = ()  # exact: I, L, ..., L^(k-1), k groups
     mu: tuple[int, ...] = ()  # exact: minimal polynomial of L, ascending
+    lagrange: tuple[tuple[QuadValue, ...], ...] = ()  # exact: a_i per group
 
     def values(self) -> list[float | QuadValue]:
         return [g.value for g in self.groups]
@@ -105,6 +107,15 @@ def jacobi_eigendecompose(M: np.ndarray, tol: float = DEFAULT_TOL,
                           group_tol: float = DEFAULT_TOL,
                           max_sweeps: int = JACOBI_SWEEP_CAP) -> Eigensystem:
     """Cyclic Jacobi diagonalization of a symmetric matrix.
+
+    Each sweep visits the pairs p < q in row order.  A rotation updates rows p
+    and q together as one 2 x n product R @ A[p:q+1:q-p] (a strided view, so
+    adjacent and far pairs alike take no copy), R = [[c, -s], [s, c]], and
+    mirrors the result into columns p and q, so A stays exactly symmetric and
+    no second (column) rotation runs.  The 2 x 2 block is set exactly
+    (Rutishauser): a_pp - t a_pq and a_qq + t a_pq on the diagonal, 0 at
+    (p, q) and (q, p).  The eigenvectors accumulate as V[:, pq] @ R^T.
+    Scalars (t, c, s) are Python floats.
 
     Sweeps run until every off-diagonal magnitude is below machine level
     (which in particular satisfies the contract off < tol*||M||_F); if the cap
@@ -131,25 +142,26 @@ def jacobi_eigendecompose(M: np.ndarray, tol: float = DEFAULT_TOL,
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = A[p, q]
+                apq = float(A[p, q])
                 if abs(apq) < skip:
                     continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
+                app, aqq = float(A[p, p]), float(A[q, q])
+                theta = (aqq - app) / (2.0 * apq)
                 if theta == 0.0:
                     t = 1.0
                 else:
-                    t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-                c = 1.0 / np.hypot(t, 1.0)
+                    t = math.copysign(1.0, theta) / (abs(theta)
+                                                     + math.hypot(theta, 1.0))
+                c = 1.0 / math.hypot(t, 1.0)
                 s = t * c
-                rp, rq = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                cp, cq = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * cp - s * cq
-                A[:, q] = s * cp + c * cq
-                vp, vq = V[:, p].copy(), V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
+                R = np.array([[c, -s], [s, c]])
+                pq = slice(p, q + 1, q - p)  # rows p and q, a view
+                rows = R @ A[pq]
+                rows[0, p], rows[1, q] = app - t * apq, aqq + t * apq
+                rows[0, q] = rows[1, p] = 0.0
+                A[pq] = rows
+                A[:, pq] = rows.T
+                V[:, pq] = V[:, pq] @ R.T
     if not converged and np.max(np.abs(np.triu(A, 1))) >= tol * norm:
         raise NoConvergenceError(f"off-diagonal still >= {tol:g}*||M|| after "
                                  f"{max_sweeps} sweeps")
@@ -315,10 +327,12 @@ def exact_eigensystem(L: np.ndarray) -> Eigensystem:
     """Exact eigensystem of a four-eigenvalue integer Laplacian: QuadValue
     eigenvalues, multiplicities tr(P) = sum_j a_j tr(L^j) over Lagrange
     coefficients a_j.  It keeps the powers I, L, L^2, L^3 that projectors are
-    summed over, and the minimal polynomial mu that the projector algebra is
-    reduced by; L^4 is needed only for the minimal polynomial's check.  A
-    NonQuadraticEigenvaluesError it raises carries those powers, so that the
-    float delta table does not form L^2 again."""
+    summed over, the minimal polynomial mu that the projector algebra is
+    reduced by, and each eigenvalue's Lagrange coefficients (`lagrange`),
+    so that P_i = sum_j lagrange[i][j] L^j; L^4 is needed only for the
+    minimal polynomial's check.  A NonQuadraticEigenvaluesError it raises
+    carries those powers, so that the float delta table does not form L^2
+    again."""
     mu, powers = minimal_polynomial(L, max_degree=4)
     try:
         sigma = exact_eigenvalues(mu)
@@ -326,10 +340,11 @@ def exact_eigensystem(L: np.ndarray) -> Eigensystem:
         exc.powers = tuple(powers[:-1])
         raise
     traces = [sum(P.diagonal().tolist()) for P in powers[:-1]]  # Python ints
+    lagrange = tuple(tuple(lagrange_coefficients(sigma, i))
+                     for i in range(len(sigma)))
     groups = []
-    for i, lam in enumerate(sigma):
-        mult = sum((a * t for a, t in zip(lagrange_coefficients(sigma, i),
-                                          traces)), QuadValue(0))
+    for lam, coeffs in zip(sigma, lagrange):
+        mult = sum((a * t for a, t in zip(coeffs, traces)), QuadValue(0))
         if not mult.is_integer:
             raise InvariantViolationError(
                 f"projector trace {mult} of eigenvalue {lam} is not an integer")
@@ -339,7 +354,7 @@ def exact_eigensystem(L: np.ndarray) -> Eigensystem:
         raise InvariantViolationError(
             f"multiplicities sum to {total}, not n = {L.shape[0]}")
     return Eigensystem(L.shape[0], tuple(groups), "exact", tuple(powers[:-1]),
-                       tuple(mu))
+                       tuple(mu), lagrange)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-import mnhd.certify
 from mnhd.certify import (NOT_APPLICABLE, NUMERIC_ONLY, PROVEN,
                           REPORT_SCHEMA, _pair_classes, analyze,
                           certificate_bipartite, classify_pair,
@@ -239,22 +238,17 @@ def test_certificate_check_names_include_required_identities():
             "laplacian_reconstruction"} <= names
 
 
-def test_class_constancy_fails_without_the_projector_checks(monkeypatch):
-    # swapping the Lagrange polynomials of lam1 and lam2 that the certificate
-    # reads as P1 and P2 breaks L = sum sigma_i P_i, on which the proof that
-    # the signature fixes the Delta set rests; the pair classes' own
-    # three-value Lagrange polynomials are left as they are
+def test_class_constancy_fails_without_the_projector_checks():
+    # swapping the Lagrange polynomials of lam1 and lam2 that the eigensystem
+    # keeps and the certificate reads as P1 and P2 breaks L = sum sigma_i P_i,
+    # on which the proof that the signature fixes the Delta set rests; the
+    # pair classes' own three-value Lagrange polynomials are left as they are
     g = fano_incidence()
     es = exact_eigensystem(laplacian(g))
-    built = mnhd.certify.lagrange_coefficients
-
-    def swapped(sigma, i):
-        return built(sigma, {1: 2, 2: 1}.get(i, i) if len(sigma) == 4 else i)
-
-    for holds in (True, False):
-        if not holds:
-            monkeypatch.setattr(mnhd.certify, "lagrange_coefficients", swapped)
-        cert = certificate_bipartite(g, es)
+    a0, a1, a2, a3 = es.lagrange
+    for holds, lagrange in ((True, es.lagrange), (False, (a0, a2, a1, a3))):
+        cert = certificate_bipartite(g, dataclasses.replace(es,
+                                                            lagrange=lagrange))
         passed = {c.name: c.passed for c in cert.checks}
         assert passed["laplacian_reconstruction"] is holds
         assert passed["class_constancy_spot_check"] is holds

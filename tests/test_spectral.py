@@ -99,6 +99,61 @@ def test_jacobi_agrees_with_library_solver(builtins, numeric_systems):
         assert np.allclose(np.sort(mine), ref, atol=1e-9), name
 
 
+def _check_eigensolver_contract(M, multiplicities=None):
+    """jacobi_eigendecompose against eigvalsh: grouped values expanded by
+    multiplicity, multiplicities (given, or eigvalsh's own grouping), and an
+    orthonormal V with V diag(w) V^T = M."""
+    es = jacobi_eigendecompose(M)
+    ref = np.linalg.eigvalsh(M)
+    w = np.concatenate([[grp.value] * grp.multiplicity for grp in es.groups])
+    assert np.all(np.abs(w - ref) <= 1e-9 * np.maximum(1.0, np.abs(ref)))
+    if multiplicities is None:
+        multiplicities = [mult for _, mult in group_spectrum(ref)]
+    assert [grp.multiplicity for grp in es.groups] == list(multiplicities)
+    V = np.hstack([grp.vectors for grp in es.groups])
+    assert np.linalg.norm(V.T @ V - np.eye(len(M)), np.inf) < 1e-12
+    assert (np.linalg.norm(V * w @ V.T - M, np.inf)
+            < 1e-10 * np.linalg.norm(M, "fro"))
+
+
+@pytest.mark.parametrize("n, spectrum", [
+    (2, {-1.5: 1, 4.0: 1}),
+    (2, {3.0: 2}),
+    (3, {0.0: 1, 2.0: 2}),
+    (12, {-3.0: 2, 0.0: 1, 1.0: 5, 7.5: 4}),
+    (40, {-2.0: 7, 0.5: 1, 3.0: 20, 11.0: 12}),
+])
+def test_jacobi_contract_on_random_orthogonal_conjugates(n, spectrum):
+    # Q diag(w) Q^T with a seeded random orthogonal Q and repeated values in w
+    rng = np.random.default_rng(n + len(spectrum))
+    w = np.repeat(list(spectrum), list(spectrum.values()))
+    assert len(w) == n
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    M = Q * w @ Q.T
+    _check_eigensolver_contract((M + M.T) / 2, spectrum.values())
+
+
+def test_jacobi_contract_on_arrowhead_matrices():
+    # nonzero off-diagonals only in row and column 0, so the first sweep
+    # rotates the far pairs (0, q), stride q, up to (0, n - 1); repeated
+    # diagonal entries d leave d an eigenvalue of multiplicity count - 1
+    rng = np.random.default_rng(7)
+    for d in ([0.0, 1.0, 1.0, 1.0, 2.0, 2.0, 5.0], list(range(30))):
+        n = len(d)
+        M = np.diag(np.asarray(d, dtype=float))
+        M[0, 1:] = M[1:, 0] = rng.uniform(0.5, 2.0, n - 1)
+        _check_eigensolver_contract(M)
+
+
+def test_jacobi_contract_on_relabeled_laplacians(random_gnp):
+    rng = np.random.default_rng(3)
+    for L, multiplicities in ((laplacian(crown(50)), [1, 49, 49, 1]),
+                              (laplacian(random_gnp(100, 5)), None)):
+        perm = rng.permutation(len(L))
+        _check_eigensolver_contract(L[np.ix_(perm, perm)].astype(float),
+                                    multiplicities)
+
+
 def test_numeric_projector_identities(builtins, numeric_systems):
     for name, g in builtins.items():
         L = laplacian(g)
@@ -294,6 +349,17 @@ def test_exact_eigensystem_keeps_one_power_per_eigenvalue(builtins,
         for P in es.powers:
             assert np.array_equal(np.asarray(P, dtype=object), expected), name
             expected = expected @ np.asarray(L, dtype=object)
+
+
+def test_exact_eigensystem_keeps_the_lagrange_coefficients(exact_systems):
+    # the four coefficient lists the multiplicities were summed from, one per
+    # eigenvalue in group order, for the bipartite certificate to read
+    systems = {name: es for name, es in exact_systems.items() if es is not None}
+    for name, es in systems.items():
+        sigma = es.values()
+        assert es.lagrange == tuple(tuple(lagrange_coefficients(sigma, i))
+                                    for i in range(len(sigma))), name
+    assert jacobi_eigendecompose(np.eye(2)).lagrange == ()
 
 
 # -- projectors --------------------------------------------------------------
