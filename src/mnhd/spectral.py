@@ -1,9 +1,10 @@
 """Eigendecomposition of symmetric integer matrices: numerically (a
-pure-Python cyclic Jacobi, one 2 x n rotation of rows p and q per pair, no
-LAPACK), exactly (minimal polynomial; multiplicities from Lagrange
-coefficients and traces of powers of L), spectrum grouping, Lagrange and
-closed-form projectors, and the three-case classification of regular
-four-eigenvalue spectra.  `analyze` builds no projector matrix: the exact
+pure-Python cyclic Jacobi, no LAPACK, on one n x 2n working array [A | V^T],
+so each pair is one 2 x 2n rotation of rows p and q of A and of V^T),
+exactly (minimal polynomial; multiplicities from Lagrange coefficients and
+traces of powers of L), spectrum grouping, Lagrange and closed-form
+projectors, and the three-case classification of regular four-eigenvalue
+spectra.  `analyze` builds no projector matrix: the exact
 routes read projector entries off Lagrange coefficients and check the
 projector algebra modulo the minimal polynomial.  `lagrange_projector` and
 `closed_form_projectors` remain as the matrix oracle that tests compare
@@ -21,10 +22,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (AmbiguousGapError, DegenerateParamsError,
-                     InvariantViolationError, NoCaseMatchesError,
-                     NoConvergenceError, NonQuadraticEigenvaluesError,
-                     NonSymmetricError, NotFourEigenvaluesError,
-                     RepeatedEigenvalueError)
+                     InvalidParameterError, InvariantViolationError,
+                     NoCaseMatchesError, NoConvergenceError,
+                     NonQuadraticEigenvaluesError, NonSymmetricError,
+                     NotFourEigenvaluesError, RepeatedEigenvalueError)
 from .quadratic import (QuadMatrix, QuadValue, int_combination, int_inner,
                         int_matmul, quad_combination)
 
@@ -108,31 +109,37 @@ def jacobi_eigendecompose(M: np.ndarray, tol: float = DEFAULT_TOL,
                           max_sweeps: int = JACOBI_SWEEP_CAP) -> Eigensystem:
     """Cyclic Jacobi diagonalization of a symmetric matrix.
 
-    Each sweep visits the pairs p < q in row order.  A rotation updates rows p
-    and q together as one 2 x n product R @ A[p:q+1:q-p] (a strided view, so
-    adjacent and far pairs alike take no copy), R = [[c, -s], [s, c]], and
-    mirrors the result into columns p and q, so A stays exactly symmetric and
-    no second (column) rotation runs.  The 2 x 2 block is set exactly
-    (Rutishauser): a_pp - t a_pq and a_qq + t a_pq on the diagonal, 0 at
-    (p, q) and (q, p).  The eigenvectors accumulate as V[:, pq] @ R^T.
-    Scalars (t, c, s) are Python floats.
+    The rotations work on one n x 2n array W = [A | V^T], V^T starting as I.
+    Each sweep visits the pairs p < q in row order.  A rotation is one
+    2 x 2n product R @ W[p:q+1:q-p] (a strided view, so adjacent and far
+    pairs alike take no copy), R = [[c, -s], [s, c]], which rotates rows p
+    and q of A and eigenvector columns p and q (rows of V^T) together.  The
+    2 x 2 block is set exactly (Rutishauser): a_pp - t a_pq and a_qq + t a_pq
+    on the diagonal, 0 at (p, q) and (q, p).  The A half is mirrored into
+    columns p and q, so A stays exactly symmetric and no second (column)
+    rotation runs.  Scalars (t, c, s) are Python floats.
 
     Sweeps run until every off-diagonal magnitude is below machine level
     (which in particular satisfies the contract off < tol*||M||_F); if the cap
     is hit first and the contract is unmet, NoConvergenceError is raised.
-    Eigenvalues are grouped with group_spectrum; each group keeps its block
-    of columns of the sorted eigenvector matrix (a view, so the system holds
-    n^2 floats of eigenvectors whatever the number of groups).
+    Eigenvalues are grouped with group_spectrum; each group keeps a view of
+    its block of columns of the sorted eigenvector matrix, an n x n copy
+    taken out of W, so the system holds n^2 floats of eigenvectors whatever
+    the number of groups and no group keeps W alive.  A matrix that is not
+    square or not symmetric raises NonSymmetricError; one with a NaN or
+    infinite entry raises InvalidParameterError before any sweep.
     """
     M = np.asarray(M, dtype=np.float64)
     n = M.shape[0]
     if M.shape != (n, n):
         raise NonSymmetricError("matrix is not square")
+    if not np.isfinite(M).all():
+        raise InvalidParameterError("matrix has an entry that is not finite")
     norm = float(np.linalg.norm(M, "fro")) or 1.0
     if np.max(np.abs(M - M.T)) > tol * norm:
         raise NonSymmetricError("matrix is not symmetric within tolerance")
-    A = M.copy()
-    V = np.eye(n)
+    W = np.hstack([M, np.eye(n)])  # [A | V^T]
+    A = W[:, :n]
     target = max(1e-15 * norm, 1e-300)
     skip = target / max(n * n, 1)
     converged = False
@@ -156,19 +163,18 @@ def jacobi_eigendecompose(M: np.ndarray, tol: float = DEFAULT_TOL,
                 s = t * c
                 R = np.array([[c, -s], [s, c]])
                 pq = slice(p, q + 1, q - p)  # rows p and q, a view
-                rows = R @ A[pq]
+                rows = R @ W[pq]
                 rows[0, p], rows[1, q] = app - t * apq, aqq + t * apq
                 rows[0, q] = rows[1, p] = 0.0
-                A[pq] = rows
-                A[:, pq] = rows.T
-                V[:, pq] = V[:, pq] @ R.T
+                W[pq] = rows
+                A[:, pq] = rows[:, :n].T
     if not converged and np.max(np.abs(np.triu(A, 1))) >= tol * norm:
         raise NoConvergenceError(f"off-diagonal still >= {tol:g}*||M|| after "
                                  f"{max_sweeps} sweeps")
     eigenvalues = np.diag(A).copy()
     order = np.argsort(eigenvalues)
     eigenvalues = eigenvalues[order]
-    V = V[:, order]
+    V = W[:, n:].T[:, order]  # a copy, so no group keeps W alive
     groups = []
     start = 0
     for value, mult in group_spectrum(list(eigenvalues), group_tol):

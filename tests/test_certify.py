@@ -477,20 +477,14 @@ def _full_table_numeric_check(g, es, tol=1e-9):
     return fields, diffs, grid
 
 
-def _gnp(n, seed, p=0.2):
-    rng = np.random.default_rng(seed)
-    return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
-                           if rng.random() < p])
-
-
 def test_streamed_numeric_check_matches_full_table(builtins, numeric_systems,
-                                                   crown50_system):
+                                                   crown50_system, random_gnp):
     cases = [(name, g, numeric_systems[name]) for name, g in builtins.items()]
     cases.append(("crown-50", *crown50_system))
     for k in (20, 30):
         cases.append((f"crown-{k}", crown(k), None))
-    for n, seed in ((8, 1), (12, 2), (20, 3), (40, 4), (100, 5)):
-        cases.append((f"gnp-{n}", _gnp(n, seed), None))
+    for n in (8, 12, 20, 40, 100):
+        cases.append((f"gnp-{n}", random_gnp(n, n), None))
     for name, g, es in cases:
         if es is None:
             es = jacobi_eigendecompose(laplacian(g))

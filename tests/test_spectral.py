@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from mnhd.errors import (AmbiguousGapError, DegenerateParamsError,
-                         NoCaseMatchesError, NonQuadraticEigenvaluesError,
-                         NonSymmetricError, NotFourEigenvaluesError,
+                         InvalidParameterError, NoCaseMatchesError,
+                         NonQuadraticEigenvaluesError, NonSymmetricError,
+                         NotFourEigenvaluesError,
                          NumericEigensystemRequiredError,
                          RepeatedEigenvalueError)
 from mnhd.designs import catalog
@@ -90,6 +91,16 @@ def test_jacobi_rejects_nonsymmetric():
         jacobi_eigendecompose(np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_jacobi_rejects_non_finite_entries(bad):
+    # unchecked, a NaN fails in the rotation with a bare ZeroDivisionError,
+    # and an infinite diagonal comes back as the eigenvalue inf, twice
+    for M in ([[bad, 1.0], [1.0, 1.0]], [[1.0, bad], [bad, 1.0]]):
+        with pytest.raises(InvalidParameterError):
+            jacobi_eigendecompose(np.array(M))
+
+
 def test_jacobi_agrees_with_library_solver(builtins, numeric_systems):
     for name, g in builtins.items():
         es = numeric_systems[name]
@@ -99,11 +110,21 @@ def test_jacobi_agrees_with_library_solver(builtins, numeric_systems):
         assert np.allclose(np.sort(mine), ref, atol=1e-9), name
 
 
+def _root(a):
+    """The array that owns a's memory."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
 def _check_eigensolver_contract(M, multiplicities=None):
     """jacobi_eigendecompose against eigvalsh: grouped values expanded by
-    multiplicity, multiplicities (given, or eigvalsh's own grouping), and an
-    orthonormal V with V diag(w) V^T = M."""
+    multiplicity, multiplicities (given, or eigvalsh's own grouping), an
+    orthonormal V with V diag(w) V^T = M, and every group's vectors a view of
+    one n x n array (not of the n x 2n array the rotations work on)."""
     es = jacobi_eigendecompose(M)
+    roots = {id(r): r for r in (_root(grp.vectors) for grp in es.groups)}
+    assert [r.shape for r in roots.values()] == [M.shape]
     ref = np.linalg.eigvalsh(M)
     w = np.concatenate([[grp.value] * grp.multiplicity for grp in es.groups])
     assert np.all(np.abs(w - ref) <= 1e-9 * np.maximum(1.0, np.abs(ref)))
