@@ -1,6 +1,7 @@
 """Eigendecomposition of symmetric integer matrices: numerically (a
 pure-Python cyclic Jacobi, no LAPACK, on one n x 2n working array [A | V^T],
-so each pair is one 2 x 2n rotation of rows p and q of A and of V^T),
+so each pair is one 2 x 2n rotation of rows p and q of A and of V^T,
+written into a buffer allocated once per call),
 exactly (minimal polynomial; multiplicities from Lagrange coefficients and
 traces of powers of L), spectrum grouping, Lagrange and closed-form
 projectors, and the three-case classification of regular four-eigenvalue
@@ -117,7 +118,13 @@ def jacobi_eigendecompose(M: np.ndarray, tol: float = DEFAULT_TOL,
     2 x 2 block is set exactly (Rutishauser): a_pp - t a_pq and a_qq + t a_pq
     on the diagonal, 0 at (p, q) and (q, p).  The A half is mirrored into
     columns p and q, so A stays exactly symmetric and no second (column)
-    rotation runs.  Scalars (t, c, s) are Python floats.
+    rotation runs.  Scalars are Python floats: a_pq, a_pp and a_qq are read
+    with `ndarray.item`, and t, c and s are computed from them.  R, the
+    2 x 2n product buffer and the transposed view of its A half are
+    allocated once per call: each rotation writes c and s into R and the
+    product into the buffer (`np.matmul` with `out=`), so a rotation
+    allocates no array data (W[p:q+1:q-p] is a view).  The buffer never
+    aliases M, which is left unchanged.
 
     Sweeps run until every off-diagonal magnitude is below machine level
     (which in particular satisfies the contract off < tol*||M||_F); if the cap
@@ -126,13 +133,16 @@ def jacobi_eigendecompose(M: np.ndarray, tol: float = DEFAULT_TOL,
     its block of columns of the sorted eigenvector matrix, an n x n copy
     taken out of W, so the system holds n^2 floats of eigenvectors whatever
     the number of groups and no group keeps W alive.  A matrix that is not
-    square or not symmetric raises NonSymmetricError; one with a NaN or
-    infinite entry raises InvalidParameterError before any sweep.
+    square or not symmetric raises NonSymmetricError; an empty one, or one
+    with a NaN or infinite entry, raises InvalidParameterError before any
+    sweep.
     """
     M = np.asarray(M, dtype=np.float64)
     n = M.shape[0]
     if M.shape != (n, n):
         raise NonSymmetricError("matrix is not square")
+    if n == 0:
+        raise InvalidParameterError("matrix is empty")
     if not np.isfinite(M).all():
         raise InvalidParameterError("matrix has an entry that is not finite")
     norm = float(np.linalg.norm(M, "fro")) or 1.0
@@ -140,8 +150,11 @@ def jacobi_eigendecompose(M: np.ndarray, tol: float = DEFAULT_TOL,
         raise NonSymmetricError("matrix is not symmetric within tolerance")
     W = np.hstack([M, np.eye(n)])  # [A | V^T]
     A = W[:, :n]
+    R = np.empty((2, 2))
+    buf = np.empty((2, 2 * n))  # R @ W[pq], rows p and q after the rotation
+    buf_a_t = buf[:, :n].T  # its A half, as the columns p and q
     target = max(1e-15 * norm, 1e-300)
-    skip = target / max(n * n, 1)
+    skip = target / (n * n)
     converged = False
     for _ in range(max_sweeps):
         if np.max(np.abs(np.triu(A, 1))) < target:
@@ -149,10 +162,10 @@ def jacobi_eigendecompose(M: np.ndarray, tol: float = DEFAULT_TOL,
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = float(A[p, q])
+                apq = W.item(p, q)
                 if abs(apq) < skip:
                     continue
-                app, aqq = float(A[p, p]), float(A[q, q])
+                app, aqq = W.item(p, p), W.item(q, q)
                 theta = (aqq - app) / (2.0 * apq)
                 if theta == 0.0:
                     t = 1.0
@@ -161,13 +174,14 @@ def jacobi_eigendecompose(M: np.ndarray, tol: float = DEFAULT_TOL,
                                                      + math.hypot(theta, 1.0))
                 c = 1.0 / math.hypot(t, 1.0)
                 s = t * c
-                R = np.array([[c, -s], [s, c]])
+                R[0, 0] = R[1, 1] = c
+                R[0, 1], R[1, 0] = -s, s
                 pq = slice(p, q + 1, q - p)  # rows p and q, a view
-                rows = R @ W[pq]
-                rows[0, p], rows[1, q] = app - t * apq, aqq + t * apq
-                rows[0, q] = rows[1, p] = 0.0
-                W[pq] = rows
-                A[:, pq] = rows[:, :n].T
+                np.matmul(R, W[pq], out=buf)
+                buf[0, p], buf[1, q] = app - t * apq, aqq + t * apq
+                buf[0, q] = buf[1, p] = 0.0
+                W[pq] = buf
+                A[:, pq] = buf_a_t
     if not converged and np.max(np.abs(np.triu(A, 1))) >= tol * norm:
         raise NoConvergenceError(f"off-diagonal still >= {tol:g}*||M|| after "
                                  f"{max_sweeps} sweeps")

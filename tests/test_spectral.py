@@ -101,6 +101,27 @@ def test_jacobi_rejects_non_finite_entries(bad):
             jacobi_eigendecompose(np.array(M))
 
 
+def test_jacobi_rejects_empty_matrix():
+    # unchecked, the convergence test's max over the empty triangle raises
+    # numpy's bare ValueError
+    with pytest.raises(InvalidParameterError):
+        jacobi_eigendecompose(np.zeros((0, 0)))
+
+
+def test_jacobi_leaves_input_unchanged_and_repeats_exactly():
+    # np.asarray passes a float64 matrix through uncopied, so a rotation
+    # buffer that aliased it would rewrite the caller's matrix silently
+    perm = np.random.default_rng(10).permutation(20)
+    M = laplacian(crown(10))[np.ix_(perm, perm)].astype(np.float64)
+    before = M.copy()
+    first, second = jacobi_eigendecompose(M), jacobi_eigendecompose(M)
+    assert np.array_equal(M, before)
+    assert ([(grp.value, grp.multiplicity) for grp in first.groups]
+            == [(grp.value, grp.multiplicity) for grp in second.groups])
+    for a, b in zip(first.groups, second.groups):
+        assert np.array_equal(a.vectors, b.vectors)
+
+
 def test_jacobi_agrees_with_library_solver(builtins, numeric_systems):
     for name, g in builtins.items():
         es = numeric_systems[name]
