@@ -72,7 +72,10 @@ class ShortGridError(MnhdError, ValueError):
 class InvalidParameterError(MnhdError, ValueError):
     """A numeric argument outside its domain: a time that is not finite, a
     time grid that is not strictly increasing, a tolerance that is negative
-    or not finite, or fewer than one grid point."""
+    or not finite, fewer than one grid point, an empty matrix or one with an
+    entry that is not finite, an eigenvalue list for `group_spectrum` that
+    is not sorted, or a negative radicand for `square_free_split` (which
+    `QuadValue(0, 1, -3)` reaches)."""
 
 
 class UnknownSignatureError(MnhdError):

@@ -1,5 +1,5 @@
 """Heat kernels H_t = exp(-tL) = V diag(exp(-t*lambda)) V^T, evaluated by
-`heat_slices` from the eigenvectors of the numeric eigensystem one n x n
+`heat_slices` from the eigenvector matrix of the numeric eigensystem one n x n
 slice per time step (`heat_stack` stacks them), the normalized ratio r_t(u,v) =
 H_t(u,v)/H_t(u,u) (`ratio_curve`), the derivative-sign function
 
@@ -35,12 +35,12 @@ from .spectral import Eigensystem, FourSpectrum
 
 def heat_slices(es: Eigensystem, grid: Sequence[float]) -> Iterator[np.ndarray]:
     """H_t = V diag(exp(-t*w)) V^T for each t in grid, yielded one n x n slice
-    at a time, from the eigenvector columns V of a numeric eigensystem and
-    each column's group value w; at t = 0 the slice is the identity exactly.
-    Working memory is a few n x n matrices whatever the number of distinct
-    eigenvalues.  The eigensystem and the grid (finite, nonnegative times)
-    are checked, and V is assembled, when this is called, before the first
-    slice is asked for; an exact eigensystem raises
+    at a time, from the eigenvector matrix V of a numeric eigensystem (its
+    `vectors`, read in place) and each column's group value w; at t = 0 the
+    slice is the identity exactly.  Working memory is a few n x n matrices
+    whatever the number of distinct eigenvalues.  The eigensystem and the
+    grid (finite, nonnegative times) are checked when this is called, before
+    the first slice is asked for; an exact eigensystem raises
     NumericEigensystemRequiredError."""
     if es.mode != "numeric":
         raise NumericEigensystemRequiredError(
@@ -50,7 +50,7 @@ def heat_slices(es: Eigensystem, grid: Sequence[float]) -> Iterator[np.ndarray]:
         raise NegativeTimeError("grid contains negative times")
     if not np.isfinite(grid).all():
         raise InvalidParameterError("grid contains times that are not finite")
-    V = np.hstack([g.vectors for g in es.groups])
+    V = es.vectors
     w = np.repeat([g.value for g in es.groups],
                   [g.multiplicity for g in es.groups])
 

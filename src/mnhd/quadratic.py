@@ -29,7 +29,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import MixedRadicandsError
+from .errors import InvalidParameterError, MixedRadicandsError
 
 RationalLike = Union[int, Fraction]
 _ZERO = Fraction(0)
@@ -38,7 +38,7 @@ _ZERO = Fraction(0)
 def square_free_split(k: int) -> tuple[int, int]:
     """Return (s, m) with k = s*s*m and m square-free.  Requires k >= 0."""
     if k < 0:
-        raise ValueError("radicand must be nonnegative")
+        raise InvalidParameterError("radicand must be nonnegative")
     if k in (0, 1):
         return 1, k
     s, m, p = 1, k, 2

@@ -1,7 +1,8 @@
 """Eigendecomposition of symmetric integer matrices: numerically (a
 pure-Python cyclic Jacobi, no LAPACK, on one n x 2n working array [A | V^T],
 so each pair is one 2 x 2n rotation of rows p and q of A and of V^T,
-written into a buffer allocated once per call),
+written into a buffer allocated once per call; the numeric `Eigensystem`
+carries one n x n eigenvector matrix, its columns in group order),
 exactly (minimal polynomial; multiplicities from Lagrange coefficients and
 traces of powers of L), spectrum grouping, Lagrange and closed-form
 projectors, and the three-case classification of regular four-eigenvalue
@@ -38,15 +39,16 @@ JACOBI_SWEEP_CAP = 100
 # numeric path
 
 
-def group_spectrum(raw: Sequence[float], tol: float = DEFAULT_TOL) -> list[tuple[float, int]]:
+def group_spectrum(raw: Sequence[float]) -> list[tuple[float, int]]:
     """Greedily cluster a sorted eigenvalue list into distinct values with
-    multiplicities.  Consecutive values within tol*max(1, |value|) merge; the
-    representative is the cluster mean.  A gap falling strictly between that
-    threshold and 10x of it raises AmbiguousGapError.
+    multiplicities.  Consecutive values within DEFAULT_TOL*max(1, |value|)
+    merge; the representative is the cluster mean.  A gap falling strictly
+    between that threshold and 10x of it raises AmbiguousGapError; an
+    unsorted list raises InvalidParameterError.
     """
     values = list(raw)
     if values != sorted(values):
-        raise ValueError("eigenvalue list must be sorted")
+        raise InvalidParameterError("eigenvalue list must be sorted")
     groups: list[tuple[float, int]] = []
     cluster: list[float] = []
     for x in values:
@@ -54,7 +56,7 @@ def group_spectrum(raw: Sequence[float], tol: float = DEFAULT_TOL) -> list[tuple
             cluster = [x]
             continue
         gap = x - cluster[-1]
-        scale = tol * max(1.0, abs(x))
+        scale = DEFAULT_TOL * max(1.0, abs(x))
         if gap <= scale:
             cluster.append(x)
         elif gap < 10.0 * scale:
@@ -70,31 +72,30 @@ def group_spectrum(raw: Sequence[float], tol: float = DEFAULT_TOL) -> list[tuple
 
 @dataclass(frozen=True)
 class EigenGroup:
-    """An exact eigenvalue and its multiplicity (the projector's trace)."""
+    """An eigenvalue and its multiplicity: exact (a QuadValue, the trace of
+    its projector) or numeric (a float, a `group_spectrum` cluster mean)."""
 
-    value: QuadValue
+    value: QuadValue | float
     multiplicity: int
-
-
-@dataclass(frozen=True)
-class NumericEigenGroup:
-    """A float eigenvalue (a `group_spectrum` cluster mean), its multiplicity
-    and an orthonormal basis of its eigenspace as the columns of `vectors`
-    (n x multiplicity)."""
-
-    value: float
-    multiplicity: int
-    vectors: np.ndarray
 
 
 @dataclass(frozen=True)
 class Eigensystem:
+    """The distinct eigenvalues of an n x n symmetric matrix, ascending, as
+    `groups`.  Both modes fill n, groups and mode ("numeric" or "exact").
+    Exact mode also fills `powers` (I, L, ..., L^(k-1) for k groups), `mu`
+    (the minimal polynomial of L, ascending) and `lagrange` (each group's
+    Lagrange coefficients).  Numeric mode fills only `vectors`: the n x n
+    orthonormal eigenvector matrix V, its columns in group order (the first
+    multiplicity columns span the first group's eigenspace, and so on)."""
+
     n: int
-    groups: tuple[EigenGroup, ...] | tuple[NumericEigenGroup, ...]
-    mode: str  # "numeric" or "exact"
-    powers: tuple[np.ndarray, ...] = ()  # exact: I, L, ..., L^(k-1), k groups
-    mu: tuple[int, ...] = ()  # exact: minimal polynomial of L, ascending
-    lagrange: tuple[tuple[QuadValue, ...], ...] = ()  # exact: a_i per group
+    groups: tuple[EigenGroup, ...]
+    mode: str
+    powers: tuple[np.ndarray, ...] = ()
+    mu: tuple[int, ...] = ()
+    lagrange: tuple[tuple[QuadValue, ...], ...] = ()
+    vectors: np.ndarray | None = None
 
     def values(self) -> list[float | QuadValue]:
         return [g.value for g in self.groups]
@@ -105,9 +106,7 @@ class Eigensystem:
                    default=float("inf"))
 
 
-def jacobi_eigendecompose(M: np.ndarray, tol: float = DEFAULT_TOL,
-                          group_tol: float = DEFAULT_TOL,
-                          max_sweeps: int = JACOBI_SWEEP_CAP) -> Eigensystem:
+def jacobi_eigendecompose(M: np.ndarray) -> Eigensystem:
     """Cyclic Jacobi diagonalization of a symmetric matrix.
 
     The rotations work on one n x 2n array W = [A | V^T], V^T starting as I.
@@ -127,14 +126,14 @@ def jacobi_eigendecompose(M: np.ndarray, tol: float = DEFAULT_TOL,
     aliases M, which is left unchanged.
 
     Sweeps run until every off-diagonal magnitude is below machine level
-    (which in particular satisfies the contract off < tol*||M||_F); if the cap
-    is hit first and the contract is unmet, NoConvergenceError is raised.
-    Eigenvalues are grouped with group_spectrum; each group keeps a view of
-    its block of columns of the sorted eigenvector matrix, an n x n copy
-    taken out of W, so the system holds n^2 floats of eigenvectors whatever
-    the number of groups and no group keeps W alive.  A matrix that is not
-    square or not symmetric raises NonSymmetricError; an empty one, or one
-    with a NaN or infinite entry, raises InvalidParameterError before any
+    (which in particular satisfies the contract off < DEFAULT_TOL*||M||_F);
+    if JACOBI_SWEEP_CAP sweeps run first and the contract is unmet,
+    NoConvergenceError is raised.  Eigenvalues are grouped with
+    group_spectrum.  The system's `vectors` is the sorted eigenvector matrix,
+    an n x n copy taken out of W, so it holds n^2 floats of eigenvectors
+    whatever the number of groups and does not keep W alive.  A matrix that
+    is not square or not symmetric raises NonSymmetricError; an empty one, or
+    one with a NaN or infinite entry, raises InvalidParameterError before any
     sweep.
     """
     M = np.asarray(M, dtype=np.float64)
@@ -146,7 +145,7 @@ def jacobi_eigendecompose(M: np.ndarray, tol: float = DEFAULT_TOL,
     if not np.isfinite(M).all():
         raise InvalidParameterError("matrix has an entry that is not finite")
     norm = float(np.linalg.norm(M, "fro")) or 1.0
-    if np.max(np.abs(M - M.T)) > tol * norm:
+    if np.max(np.abs(M - M.T)) > DEFAULT_TOL * norm:
         raise NonSymmetricError("matrix is not symmetric within tolerance")
     W = np.hstack([M, np.eye(n)])  # [A | V^T]
     A = W[:, :n]
@@ -156,7 +155,7 @@ def jacobi_eigendecompose(M: np.ndarray, tol: float = DEFAULT_TOL,
     target = max(1e-15 * norm, 1e-300)
     skip = target / (n * n)
     converged = False
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_SWEEP_CAP):
         if np.max(np.abs(np.triu(A, 1))) < target:
             converged = True
             break
@@ -182,19 +181,14 @@ def jacobi_eigendecompose(M: np.ndarray, tol: float = DEFAULT_TOL,
                 buf[0, q] = buf[1, p] = 0.0
                 W[pq] = buf
                 A[:, pq] = buf_a_t
-    if not converged and np.max(np.abs(np.triu(A, 1))) >= tol * norm:
-        raise NoConvergenceError(f"off-diagonal still >= {tol:g}*||M|| after "
-                                 f"{max_sweeps} sweeps")
-    eigenvalues = np.diag(A).copy()
-    order = np.argsort(eigenvalues)
-    eigenvalues = eigenvalues[order]
-    V = W[:, n:].T[:, order]  # a copy, so no group keeps W alive
-    groups = []
-    start = 0
-    for value, mult in group_spectrum(list(eigenvalues), group_tol):
-        groups.append(NumericEigenGroup(value, mult, V[:, start:start + mult]))
-        start += mult
-    return Eigensystem(n, tuple(groups), "numeric")
+    if not converged and np.max(np.abs(np.triu(A, 1))) >= DEFAULT_TOL * norm:
+        raise NoConvergenceError(f"off-diagonal still >= {DEFAULT_TOL:g}*||M|| "
+                                 f"after {JACOBI_SWEEP_CAP} sweeps")
+    order = np.argsort(np.diag(A))
+    groups = tuple(EigenGroup(value, mult)
+                   for value, mult in group_spectrum(list(np.diag(A)[order])))
+    return Eigensystem(n, groups, "numeric",
+                       vectors=W[:, n:].T[:, order])  # a copy, not a view of W
 
 
 # ---------------------------------------------------------------------------

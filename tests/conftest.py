@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from mnhd.certify import analyze
@@ -74,6 +75,17 @@ def reports(builtins):
 def crown50_system():
     g = crown(50)
     return g, jacobi_eigendecompose(laplacian(g))
+
+
+@pytest.fixture(scope="session")
+def group_projectors():
+    """A function giving the float projectors X X^T of a numeric
+    eigensystem, one per group, X the group's block of columns of
+    es.vectors (split by cumulative multiplicity)."""
+    def project(es):
+        ends = np.cumsum([grp.multiplicity for grp in es.groups])
+        return [X @ X.T for X in np.split(es.vectors, ends[:-1], axis=1)]
+    return project
 
 
 @pytest.fixture(scope="session")

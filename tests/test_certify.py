@@ -140,7 +140,7 @@ def test_pair_classes_match_every_pair_delta_sets(builtins, exact_systems,
 @pytest.mark.parametrize("g", [cycle(7), _circulant(13, {1, 5, 8, 12}),
                                _circulant(13, {2, 3, 4, 6, 7, 9, 10, 11})],
                          ids=["cycle-7", "circulant-13", "circulant-13-bar"])
-def test_numeric_delta_table_rows_hold_for_every_pair(g):
+def test_numeric_delta_table_rows_hold_for_every_pair(g, group_projectors):
     # cubic eigenvalues: there is no exact eigensystem, and analyze's float
     # table, computed from each class's signature and the cluster means,
     # gives every pair the DeltaSet of its eigenvector projectors V V^T
@@ -155,7 +155,7 @@ def test_numeric_delta_table_rows_hold_for_every_pair(g):
     L2 = L @ L
     es = jacobi_eigendecompose(L)
     rows = {row.signature: row for row in cert.classes}
-    projectors = [grp.vectors @ grp.vectors.T for grp in es.groups[1:]]
+    projectors = group_projectors(es)[1:]
     for u in range(g.n):
         for v in range(g.n):
             if u != v:

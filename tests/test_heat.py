@@ -17,7 +17,7 @@ from mnhd.heat import (DeltaSet, default_time_grid, delta_set, h_function,
                        h_rate, h_terms_exact, h_terms_from_eigensystem,
                        heat_slices, heat_stack, ratio_curve, write_curve_csv)
 from mnhd.quadratic import QuadValue
-from mnhd.spectral import (Eigensystem, FourSpectrum, NumericEigenGroup,
+from mnhd.spectral import (EigenGroup, Eigensystem, FourSpectrum,
                            exact_eigensystem, jacobi_eigendecompose,
                            lagrange_projector)
 
@@ -53,20 +53,20 @@ def test_heat_long_time_limit():
     assert np.max(np.abs(H - 1 / 10)) < 1e-12
 
 
-def _projector_sum_stack(es, grid):
+def _projector_sum_stack(es, grid, projs):
     """H_t = sum_lambda exp(-t*lambda) P_lambda with one stored n x n
     projector per distinct eigenvalue: the formula `heat_slices` used before
     it kept the eigenvectors, kept as its reference."""
     values = np.array([float(grp.value) for grp in es.groups])
-    projs = np.stack([grp.vectors @ grp.vectors.T
-                      for grp in es.groups])  # (k, n, n)
+    projs = np.stack(projs)  # (k, n, n)
     return np.stack([np.eye(es.n) if t == 0
                      else np.einsum("k,kij->ij", np.exp(-t * values), projs)
                      for t in grid])
 
 
 def test_heat_slices_match_projector_sum(builtins, numeric_systems,
-                                        crown50_system, random_gnp):
+                                        crown50_system, random_gnp,
+                                        group_projectors):
     cases = [(name, numeric_systems[name]) for name in builtins]
     cases += [(f"crown-{k}", _es(crown(k))) for k in (20, 30)]
     cases.append(("crown-50", crown50_system[1]))
@@ -75,7 +75,8 @@ def test_heat_slices_match_projector_sum(builtins, numeric_systems,
         grid = default_time_grid(es)
         H = heat_stack(es, grid)
         assert np.array_equal(H[0], np.eye(es.n)), name
-        assert np.max(np.abs(H - _projector_sum_stack(es, grid))) < 1e-12, name
+        ref = _projector_sum_stack(es, grid, group_projectors(es))
+        assert np.max(np.abs(H - ref)) < 1e-12, name
 
 
 def test_heat_rejects_negative_time():
@@ -133,7 +134,7 @@ def test_ratio_curve_rejects_diagonal_below_one_over_n():
     # one eigenvector x with x_0^2 = 0.1 gives H_t(0,0) = 0.1 e^{-t} < 1/2
     # for t > 0: no Laplacian has this eigensystem
     x = np.array([[np.sqrt(0.1)], [np.sqrt(0.9)]])
-    es = Eigensystem(2, (NumericEigenGroup(1.0, 1, x),), "numeric")
+    es = Eigensystem(2, (EigenGroup(1.0, 1),), "numeric", vectors=x)
     assert ratio_curve(es, 0, 1, [0.0]) == [(0.0, 0.0)]
     with pytest.raises(InvariantViolationError):
         ratio_curve(es, 0, 1, [0.0, 1.0])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mnhd.errors import MixedRadicandsError
+from mnhd.errors import InvalidParameterError, MixedRadicandsError
 from mnhd.quadratic import (QuadMatrix, QuadValue, int_combination,
                             poly_mul_mod, quad_combination, square_free_split)
 
@@ -22,7 +22,7 @@ def test_square_free_split():
     assert square_free_split(8) == (2, 2)
     assert square_free_split(45) == (3, 5)
     assert square_free_split(7) == (1, 7)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameterError):
         square_free_split(-1)
 
 

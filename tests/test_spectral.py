@@ -8,8 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mnhd.spectral
 from mnhd.errors import (AmbiguousGapError, DegenerateParamsError,
                          InvalidParameterError, NoCaseMatchesError,
+                         NoConvergenceError,
                          NonQuadraticEigenvaluesError, NonSymmetricError,
                          NotFourEigenvaluesError,
                          NumericEigensystemRequiredError,
@@ -37,16 +39,16 @@ def test_group_all_equal():
 
 
 def test_group_below_tolerance():
-    assert group_spectrum([0.0, 1e-12], tol=1e-9) == [(5e-13, 2)]
+    assert group_spectrum([0.0, 1e-12]) == [(5e-13, 2)]
 
 
 def test_group_ambiguous_gap():
     with pytest.raises(AmbiguousGapError):
-        group_spectrum([0.0, 5e-9], tol=1e-9)
+        group_spectrum([0.0, 5e-9])
 
 
 def test_group_requires_sorted():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameterError):
         group_spectrum([1.0, 0.0])
 
 
@@ -81,7 +83,7 @@ def test_jacobi_identity_matrix():
     assert len(es.groups) == 1
     g = es.groups[0]
     assert g.value == pytest.approx(1.0) and g.multiplicity == 5
-    assert np.allclose(g.vectors @ g.vectors.T, np.eye(5))
+    assert np.allclose(es.vectors @ es.vectors.T, np.eye(5))
 
 
 def test_jacobi_rejects_nonsymmetric():
@@ -118,8 +120,7 @@ def test_jacobi_leaves_input_unchanged_and_repeats_exactly():
     assert np.array_equal(M, before)
     assert ([(grp.value, grp.multiplicity) for grp in first.groups]
             == [(grp.value, grp.multiplicity) for grp in second.groups])
-    for a, b in zip(first.groups, second.groups):
-        assert np.array_equal(a.vectors, b.vectors)
+    assert np.array_equal(first.vectors, second.vectors)
 
 
 def test_jacobi_agrees_with_library_solver(builtins, numeric_systems):
@@ -141,18 +142,17 @@ def _root(a):
 def _check_eigensolver_contract(M, multiplicities=None):
     """jacobi_eigendecompose against eigvalsh: grouped values expanded by
     multiplicity, multiplicities (given, or eigvalsh's own grouping), an
-    orthonormal V with V diag(w) V^T = M, and every group's vectors a view of
-    one n x n array (not of the n x 2n array the rotations work on)."""
+    orthonormal V with V diag(w) V^T = M, and V an n x n array that is not
+    a view of the n x 2n array the rotations work on."""
     es = jacobi_eigendecompose(M)
-    roots = {id(r): r for r in (_root(grp.vectors) for grp in es.groups)}
-    assert [r.shape for r in roots.values()] == [M.shape]
+    assert es.vectors.shape == _root(es.vectors).shape == M.shape
     ref = np.linalg.eigvalsh(M)
     w = np.concatenate([[grp.value] * grp.multiplicity for grp in es.groups])
     assert np.all(np.abs(w - ref) <= 1e-9 * np.maximum(1.0, np.abs(ref)))
     if multiplicities is None:
         multiplicities = [mult for _, mult in group_spectrum(ref)]
     assert [grp.multiplicity for grp in es.groups] == list(multiplicities)
-    V = np.hstack([grp.vectors for grp in es.groups])
+    V = es.vectors
     assert np.linalg.norm(V.T @ V - np.eye(len(M)), np.inf) < 1e-12
     assert (np.linalg.norm(V * w @ V.T - M, np.inf)
             < 1e-10 * np.linalg.norm(M, "fro"))
@@ -196,11 +196,12 @@ def test_jacobi_contract_on_relabeled_laplacians(random_gnp):
                                     multiplicities)
 
 
-def test_numeric_projector_identities(builtins, numeric_systems):
+def test_numeric_projector_identities(builtins, numeric_systems,
+                                      group_projectors):
     for name, g in builtins.items():
         L = laplacian(g)
         es = numeric_systems[name]
-        projs = [grp.vectors @ grp.vectors.T for grp in es.groups]
+        projs = group_projectors(es)
         total = sum(projs)
         assert np.max(np.abs(total - np.eye(g.n))) < 1e-9, name
         recon = sum(grp.value * P for grp, P in zip(es.groups, projs))
@@ -606,13 +607,13 @@ def test_classify_no_case():
         classify_spectrum([(0.0, 1), (2.0, 2)], 3, 2)
 
 
-def test_jacobi_no_convergence_with_zero_sweep_cap():
-    from mnhd.errors import NoConvergenceError
+def test_jacobi_no_convergence_with_zero_sweep_cap(monkeypatch):
+    monkeypatch.setattr(mnhd.spectral, "JACOBI_SWEEP_CAP", 0)
     with pytest.raises(NoConvergenceError):
-        jacobi_eigendecompose(laplacian(crown(5)), max_sweeps=0)
+        jacobi_eigendecompose(laplacian(crown(5)))
 
 
-def test_heat_from_exact_eigensystem():
+def test_heat_from_exact_eigensystem(group_projectors):
     # heat kernels come from the numeric eigensystem alone; the projectors
     # of its eigenvectors match the exact Lagrange projectors
     from mnhd.heat import heat_slices
@@ -620,12 +621,11 @@ def test_heat_from_exact_eigensystem():
     ref = jacobi_eigendecompose(laplacian(cycle(6)))
     assert [g.multiplicity for g in es.groups] == [
         g.multiplicity for g in ref.groups]
-    for i, numeric in enumerate(ref.groups):
+    for i, P in enumerate(group_projectors(ref)):
         exact = lagrange_projector(es.powers, es.values(), i)
         floats = np.array([[float(exact.entry(u, v)) for v in range(es.n)]
                            for u in range(es.n)])
-        assert np.max(np.abs(floats
-                             - numeric.vectors @ numeric.vectors.T)) < 1e-12
+        assert np.max(np.abs(floats - P)) < 1e-12
     with pytest.raises(NumericEigensystemRequiredError):
         heat_slices(es, [1.0])
 
