@@ -16,8 +16,8 @@ from .graphs import (Graph, GraphFacts, adjacency, build_graph, cayley_s3,
                      crown, cycle, design_742_incidence, facts,
                      fano_incidence, incidence_graph, laplacian,
                      read_edge_list, wheel6, write_edge_list)
-from .heat import (DeltaSet, default_time_grid, delta_set, h_function,
-                   heat_slices, heat_stack, ratio_curve)
+from .heat import (DeltaSet, default_time_grid, delta_set, heat_slices,
+                   heat_stack, ratio_curve)
 from .quadratic import QuadMatrix, QuadValue
 from .spectral import (Eigensystem, FourSpectrum, VanDamCase,
                        classify_spectrum, closed_form_projectors,

@@ -101,10 +101,6 @@ class Certificate:
     checks: tuple[CertificateCheck, ...] = ()
     classes: tuple[ClassRow, ...] = ()
 
-    @property
-    def proven(self) -> bool:
-        return self.verdict == PROVEN
-
 
 def _not_applicable(method: str, reason: str) -> Certificate:
     return Certificate(NOT_APPLICABLE, method, reason)
@@ -399,7 +395,7 @@ def _is_mean_projector(a0: Sequence[QuadValue], powers: Sequence[np.ndarray],
 
 
 def _h0(fs: FourSpectrum, ds: DeltaSet, n: int) -> QuadValue:
-    return sum(h_terms_exact(fs, ds, n).values(), QuadValue(0))
+    return sum(h_terms_exact(fs.nonzero(), ds, n).values(), QuadValue(0))
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +445,6 @@ def delta_sign_analysis(g: Graph, es: Eigensystem) -> Certificate:
         return _not_applicable(method, "graph is not connected")
 
     sigma = es.values()[1:]
-    fs = FourSpectrum.from_eigenvalues(*sigma)
     rows: list[ClassRow] = []
     checks: list[CertificateCheck] = []
     n = g.n
@@ -458,9 +453,9 @@ def delta_sign_analysis(g: Graph, es: Eigensystem) -> Certificate:
         checks.append(CertificateCheck(
             f"{tag}_delta_nonneg", f"D1={ds.d1}, D2={ds.d2}, D3={ds.d3}",
             deltas_ok))
-        terms = h_terms_exact(fs, ds, n)
+        terms = h_terms_exact(sigma, ds, n)
         h0 = sum(terms.values(), QuadValue(0))
-        proven, route, detail = _template_row(fs.lam3, terms, h0, sig)
+        proven, route, detail = _template_row(sigma[-1], terms, h0, sig)
         checks.append(CertificateCheck(f"{tag}_monotone_template", detail,
                                        proven))
         checks.append(CertificateCheck(

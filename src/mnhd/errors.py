@@ -111,8 +111,7 @@ class InvariantViolationError(MnhdError, ArithmeticError):
 
 
 class ExactEigensystemRequiredError(MnhdError, ValueError):
-    """An exact-only computation was given a numeric eigensystem, or the
-    float DeltaSet of one."""
+    """An exact-only computation was given a numeric eigensystem."""
 
 
 class NumericEigensystemRequiredError(MnhdError, ValueError):

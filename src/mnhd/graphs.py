@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import IO, Iterable
 
 import numpy as np
@@ -20,11 +19,6 @@ from .designs import (complement_design, design_742, fano_design,
 from .errors import FileFormatError, GraphInputError
 
 Edge = tuple[int, int]
-
-# facts() results kept for the most recently analyzed graphs; a small bound
-# keeps a long-running caller that analyzes many graphs from growing without
-# limit
-FACTS_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -69,7 +63,6 @@ def build_graph(n: int, edges: Iterable[Edge]) -> Graph:
     return Graph(n, frozenset(seen))
 
 
-@lru_cache(maxsize=FACTS_CACHE_SIZE)
 def facts(g: Graph) -> GraphFacts:
     """Connectivity (BFS), regular degree if all degrees agree, and a
     bipartition from 2-coloring when no odd cycle exists."""

@@ -13,8 +13,8 @@ and its expansion into exponential terms with Delta coefficients
 r_t is nondecreasing in t for every pair u != v exactly when h_{u,v} >= 0 on
 [0, inf); the certificate machinery in `certify` reasons about the exact
 exponential coefficients produced here from the projector entries it reads
-off each pair class.  `h_function`, `h_rate` and
-`h_terms_from_eigensystem` compute h independently so the tests can compare.
+off each pair class.  `h_rate` and `h_terms_from_eigensystem` compute h
+independently so the tests can compare.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .errors import (ExactEigensystemRequiredError, GraphInputError,
                      NegativeTimeError, NumericEigensystemRequiredError,
                      SameVertexError)
 from .quadratic import QuadValue
-from .spectral import Eigensystem, FourSpectrum
+from .spectral import Eigensystem
 
 
 def heat_slices(es: Eigensystem, grid: Sequence[float]) -> Iterator[np.ndarray]:
@@ -120,9 +120,6 @@ class DeltaSet:
     def as_tuple(self):
         return (self.d1, self.d2, self.d3, self.d12, self.d13, self.d23)
 
-    def as_floats(self) -> tuple[float, ...]:
-        return tuple(float(x) for x in self.as_tuple())
-
 
 def delta_set(uu: Sequence, uv: Sequence) -> DeltaSet:
     """Deltas of a pair (u, v) from uu[i] = P_i(u,u) and uv[i] = P_i(u,v) of
@@ -133,14 +130,14 @@ def delta_set(uu: Sequence, uv: Sequence) -> DeltaSet:
     return DeltaSet(d[0], d[1], d[2], cross[0], cross[1], cross[2])
 
 
-def h_terms_exact(fs: FourSpectrum, ds: DeltaSet, n: int
+def h_terms_exact(lams: Sequence[QuadValue], ds: DeltaSet, n: int
                   ) -> dict[QuadValue, QuadValue]:
     """h_{u,v}(t) = sum coeff * exp(-rate * t) as a map rate -> coefficient,
-    with coinciding rates merged (lam1 + lam2 = lam3 in the bipartite case).
-    Zero coefficients are dropped.
+    from the three nonzero eigenvalues lams = (lam1, lam2, lam3) and the
+    pair's exact Deltas, with coinciding rates merged (lam1 + lam2 = lam3 in
+    the bipartite case).  Zero coefficients are dropped.
     """
     inv_n = QuadValue(Fraction(1, n))
-    lams = fs.nonzero()
     raw = [
         (lams[0], lams[0] * inv_n * ds.d1),
         (lams[1], lams[1] * inv_n * ds.d2),
@@ -178,17 +175,6 @@ def h_terms_from_eigensystem(es: Eigensystem, u: int, v: int
                 rate = lam_i + lam_j
                 terms[rate] = terms.get(rate, QuadValue(0)) + coeff
     return {rate: c for rate, c in terms.items() if c != 0}
-
-
-def h_function(fs: FourSpectrum, ds: DeltaSet, n: int, t: float) -> float:
-    """Float evaluation at time t of the exponential expansion of h_{u,v}
-    that `h_terms_exact` gives; a DeltaSet that is not exact raises
-    ExactEigensystemRequiredError."""
-    if not all(isinstance(x, QuadValue) for x in ds.as_tuple()):
-        raise ExactEigensystemRequiredError(
-            "h_function needs the exact DeltaSet of an exact eigensystem")
-    terms = h_terms_exact(fs, ds, n)
-    return sum(float(c) * np.exp(-float(rate) * t) for rate, c in terms.items())
 
 
 def h_rate(es: Eigensystem, L: np.ndarray, u: int, v: int, t: float) -> float:

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mnhd.certify import (NOT_APPLICABLE, NUMERIC_ONLY, PROVEN,
-                          REPORT_SCHEMA, _pair_classes, analyze,
+from mnhd.certify import (FAILED, NOT_APPLICABLE, NUMERIC_ONLY, PROVEN,
+                          REPORT_SCHEMA, _pair_classes, _template_row, analyze,
                           certificate_bipartite, classify_pair,
                           delta_sign_analysis, numeric_check)
 from mnhd.errors import (ExactEigensystemRequiredError, InvalidParameterError,
@@ -160,10 +160,11 @@ def test_numeric_delta_table_rows_hold_for_every_pair(g, group_projectors):
         for v in range(g.n):
             if u != v:
                 row = rows[(L[u, u], L[v, v], L[u, v], L2[u, v])]
-                got = delta_set([P[u, u] for P in projectors],
-                                [P[u, v] for P in projectors]).as_floats()
-                assert np.allclose(got, row.deltas.as_floats(), rtol=0,
-                                   atol=1e-9), (u, v, row.tag)
+                ds = delta_set([P[u, u] for P in projectors],
+                               [P[u, v] for P in projectors])
+                assert np.allclose([float(x) for x in ds.as_tuple()],
+                                   [float(x) for x in row.deltas.as_tuple()],
+                                   rtol=0, atol=1e-9), (u, v, row.tag)
 
 
 # -- the bipartite certificate -----------------------------------------------
@@ -407,6 +408,42 @@ def test_delta_sign_analysis_on_certificate_graphs(incidence_builtins,
         analysis = delta_sign_analysis(incidence_builtins[name],
                                        exact_systems[name])
         assert analysis.verdict == PROVEN, name
+
+
+def test_delta_sign_analysis_refuses_path_p4():
+    # P4 has four distinct eigenvalues 0, 2 - sqrt2, 2, 2 + sqrt2 and violates
+    # the MNHD; besides its delta_nonneg checks, the template refuses four
+    # classes for a growing term with a negative coefficient
+    report = analyze(build_graph(4, [(0, 1), (1, 2), (2, 3)]))
+    cert = report.certificate
+    assert cert.method == "delta-sign-template"
+    assert cert.verdict == FAILED
+    assert report.numeric.verdict == "ViolatedAt"
+    failed = {c.name: c.witness for c in cert.checks if not c.passed}
+    assert sorted(failed) == [
+        "S1_monotone_template", "S3_delta_nonneg", "S4_delta_nonneg",
+        "S4_monotone_template", "S5_monotone_template",
+        "S6_monotone_template"]
+    assert failed["S1_monotone_template"].startswith(
+        "growing term with negative coefficient")
+
+
+def test_template_row_refuses_budget_below_cost():
+    # lam3 = 3: rate 1 grows (budget 1 * 2), rate 5 decays with a positive
+    # coefficient (cost 2 * 2), rate 7 decays with a negative one (free)
+    terms = {QuadValue(1): QuadValue(1), QuadValue(5): QuadValue(2),
+             QuadValue(7): QuadValue(-1)}
+    proven, route, detail = _template_row(QuadValue(3), terms, QuadValue(2),
+                                          (1, 1, 0, 0))
+    assert (proven, route) == (False, None)
+    assert detail.startswith("budget 2 < cost 4")
+
+
+def test_template_row_refuses_negative_h_at_zero():
+    terms = {QuadValue(4): QuadValue(-1)}
+    proven, route, detail = _template_row(QuadValue(3), terms, QuadValue(-1),
+                                          (1, 1, 0, 0))
+    assert (proven, route, detail) == (False, None, "h(0) = -1 < 0")
 
 
 # -- the two-exponential monotonicity rule -----------------------------------

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from mnhd.designs import build_design, fano_design
 from mnhd.errors import DesignError, FileFormatError, GraphInputError
-from mnhd.graphs import (FACTS_CACHE_SIZE, adjacency, build_graph, cayley_s3,
-                         crown, cycle, design_742_incidence, facts,
-                         fano_incidence, incidence_graph, laplacian,
-                         read_edge_list, wheel6, write_edge_list)
+from mnhd.graphs import (adjacency, build_graph, cayley_s3, crown, cycle,
+                         design_742_incidence, facts, fano_incidence,
+                         incidence_graph, laplacian, read_edge_list, wheel6,
+                         write_edge_list)
 
 # 6x6 reference Laplacian of the S3 Cayley graph and its square
 CAYLEY_S3_L = np.array([
@@ -78,12 +78,6 @@ def test_facts_wheel6():
 def test_facts_disconnected():
     g = build_graph(4, [(0, 1), (2, 3)])
     assert not facts(g).connected
-
-
-def test_facts_cache_is_bounded():
-    for k in range(3, 3 + 2 * FACTS_CACHE_SIZE):
-        assert facts(cycle(k)).regular_degree == 2
-    assert facts.cache_info().currsize <= FACTS_CACHE_SIZE
 
 
 def test_design_742_incidence_shape():

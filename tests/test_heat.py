@@ -13,9 +13,9 @@ from mnhd.errors import (ExactEigensystemRequiredError, GraphInputError,
                          NegativeTimeError, SameVertexError)
 from mnhd.graphs import (build_graph, cayley_s3, crown, cycle,
                          design_742_incidence, laplacian, wheel6)
-from mnhd.heat import (DeltaSet, default_time_grid, delta_set, h_function,
-                       h_rate, h_terms_exact, h_terms_from_eigensystem,
-                       heat_slices, heat_stack, ratio_curve, write_curve_csv)
+from mnhd.heat import (DeltaSet, default_time_grid, delta_set, h_rate,
+                       h_terms_exact, h_terms_from_eigensystem, heat_slices,
+                       heat_stack, ratio_curve, write_curve_csv)
 from mnhd.quadratic import QuadValue
 from mnhd.spectral import (EigenGroup, Eigensystem, FourSpectrum,
                            exact_eigensystem, jacobi_eigendecompose,
@@ -260,9 +260,9 @@ def test_h_at_zero_equals_minus_laplacian_entry():
     L = laplacian(g)
     _, fs, projs = _exact_parts(g)
     adjacent = (0, 7) if L[0, 7] == -1 else (0, 8)
-    assert h_function(fs, _deltas(projs, *adjacent), g.n, 0.0) == pytest.approx(1.0)
-    same_side = (0, 1)
-    assert h_function(fs, _deltas(projs, *same_side), g.n, 0.0) == pytest.approx(0.0)
+    for pair, h0 in ((adjacent, QuadValue(1)), ((0, 1), QuadValue(0))):
+        terms = h_terms_exact(fs.nonzero(), _deltas(projs, *pair), g.n)
+        assert sum(terms.values(), QuadValue(0)) == h0
 
 
 def test_h_terms_exact_match_derivative_product_route():
@@ -270,7 +270,8 @@ def test_h_terms_exact_match_derivative_product_route():
         es, fs, projs = _exact_parts(g)
         for (u, v) in ((0, 1), (0, g.n - 1), (1, g.n - 2)):
             ds = _deltas(projs, u, v)
-            assert h_terms_exact(fs, ds, g.n) == h_terms_from_eigensystem(es, u, v)
+            assert (h_terms_exact(fs.nonzero(), ds, g.n)
+                    == h_terms_from_eigensystem(es, u, v))
 
 
 def test_h_terms_from_eigensystem_rejects_numeric_eigensystem():
@@ -304,9 +305,10 @@ def test_h_expansion_agrees_with_rate_formula_numerically():
         _, fs, projs = _exact_parts(g)
         grid = default_time_grid(es)
         for (u, v) in ((0, 1), (1, g.n - 1)):
-            ds = _deltas(projs, u, v)
+            terms = h_terms_exact(fs.nonzero(), _deltas(projs, u, v), g.n)
             for t in grid[::6]:
-                expansion = h_function(fs, ds, g.n, float(t))
+                expansion = sum(float(c) * np.exp(-float(rate) * t)
+                                for rate, c in terms.items())
                 direct = h_rate(es, L, u, v, float(t))
                 assert abs(expansion - direct) < 1e-10
 
@@ -320,9 +322,3 @@ def test_h_rate_at_zero_all_pairs(builtins, numeric_systems):
                 if u != v:
                     assert abs(h_rate(es, L, u, v, 0.0) - (-L[u, v])) < 1e-12, name
 
-
-def test_h_function_rejects_float_delta_set():
-    _, fs, projs = _exact_parts(cayley_s3())
-    ds_float = DeltaSet(*_deltas(projs, 0, 3).as_floats())
-    with pytest.raises(ExactEigensystemRequiredError):
-        h_function(fs, ds_float, 6, 0.5)

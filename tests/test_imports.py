@@ -66,3 +66,14 @@ def test_every_tracer_target_exists_in_the_library():
         for part in path.split("."):
             owner = getattr(owner, part, None)
         assert callable(owner), (name, module_name, path)
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert statements, so an invariant written as one
+    # vanishes from the optimized CI run; invariants raise typed errors
+    src = Path(__file__).resolve().parents[1] / "src" / "mnhd"
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
