@@ -4,8 +4,8 @@ nondecreasing for every pair of distinct vertices, H_t = exp(-t L) being the
 heat kernel of the graph Laplacian."""
 
 from .certify import (Certificate, MnhdReport, NumericVerdict, analyze,
-                      certificate_bipartite, classify_pair,
-                      delta_sign_analysis, numeric_check)
+                      certificate_bipartite, delta_sign_analysis,
+                      numeric_check)
 from .designs import (Design, DesignParams, build_design, catalog,
                       complement_design, crown_design, design_742,
                       fano_design, lambda_from_n_d, pair_design,

@@ -6,8 +6,8 @@ once by `analyze` and a required argument of both, and one grouping of the
 ordered vertex pairs into classes by their (L, L^2) signature, read off the
 integer Laplacian; on a connected four-eigenvalue graph it fixes a pair's
 projector entries and Delta set, so `delta_set` runs once per class.  The
-grouping sorts one packed int64 key per pair, and a class keeps its pair
-count and its first pair, never a list of its pairs.
+grouping sorts one packed int64 key per pair, and a class row keeps its pair
+count, never a list of its pairs.
 `analyze` alone decides which route runs: neither exact route builds an
 eigensystem or runs the float eigensolver.
 
@@ -39,7 +39,7 @@ eigensystem or runs the float eigensolver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
@@ -51,7 +51,7 @@ from .errors import (ExactEigensystemRequiredError, InvalidParameterError,
                      NoCaseMatchesError, NonQuadraticEigenvaluesError,
                      ShortGridError, SignatureKeyOverflowError,
                      UnknownSignatureError)
-from .graphs import Graph, facts, laplacian
+from .graphs import Graph, GraphFacts, facts, laplacian
 from .heat import (DeltaSet, default_time_grid, delta_set, h_terms_exact,
                    heat_slices)
 from .quadratic import INT64_BOUND, QuadValue, int_combination, poly_mul_mod
@@ -66,14 +66,6 @@ PROVEN = "ProvenMNHD"
 FAILED = "SignCheckFailed"
 NOT_APPLICABLE = "NotApplicable"
 NUMERIC_ONLY = "NumericOnly"
-
-Pair = tuple[int, int]
-
-
-@dataclass(frozen=True)
-class PairClass:
-    tag: str
-    signature: tuple
 
 
 @dataclass(frozen=True)
@@ -110,35 +102,13 @@ def _not_applicable(method: str, reason: str) -> Certificate:
 # pair classes
 
 
-def classify_pair(L: np.ndarray, L2: np.ndarray, u: int, v: int,
-                  n: int, d: int, lam: int) -> PairClass:
-    """Classify a pair u != v by its (L(u,v), L^2(u,v)) signature:
-
-        W1 adjacent               (-1, -2d)
-        W2 same side              ( 0, lambda)
-        W3 opposite, nonadjacent  ( 0, 0)
-
-    Any other signature contradicts the incidence-graph structure and raises
-    UnknownSignatureError.
-    """
-    sig = (int(L[u, v]), int(L2[u, v]))
-    expected = {(-1, -2 * d): "W1", (0, lam): "W2", (0, 0): "W3"}
-    tag = expected.get(sig)
-    if tag is None:
-        raise UnknownSignatureError(
-            f"pair ({u},{v}) has signature {sig}; not an incidence graph of a "
-            f"symmetric design with (n,d,lambda)=({n},{d},{lam})")
-    return PairClass(tag, sig)
-
-
 def _pair_classes(L: np.ndarray, L2: np.ndarray, sigma: Sequence
-                  ) -> list[tuple[str, tuple, DeltaSet, int, Pair]]:
-    """(tag, signature, DeltaSet, count, first pair) per class of the ordered
-    pairs u != v of the integer Laplacian L (with L2 = L @ L) of a connected
-    graph with distinct eigenvalues 0 and `sigma` (exact, or float cluster
-    means), grouped by the (L(u,u), L(v,v), L(u,v), L^2(u,v)) signature and
-    tagged S1, S2, ... in sorted signature order; the first pair is the
-    class's first in row-major order.
+                  ) -> list[ClassRow]:
+    """One ClassRow (tag, signature, count, DeltaSet) per class of the
+    ordered pairs u != v of the integer Laplacian L (with L2 = L @ L) of a
+    connected graph with distinct eigenvalues 0 and `sigma` (exact, or float
+    cluster means), grouped by the (L(u,u), L(v,v), L(u,v), L^2(u,v))
+    signature and tagged S1, S2, ... in sorted signature order.
 
     The grouping runs on arrays: each pair's signature is packed into one
     int64 key in mixed radix, every field offset by its minimum over the
@@ -188,8 +158,8 @@ def _pair_classes(L: np.ndarray, L2: np.ndarray, sigma: Sequence
         u, r = divmod(first, n - 1)  # first counts off-diagonal entries
         v = r + (r >= u)
         sig = (int(L[u, u]), int(L[v, v]), int(L[u, v]), int(L2[u, v]))
-        classes.append((f"S{idx}", sig, delta_set(entries(u, u), entries(u, v)),
-                        count, (u, v)))
+        classes.append(ClassRow(f"S{idx}", sig, count,
+                                delta_set(entries(u, u), entries(u, v))))
     return classes
 
 
@@ -205,11 +175,11 @@ def certificate_bipartite(g: Graph, es: Eigensystem) -> Certificate:
     """Run the exact MNHD certificate for a connected regular bipartite graph
     with four distinct Laplacian eigenvalues, on its exact eigensystem `es`
     (from `exact_eigensystem`; a numeric one raises
-    ExactEigensystemRequiredError), the powers of the Laplacian, the minimal
-    polynomial mu and the Lagrange polynomials it keeps.  Returns
-    NotApplicable when the structural preconditions fail; otherwise performs
-    every check in exact arithmetic and returns ProvenMNHD only if all of
-    them hold.
+    ExactEigensystemRequiredError, another graph's InvalidParameterError),
+    the powers of the Laplacian, the minimal polynomial mu and the Lagrange
+    polynomials it keeps.  Returns NotApplicable when the structural
+    preconditions fail; otherwise performs every check in exact arithmetic
+    and returns ProvenMNHD only if all of them hold.
 
     The projector P_i is a_i(L), a_i the Lagrange polynomial of sigma_i
     (degree 3), and each projector identity is checked as an identity of
@@ -221,9 +191,7 @@ def certificate_bipartite(g: Graph, es: Eigensystem) -> Certificate:
     a polynomial of degree < 4 vanishes at L only when it is 0.  Only P0 =
     J/n is checked on a matrix, a_0(L) summed over the powers of L."""
     method = "bipartite-certificate"
-    if es.mode != "exact":
-        raise ExactEigensystemRequiredError(f"{method} needs an exact eigensystem")
-    f = facts(g)
+    f = _exact_route_facts(g, es, method)
     if not f.connected:
         return _not_applicable(method, "graph is not connected")
     if f.regular_degree is None:
@@ -300,12 +268,17 @@ def certificate_bipartite(g: Graph, es: Eigensystem) -> Certificate:
     record("multiplicity_pattern", mults == (v_half - 1, v_half - 1, 1),
            f"multiplicities (1, {mults[0]}, {mults[1]}, {mults[2]})")
 
-    # the template's pair classes, named W1/W2/W3 by their (L, L^2)
-    # signature; UnknownSignatureError propagates
+    # the template's pair classes, named by their (L(u,v), L^2(u,v)): W1
+    # adjacent, W2 same side, W3 opposite and nonadjacent
+    names = {(-1, -2 * d): "W1", (0, lam): "W2", (0, 0): "W3"}
     rows: list[ClassRow] = []
-    for _, _, ds, count, first in _pair_classes(L, L2, sigma[1:]):
-        pc = classify_pair(L, L2, *first, n, d, lam)
-        rows.append(ClassRow(pc.tag, pc.signature, count, ds))
+    for row in _pair_classes(L, L2, sigma[1:]):
+        sig = row.signature[2:]
+        if sig not in names:
+            raise UnknownSignatureError(
+                f"pair class with (L(u,v), L^2(u,v)) = {sig}: not an incidence "
+                f"graph of a symmetric design with (n,d,lambda)=({n},{d},{lam})")
+        rows.append(replace(row, tag=names[sig], signature=sig))
     rows.sort(key=lambda row: row.tag)
     counts = {row.tag: row.count for row in rows}
     record("pair_classification_complete",
@@ -374,6 +347,15 @@ def certificate_bipartite(g: Graph, es: Eigensystem) -> Certificate:
     return Certificate(verdict, method, reason, tuple(checks), tuple(rows))
 
 
+def _exact_route_facts(g: Graph, es: Eigensystem, method: str) -> GraphFacts:
+    """facts(g), once `es` is checked to be g's own exact eigensystem."""
+    if es.mode != "exact":
+        raise ExactEigensystemRequiredError(f"{method} needs an exact eigensystem")
+    if not np.array_equal(es.powers[1], laplacian(g)):
+        raise InvalidParameterError(f"{method}: eigensystem of another graph")
+    return facts(g)
+
+
 def _verdict(checks: list[CertificateCheck]) -> tuple[str, str | None]:
     """ProvenMNHD when every check passed, else the failed checks' names."""
     failed = [c.name for c in checks if not c.passed]
@@ -403,66 +385,65 @@ def _h0(fs: FourSpectrum, ds: DeltaSet, n: int) -> QuadValue:
 
 
 def _template_row(lam3: QuadValue, terms: dict[QuadValue, QuadValue],
-                  h0: QuadValue, sig: tuple) -> tuple[bool, str | None, str]:
-    """Certify one class row from the exponential terms of its h.  Route 1:
-    every merged exponential coefficient of h is nonnegative, so h >= 0
-    termwise.  Route 2: after multiplying by e^{lam3 t}, no growing
-    exponential has a negative coefficient and the growing terms' derivative
-    budget dominates the decaying positive terms', so the product is
-    nondecreasing from h(0) >= 0."""
+                  h0: QuadValue, sig: tuple) -> tuple[str | None, str]:
+    """(route, detail) of one class row from the exponential terms of its h,
+    route None unless one certifies it.  Route 1: every merged exponential
+    coefficient of h is nonnegative, so h >= 0 termwise.  Route 2: after
+    multiplying by e^{lam3 t}, no growing exponential has a negative
+    coefficient and the growing terms' derivative budget dominates the
+    decaying positive terms', so the product is nondecreasing from h(0) >= 0."""
     if all(c.sign() >= 0 for c in terms.values()):
-        return True, "nonnegative-coefficients", "all h coefficients >= 0"
+        return "nonnegative-coefficients", "all h coefficients >= 0"
     zero = QuadValue(0)
     budget, cost = zero, zero
     for rate, coeff in terms.items():
         mu = lam3 - rate
         if mu.sign() > 0:
             if coeff.sign() < 0:
-                return False, None, (f"growing term with negative coefficient "
-                                     f"{coeff} at rate {rate}")
+                return None, (f"growing term with negative coefficient "
+                              f"{coeff} at rate {rate}")
             budget = budget + coeff * mu
         elif mu.sign() < 0 and coeff.sign() > 0:
             cost = cost + coeff * (-mu)
     if h0.sign() < 0:
-        return False, None, f"h(0) = {h0} < 0"
+        return None, f"h(0) = {h0} < 0"
     if (budget - cost).sign() >= 0:
-        return True, "transform-budget", (
+        return "transform-budget", (
             f"e^(lam3 t) transform nondecreasing: budget {budget} >= cost {cost}, "
             f"h(0) = {h0} >= 0")
-    return False, None, f"budget {budget} < cost {cost} for signature {sig}"
+    return None, f"budget {budget} < cost {cost} for signature {sig}"
 
 
 def delta_sign_analysis(g: Graph, es: Eigensystem) -> Certificate:
     """Certify each pair class of a connected four-eigenvalue graph with the
     exponential-sign template, from exact DeltaSets of its exact eigensystem
     `es` (from `exact_eigensystem`; a numeric one raises
-    ExactEigensystemRequiredError) and the powers of the Laplacian it keeps;
-    method delta-sign-template."""
+    ExactEigensystemRequiredError, another graph's InvalidParameterError) and
+    the powers of the Laplacian it keeps; method delta-sign-template."""
     method = "delta-sign-template"
-    if es.mode != "exact":
-        raise ExactEigensystemRequiredError(f"{method} needs an exact eigensystem")
-    if not facts(g).connected:
+    if not _exact_route_facts(g, es, method).connected:
         return _not_applicable(method, "graph is not connected")
 
     sigma = es.values()[1:]
     rows: list[ClassRow] = []
     checks: list[CertificateCheck] = []
     n = g.n
-    for tag, sig, ds, count, _ in _pair_classes(*es.powers[1:3], sigma):
+    for row in _pair_classes(*es.powers[1:3], sigma):
+        tag, ds = row.tag, row.deltas
         deltas_ok = all(x.sign() >= 0 for x in (ds.d1, ds.d2, ds.d3))
         checks.append(CertificateCheck(
             f"{tag}_delta_nonneg", f"D1={ds.d1}, D2={ds.d2}, D3={ds.d3}",
             deltas_ok))
         terms = h_terms_exact(sigma, ds, n)
         h0 = sum(terms.values(), QuadValue(0))
-        proven, route, detail = _template_row(sigma[-1], terms, h0, sig)
+        route, detail = _template_row(sigma[-1], terms, h0, row.signature)
         checks.append(CertificateCheck(f"{tag}_monotone_template", detail,
-                                       proven))
+                                       route is not None))
         checks.append(CertificateCheck(
             f"{tag}_derivative_at_zero", f"h(0) = {h0} = -L(u,v)",
-            h0 == QuadValue(-sig[2])))
-        rows.append(ClassRow(tag, sig, count, ds,
-                             proven and deltas_ok, route))
+            h0 == QuadValue(-row.signature[2])))
+        rows.append(replace(row, proven=route is not None and deltas_ok,
+                            route=route))
     verdict, reason = _verdict(checks)
     return Certificate(verdict, method, reason, tuple(checks), tuple(rows))
 
@@ -473,8 +454,7 @@ def _numeric_delta_table(powers: Sequence[np.ndarray], es: Eigensystem,
     I, L, L^2, ... of its integer Laplacian and the cluster means of its
     Jacobi eigensystem `es`, tagged as the template tags them; method
     numeric-delta-table, verdict NumericOnly."""
-    rows = [ClassRow(tag, sig, count, ds) for tag, sig, ds, count, _ in
-            _pair_classes(*powers[1:3], es.values()[1:])]
+    rows = _pair_classes(*powers[1:3], es.values()[1:])
     return Certificate(NUMERIC_ONLY, "numeric-delta-table",
                        f"not proven: {why}; float table is evidence only",
                        classes=tuple(rows))
@@ -501,8 +481,9 @@ def numeric_check(g: Graph, grid: Sequence[float] | None = None,
                   tol: float = 1e-9, es: Eigensystem | None = None) -> NumericVerdict:
     """Forward differences of r_t over the grid for every ordered pair; the
     verdict is evidence about MNHD, not a proof.  H_t streams in one slice per
-    time from the numeric eigensystem `es`, so only the previous ratio matrix,
-    its rounding bound and the running minimum are kept.
+    time from the numeric eigensystem `es` (of another order, it raises
+    InvalidParameterError), so only the previous ratio matrix, its rounding
+    bound and the running minimum are kept.
     A difference within n eps sqrt(H_t(v,v) / H_t(u,u)), the rounding bound of
     R_t(u,v) (Cauchy-Schwarz on H_t(u,v)), is a tie at 0, not a violation.
     Ties go to the earliest step, then to the first pair in row-major order.
@@ -513,6 +494,9 @@ def numeric_check(g: Graph, grid: Sequence[float] | None = None,
             f"tolerance must be finite and nonnegative, got {tol}")
     if es is None:
         es = jacobi_eigendecompose(laplacian(g))
+    elif es.n != g.n:
+        raise InvalidParameterError(
+            f"eigensystem of order {es.n} for a graph on {g.n} vertices")
     if grid is None:
         grid = default_time_grid(es)
     grid = np.asarray(grid, dtype=float)

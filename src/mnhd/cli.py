@@ -157,8 +157,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--out")
 
     p = sub.add_parser("catalog",
-                       help="the 19 regular bipartite four-eigenvalue graphs "
-                            "on up to 30 vertices")
+                       help="one row per symmetric-design parameter set, "
+                            "10 <= n <= 30")
     p.add_argument("--reproduce", action="store_true",
                    help="also print the exact delta tables and the spectrum "
                         "comparison for constructible rows")

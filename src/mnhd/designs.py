@@ -1,6 +1,6 @@
 """Balanced incomplete block designs (2-designs), symmetric-design predicates,
-predicted incidence spectra, and the reference catalog of regular bipartite
-four-eigenvalue graphs on at most 30 vertices.
+predicted incidence spectra, and the reference catalog: one row per
+symmetric-design parameter set, 10 <= n <= 30.
 
 Points are 0-based indices.  A (v, b, d, r, lambda)-design has b blocks of
 size d over v points, every point in r blocks and every pair in lambda blocks;
@@ -151,8 +151,8 @@ def pair_design(v: int) -> Design:
 
 
 # ---------------------------------------------------------------------------
-# catalog of regular bipartite graphs with |V| <= 30 and four distinct
-# Laplacian eigenvalues, one row per feasible symmetric design
+# catalog: one row per symmetric-design parameter set (v, d, lambda), with
+# lambda (v - 1) = d (d - 1) and 1 <= lambda < d < v, 10 <= n = 2v <= 30
 
 
 @dataclass(frozen=True)

@@ -74,8 +74,11 @@ class InvalidParameterError(MnhdError, ValueError):
     time grid that is not strictly increasing, a tolerance that is negative
     or not finite, fewer than one grid point, an empty matrix or one with an
     entry that is not finite, an eigenvalue list for `group_spectrum` that
-    is not sorted, or a negative radicand for `square_free_split` (which
-    `QuadValue(0, 1, -3)` reaches)."""
+    is not sorted, a negative radicand for `square_free_split` (which
+    `QuadValue(0, 1, -3)` reaches), a matrix for `minimal_polynomial` (and
+    so `exact_eigensystem`) that is not of integers, or an eigensystem that
+    is not the graph's own: an exact route's whose L is not the graph's
+    Laplacian, or the numeric check's of another order."""
 
 
 class UnknownSignatureError(MnhdError):

@@ -209,8 +209,15 @@ def minimal_polynomial(L: np.ndarray, max_degree: int | None = None
     verified by evaluating p(L) = 0 in integers.
 
     Raises NotFourEigenvaluesError once the degree provably exceeds
-    max_degree (the powers I, L, ..., L^max_degree are independent).
+    max_degree (the powers I, L, ..., L^max_degree are independent), and
+    InvalidParameterError, before the first product, for a matrix whose
+    dtype is neither an integer dtype nor object holding Python ints (the
+    int64 kernels would truncate a float entry).
     """
+    if not (np.issubdtype(L.dtype, np.integer) or (
+            L.dtype == object and all(type(x) is int for x in L.flat))):
+        raise InvalidParameterError(
+            f"minimal polynomial needs an integer matrix, got dtype {L.dtype}")
     n = L.shape[0]
     cap = n if max_degree is None else min(max_degree, n)
     powers = [np.eye(n, dtype=np.int64), L]

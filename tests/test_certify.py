@@ -10,9 +10,9 @@ import pytest
 import scipy.linalg
 
 from mnhd.certify import (FAILED, NOT_APPLICABLE, NUMERIC_ONLY, PROVEN,
-                          REPORT_SCHEMA, _pair_classes, _template_row, analyze,
-                          certificate_bipartite, classify_pair,
-                          delta_sign_analysis, numeric_check)
+                          REPORT_SCHEMA, ClassRow, _pair_classes, _template_row,
+                          analyze, certificate_bipartite, delta_sign_analysis,
+                          numeric_check)
 from mnhd.errors import (ExactEigensystemRequiredError, InvalidParameterError,
                          NonQuadraticEigenvaluesError, NotFourEigenvaluesError,
                          ShortGridError, SignatureKeyOverflowError,
@@ -39,42 +39,48 @@ def _design_context(g):
 # -- pair classification -----------------------------------------------------
 
 
-def test_classify_pair_742():
+def _named_rows(g):
+    """(tag, signature, count) of the bipartite certificate's class rows."""
+    cert = certificate_bipartite(g, exact_eigensystem(laplacian(g)))
+    return [(row.tag, row.signature, row.count) for row in cert.classes]
+
+
+def test_bipartite_rows_name_742_classes():
+    # (L(u,v), L^2(u,v)): W1 adjacent (-1, -2d), W2 two points or two blocks
+    # (0, lambda), W3 a point and a block it misses (0, 0)
     g = design_742_incidence()
-    L = laplacian(g)
-    L2 = L @ L
-    n, d, lam = _design_context(g)
-    adjacent = next((u, v) for u in range(n) for v in range(n) if L[u, v] == -1)
-    pc = classify_pair(L, L2, *adjacent, n, d, lam)
-    assert (pc.tag, pc.signature) == ("W1", (-1, -8))
-    pc = classify_pair(L, L2, 0, 1, n, d, lam)  # two points of the design
-    assert (pc.tag, pc.signature) == ("W2", (0, 2))
-    nonincident = next((u, v) for u in range(7) for v in range(7, 14)
-                       if L[u, v] == 0)
-    pc = classify_pair(L, L2, *nonincident, n, d, lam)
-    assert (pc.tag, pc.signature) == ("W3", (0, 0))
-    with pytest.raises(UnknownSignatureError):  # no class for u = v
-        classify_pair(L, L2, 3, 3, n, d, lam)
+    assert _named_rows(g) == [("W1", (-1, -8), 2 * g.m),
+                              ("W2", (0, 2), 2 * 7 * 6),
+                              ("W3", (0, 0), 14 * 13 - 2 * g.m - 2 * 7 * 6)]
 
 
-def test_classify_pair_unknown_signature():
-    g = cayley_s3()  # not an incidence graph: (0,3) has L^2 = 2 != lambda
-    L = laplacian(g)
-    L2 = L @ L
-    with pytest.raises(UnknownSignatureError):
-        classify_pair(L, L2, 0, 3, 6, 3, 3)
+def test_bipartite_rows_unknown_signature():
+    # the graph's own L, so the route accepts the eigensystem as the
+    # graph's, with L^2 raised by 1 off the diagonal: no (L, L^2) signature
+    # has a name
+    g = design_742_incidence()
+    es = exact_eigensystem(laplacian(g))
+    I, L, L2, L3 = es.powers
+    altered = dataclasses.replace(es, powers=(I, L, L2 + 1 - I, L3))
+    with pytest.raises(UnknownSignatureError, match=r"\(-1, -7\)"):
+        certificate_bipartite(g, altered)
 
 
 def test_classification_exhaustive_and_exclusive(incidence_builtins):
+    # every ordered pair's (L(u,v), L^2(u,v)) falls in exactly one of the
+    # three named classes, and the rows count them
     for name, g in incidence_builtins.items():
         L = laplacian(g)
         L2 = L @ L
         n, d, lam = _design_context(g)
+        names = {(-1, -2 * d): "W1", (0, lam): "W2", (0, 0): "W3"}
         counts = {"W1": 0, "W2": 0, "W3": 0}
         for u in range(n):
             for v in range(n):
                 if u != v:
-                    counts[classify_pair(L, L2, u, v, n, d, lam).tag] += 1
+                    counts[names[int(L[u, v]), int(L2[u, v])]] += 1
+        assert _named_rows(g) == sorted(
+            (tag, sig, counts[tag]) for sig, tag in names.items()), name
         assert sum(counts.values()) == n * (n - 1), name
         assert counts["W1"] == 2 * g.m, name
         v_half = n // 2
@@ -84,8 +90,8 @@ def test_classification_exhaustive_and_exclusive(incidence_builtins):
 def _pair_classes_by_delta_set(L, L2, es):
     """Reference for _pair_classes on an exact eigensystem: the signature
     groups split by the exact DeltaSet of every pair, read off the full
-    Lagrange projector matrices, tagged the same way, each with its count
-    and its first pair in row-major order."""
+    Lagrange projector matrices, tagged the same way, each with its
+    count."""
     groups = {}
     for u in range(es.n):
         for v in range(es.n):
@@ -103,7 +109,7 @@ def _pair_classes_by_delta_set(L, L2, es):
             by_delta.setdefault(ds, []).append((u, v))
         for sub, (ds, pairs) in enumerate(by_delta.items(), start=1):
             tag = f"S{idx}" if len(by_delta) == 1 else f"S{idx}.{sub}"
-            out.append((tag, sig, ds, len(pairs), pairs[0]))
+            out.append(ClassRow(tag, sig, len(pairs), ds))
     return out
 
 
@@ -226,6 +232,20 @@ def test_exact_routes_reject_a_numeric_eigensystem(monkeypatch):
         monkeypatch.setattr(f"mnhd.certify.{name}", None)
     for route in (certificate_bipartite, delta_sign_analysis):
         assert route(g, exact).verdict == PROVEN
+
+
+def test_routes_reject_another_graphs_eigensystem():
+    # P6 violates MNHD, and cayley-s3's exact eigensystem or crown-7's
+    # numeric one must not certify it
+    p6 = build_graph(6, [(i, i + 1) for i in range(5)])
+    assert numeric_check(p6).verdict == "ViolatedAt"
+    foreign = exact_eigensystem(laplacian(cayley_s3()))
+    for route in (certificate_bipartite, delta_sign_analysis):
+        with pytest.raises(InvalidParameterError, match="another graph"):
+            route(p6, foreign)
+    with pytest.raises(InvalidParameterError, match="order 14"):
+        numeric_check(p6, es=jacobi_eigendecompose(laplacian(crown(7))))
+    assert issubclass(InvalidParameterError, ValueError)
 
 
 def test_certificate_check_names_include_required_identities():
@@ -433,17 +453,17 @@ def test_template_row_refuses_budget_below_cost():
     # coefficient (cost 2 * 2), rate 7 decays with a negative one (free)
     terms = {QuadValue(1): QuadValue(1), QuadValue(5): QuadValue(2),
              QuadValue(7): QuadValue(-1)}
-    proven, route, detail = _template_row(QuadValue(3), terms, QuadValue(2),
-                                          (1, 1, 0, 0))
-    assert (proven, route) == (False, None)
+    route, detail = _template_row(QuadValue(3), terms, QuadValue(2),
+                                  (1, 1, 0, 0))
+    assert route is None
     assert detail.startswith("budget 2 < cost 4")
 
 
 def test_template_row_refuses_negative_h_at_zero():
     terms = {QuadValue(4): QuadValue(-1)}
-    proven, route, detail = _template_row(QuadValue(3), terms, QuadValue(-1),
-                                          (1, 1, 0, 0))
-    assert (proven, route, detail) == (False, None, "h(0) = -1 < 0")
+    route, detail = _template_row(QuadValue(3), terms, QuadValue(-1),
+                                  (1, 1, 0, 0))
+    assert (route, detail) == (None, "h(0) = -1 < 0")
 
 
 # -- the two-exponential monotonicity rule -----------------------------------

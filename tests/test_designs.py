@@ -169,6 +169,15 @@ def test_catalog_shape():
                               QuadValue(4, 1, 3), QuadValue(8))
 
 
+def test_catalog_is_every_symmetric_parameter_set_from_n_10_to_30():
+    # one row per (v, d, lambda) with lambda (v - 1) = d (d - 1) and
+    # 1 <= lambda < d < v, n = 2v in 10..30; crown-3 (n = 6) and crown-4
+    # (n = 8) are proven by `analyze` but lie below the catalog's range
+    feasible = [(v, d, lam) for v in range(5, 16) for d in range(1, v)
+                for lam in range(1, d) if lam * (v - 1) == d * (d - 1)]
+    assert sorted(r.params for r in catalog()) == feasible
+
+
 def test_catalog_consistent_with_predicted_spectrum():
     for row in catalog():
         v, d, lam = row.params

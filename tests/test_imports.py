@@ -77,3 +77,33 @@ def test_library_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """'file:line name' for each name that `path` imports and never reads;
+    an import whose lines carry `# noqa: F401` is kept on purpose."""
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    found = []
+    for node in ast.walk(tree):
+        if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                or getattr(node, "module", None) == "__future__"
+                or any("# noqa: F401" in line
+                       for line in lines[node.lineno - 1:node.end_lineno])):
+            continue
+        for alias in node.names:
+            name = (alias.asname or alias.name).split(".")[0]
+            if name not in used:
+                found.append(f"{path.name}:{node.lineno} {name}")
+    return found
+
+
+def test_library_has_no_unused_imports():
+    # no linter runs in CI: a name left imported after its last use goes
+    # unnoticed by every other test
+    src = Path(__file__).resolve().parents[1] / "src" / "mnhd"
+    assert [entry for path in sorted(src.glob("*.py"))
+            if path.name != "__init__.py"
+            for entry in _unused_imports(path)] == []

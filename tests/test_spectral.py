@@ -244,6 +244,18 @@ def test_minimal_polynomial_crown5():
     assert minimal_polynomial(laplacian(crown(5)))[0] == [0, -120, 79, -16, 1]
 
 
+def test_minimal_polynomial_rejects_non_integer_matrices():
+    # int64 conversion would truncate 0.5 to 0: diag(0.5, 1.5) read as
+    # [0, -1, 1] and L + 0.5 as [-3, 1] before the check
+    L = laplacian(cayley_s3())
+    for M in (np.diag([0.5, 1.5]), L + 0.5):
+        with pytest.raises(InvalidParameterError, match="float64"):
+            minimal_polynomial(M)
+    with pytest.raises(InvalidParameterError):
+        exact_eigensystem(L.astype(float))
+    assert minimal_polynomial(L.astype(object))[0] == minimal_polynomial(L)[0]
+
+
 def test_minimal_polynomial_degree_cap():
     path5 = build_graph(5, [(i, i + 1) for i in range(4)])  # 5 distinct values
     with pytest.raises(NotFourEigenvaluesError):
