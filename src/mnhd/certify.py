@@ -5,9 +5,10 @@ The two exact ones share one engine: the graph's exact eigensystem, built
 once by `analyze` and a required argument of both, and one grouping of the
 ordered vertex pairs into classes by their (L, L^2) signature, read off the
 integer Laplacian; on a connected four-eigenvalue graph it fixes a pair's
-projector entries and Delta set, so `delta_set` runs once per class.  The
-grouping sorts one packed int64 key per pair, and a class row keeps its pair
-count, never a list of its pairs.
+projector entries, which are read off the eigensystem's own Lagrange
+polynomials and powers of L, and so its Delta set: `delta_set` runs once per
+class.  The grouping sorts one packed int64 key per pair, and a class row
+keeps its pair count, never a list of its pairs.
 `analyze` alone decides which route runs: neither exact route builds an
 eigensystem or runs the float eigensolver.
 
@@ -23,17 +24,20 @@ eigensystem or runs the float eigensolver.
   records every sign and cancellation condition that together force h >= 0.
 
 * delta_sign_analysis -- a generalized exact template for any connected graph
-  with four distinct eigenvalues in a quadratic field: per signature class it
-  certifies h >= 0 either because every exponential coefficient of h is
-  nonnegative, or because e^{lam3 t} h(t) is nondecreasing (no growing term
-  has a negative coefficient and the growing terms' derivative budget covers
-  the decaying positive ones) and h(0) >= 0.  For a connected
+  with four distinct eigenvalues in a quadratic field: per signature class,
+  `_decide` tries two rules in order on the class's h, an ExpSum, and names
+  the one that proves h >= 0: nonnegative-coefficients (every exponential
+  coefficient of h is nonnegative) or transform-budget (e^{lam3 t} h(t) is
+  nondecreasing: no growing term has a negative coefficient and the growing
+  terms' derivative budget covers the decaying positive ones, and h(0) >= 0).
+  The class row records that rule as its route.  For a connected
   four-eigenvalue graph whose eigenvalues are not quadratic (classification
   case III), `analyze` gives instead a float table over the same classes
   (method numeric-delta-table) that is labelled as evidence, never proof.
 
 * numeric_check -- forward differences of r_t over a log time grid, for every
-  ordered pair.  Evidence only; always run as cross-validation.
+  ordered pair, on the graph's own numeric eigensystem.  Evidence only;
+  always run as cross-validation.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,12 +56,13 @@ from .errors import (ExactEigensystemRequiredError, InvalidParameterError,
                      ShortGridError, SignatureKeyOverflowError,
                      UnknownSignatureError)
 from .graphs import Graph, GraphFacts, facts, laplacian
-from .heat import (DeltaSet, default_time_grid, delta_set, h_terms_exact,
-                   heat_slices)
+from .heat import (DeltaSet, ExpSum, default_time_grid, delta_set,
+                   h_terms_exact, heat_slices)
 from .quadratic import INT64_BOUND, QuadValue, int_combination, poly_mul_mod
-from .spectral import (Eigensystem, FourSpectrum, VanDamCase,
+from .spectral import (DEFAULT_TOL, Eigensystem, FourSpectrum, VanDamCase,
                        classify_spectrum, exact_eigensystem,
-                       jacobi_eigendecompose, lagrange_coefficients)
+                       jacobi_eigendecompose, lagrange_coefficients,
+                       projector_entries)
 # Not called here (exact_eigensystem runs it); the benchmark's self-check
 # (perfbench/run.py --selfcheck) wraps it in this namespace to test its tracer.
 from .spectral import minimal_polynomial  # noqa: F401
@@ -102,13 +107,13 @@ def _not_applicable(method: str, reason: str) -> Certificate:
 # pair classes
 
 
-def _pair_classes(L: np.ndarray, L2: np.ndarray, sigma: Sequence
+def _pair_classes(powers: Sequence[np.ndarray], basis: Sequence[Sequence]
                   ) -> list[ClassRow]:
     """One ClassRow (tag, signature, count, DeltaSet) per class of the
-    ordered pairs u != v of the integer Laplacian L (with L2 = L @ L) of a
-    connected graph with distinct eigenvalues 0 and `sigma` (exact, or float
-    cluster means), grouped by the (L(u,u), L(v,v), L(u,v), L^2(u,v))
-    signature and tagged S1, S2, ... in sorted signature order.
+    ordered pairs u != v of a connected four-eigenvalue graph by their
+    (L(u,u), L(v,v), L(u,v), L^2(u,v)) signature, tagged S1, S2, ... in
+    sorted order, from the powers I..L^3 of its integer Laplacian L and the
+    nonzero eigenvalues' Lagrange polynomials `basis` (exact or float).
 
     The grouping runs on arrays: each pair's signature is packed into one
     int64 key in mixed radix, every field offset by its minimum over the
@@ -117,14 +122,11 @@ def _pair_classes(L: np.ndarray, L2: np.ndarray, sigma: Sequence
     memory is a few n x n int64 arrays; a radix product past
     quadratic.INT64_BOUND raises SignatureKeyOverflowError.
 
-    The signature fixes the projector entries that `delta_set` takes, once
-    per class: with P_0 = J/n and a_i0 + a_i1 x + a_i2 x^2 the Lagrange
-    polynomial of sigma_i over sigma,
-
-        P_i = a_i0 (I - J/n) + a_i1 L + a_i2 L^2
-
-    solves the Vandermonde rows sum_{i>=1} P_i = I - J/n and L^k =
-    sum_{i>=1} sigma_i^k P_i (k = 1, 2), and L^2(u,u) = L(u,u)^2 + L(u,u)."""
+    Each class's Delta set is read off its first pair as P_i(x, y) = sum_j
+    a_ij L^j(x, y).  The signature fixes it: L^2(u,u) = L(u,u)^2 + L(u,u),
+    and on a connected graph a_0(L) = J/n for the Lagrange polynomial a_0 of
+    0, whose leading coefficient is nonzero, so I, L, L^2 fix L^3 entrywise."""
+    L, L2 = powers[1:3]
     n = len(L)
     off = ~np.eye(n, dtype=bool)  # boolean indexing keeps row-major order
     diag = np.diagonal(L)
@@ -145,21 +147,14 @@ def _pair_classes(L: np.ndarray, L2: np.ndarray, sigma: Sequence
         key += values.astype(np.int64, copy=False)
     del values  # freed before np.unique sorts a copy of the keys
     _, firsts, counts = np.unique(key, return_index=True, return_counts=True)
-    coeffs = [lagrange_coefficients(sigma, i) for i in range(len(sigma))]
-
-    def entries(x: int, y: int) -> list:  # P_i(x, y) for the nonzero sigma_i
-        centered = int(x == y) - Fraction(1, n)  # (I - J/n)(x, y)
-        return [a0 * centered + a1 * int(L[x, y]) + a2 * int(L2[x, y])
-                for a0, a1, a2 in coeffs]
-
     classes = []
     for idx, (first, count) in enumerate(zip(firsts.tolist(), counts.tolist()),
                                          start=1):
         u, r = divmod(first, n - 1)  # first counts off-diagonal entries
         v = r + (r >= u)
         sig = (int(L[u, u]), int(L[v, v]), int(L[u, v]), int(L2[u, v]))
-        classes.append(ClassRow(f"S{idx}", sig, count,
-                                delta_set(entries(u, u), entries(u, v))))
+        uu, uv = (projector_entries(basis, powers, u, x) for x in (u, v))
+        classes.append(ClassRow(f"S{idx}", sig, count, delta_set(uu, uv)))
     return classes
 
 
@@ -217,7 +212,6 @@ def certificate_bipartite(g: Graph, es: Eigensystem) -> Certificate:
     if d - lam < 1:
         return Certificate(FAILED, method, "d - lambda < 1", tuple(checks))
 
-    L, L2 = es.powers[1:3]
     fs = FourSpectrum.from_design(n, d, lam)
     lam1, lam2, lam3 = fs.nonzero()
     c1, c2, c3 = fs.constants()
@@ -272,7 +266,7 @@ def certificate_bipartite(g: Graph, es: Eigensystem) -> Certificate:
     # adjacent, W2 same side, W3 opposite and nonadjacent
     names = {(-1, -2 * d): "W1", (0, lam): "W2", (0, 0): "W3"}
     rows: list[ClassRow] = []
-    for row in _pair_classes(L, L2, sigma[1:]):
+    for row in _pair_classes(es.powers, es.lagrange[1:]):
         sig = row.signature[2:]
         if sig not in names:
             raise UnknownSignatureError(
@@ -291,6 +285,8 @@ def certificate_bipartite(g: Graph, es: Eigensystem) -> Certificate:
            spectrum_ok and p0_ok and resolution_ok and ortho_ok and idem_ok
            and recon_ok, "one Delta set per class over all of its pairs")
     deltas = {row.tag: row.deltas for row in rows}
+    h0 = {tag: h_terms_exact(fs.nonzero(), ds, n).at_zero()
+          for tag, ds in deltas.items()}
 
     inv_n = QuadValue(Fraction(1, n))
 
@@ -306,7 +302,7 @@ def certificate_bipartite(g: Graph, es: Eigensystem) -> Certificate:
     gaps = (lam2 - lam1, lam3 - lam1, lam3 - lam2)
     record("w1_eigenvalue_gaps_positive", all(x.sign() > 0 for x in gaps),
            f"lam2-lam1={gaps[0]}, lam3-lam1={gaps[1]}, lam3-lam2={gaps[2]}")
-    record("w1_derivative_at_zero", _h0(fs, w1, n) == QuadValue(1),
+    record("w1_derivative_at_zero", h0["W1"] == QuadValue(1),
            "h(0) = -L(u,v) = 1")
 
     # W2: D12 = 0; both exponential pairings a1 e^(at) + a2 e^(-at) are
@@ -322,7 +318,7 @@ def certificate_bipartite(g: Graph, es: Eigensystem) -> Certificate:
     record("w2_exponential_pairings", pairing1 and pairing2,
            f"(1/n)D2={_sign_str(inv_n * w2.d2)} vs D13={_sign_str(w2.d13)}; "
            f"(1/n)D1={_sign_str(inv_n * w2.d1)} vs D23={_sign_str(w2.d23)}")
-    record("w2_derivative_at_zero", _h0(fs, w2, n) == QuadValue(0),
+    record("w2_derivative_at_zero", h0["W2"] == QuadValue(0),
            "h(0) = -L(u,v) = 0")
 
     # W3: exact cancellations make both pairings a1 e^(at) + a2 e^(-at) with
@@ -340,7 +336,7 @@ def certificate_bipartite(g: Graph, es: Eigensystem) -> Certificate:
            f"~ {float(const_term):+.6g}")
     record("w3_cancellation_2", inv_n * w3.d1 - w3.d23 == QuadValue(0),
            "(1/n)D1 - D23 = 0")
-    record("w3_derivative_at_zero", _h0(fs, w3, n) == QuadValue(0),
+    record("w3_derivative_at_zero", h0["W3"] == QuadValue(0),
            "h(0) = -L(u,v) = 0")
 
     verdict, reason = _verdict(checks)
@@ -376,42 +372,41 @@ def _is_mean_projector(a0: Sequence[QuadValue], powers: Sequence[np.ndarray],
         [int(c.a * den) for c in a0], powers) == mean).all())
 
 
-def _h0(fs: FourSpectrum, ds: DeltaSet, n: int) -> QuadValue:
-    return sum(h_terms_exact(fs.nonzero(), ds, n).values(), QuadValue(0))
-
-
 # ---------------------------------------------------------------------------
 # generalized exact template
 
 
-def _template_row(lam3: QuadValue, terms: dict[QuadValue, QuadValue],
-                  h0: QuadValue, sig: tuple) -> tuple[str | None, str]:
-    """(route, detail) of one class row from the exponential terms of its h,
-    route None unless one certifies it.  Route 1: every merged exponential
-    coefficient of h is nonnegative, so h >= 0 termwise.  Route 2: after
-    multiplying by e^{lam3 t}, no growing exponential has a negative
-    coefficient and the growing terms' derivative budget dominates the
-    decaying positive terms', so the product is nondecreasing from h(0) >= 0."""
-    if all(c.sign() >= 0 for c in terms.values()):
-        return "nonnegative-coefficients", "all h coefficients >= 0"
-    zero = QuadValue(0)
-    budget, cost = zero, zero
-    for rate, coeff in terms.items():
+class Decision(NamedTuple):  # rule None: neither rule proves the class
+    rule: str | None
+    witness: str
+
+
+def _decide(h: ExpSum, lam3: QuadValue, sig: tuple) -> Decision:
+    """nonnegative-coefficients when every coefficient of h is, else
+    transform-budget when e^{lam3 t} h(t) is nondecreasing from h(0) >= 0
+    (no growing term has a negative coefficient, and the growing terms'
+    derivative budget covers the decaying positive ones'), else rule None,
+    the witness naming the first offending term by rate."""
+    if all(c.sign() >= 0 for _, c in h.terms):
+        return Decision("nonnegative-coefficients", "all h coefficients >= 0")
+    budget = cost = QuadValue(0)
+    for rate, coeff in h.terms:
         mu = lam3 - rate
         if mu.sign() > 0:
             if coeff.sign() < 0:
-                return None, (f"growing term with negative coefficient "
-                              f"{coeff} at rate {rate}")
+                return Decision(None, f"growing term with negative coefficient "
+                                      f"{coeff} at rate {rate}")
             budget = budget + coeff * mu
         elif mu.sign() < 0 and coeff.sign() > 0:
             cost = cost + coeff * (-mu)
+    h0 = h.at_zero()
     if h0.sign() < 0:
-        return None, f"h(0) = {h0} < 0"
+        return Decision(None, f"h(0) = {h0} < 0")
     if (budget - cost).sign() >= 0:
-        return "transform-budget", (
+        return Decision("transform-budget", (
             f"e^(lam3 t) transform nondecreasing: budget {budget} >= cost {cost}, "
-            f"h(0) = {h0} >= 0")
-    return None, f"budget {budget} < cost {cost} for signature {sig}"
+            f"h(0) = {h0} >= 0"))
+    return Decision(None, f"budget {budget} < cost {cost} for signature {sig}")
 
 
 def delta_sign_analysis(g: Graph, es: Eigensystem) -> Certificate:
@@ -427,23 +422,22 @@ def delta_sign_analysis(g: Graph, es: Eigensystem) -> Certificate:
     sigma = es.values()[1:]
     rows: list[ClassRow] = []
     checks: list[CertificateCheck] = []
-    n = g.n
-    for row in _pair_classes(*es.powers[1:3], sigma):
+    for row in _pair_classes(es.powers, es.lagrange[1:]):
         tag, ds = row.tag, row.deltas
         deltas_ok = all(x.sign() >= 0 for x in (ds.d1, ds.d2, ds.d3))
         checks.append(CertificateCheck(
             f"{tag}_delta_nonneg", f"D1={ds.d1}, D2={ds.d2}, D3={ds.d3}",
             deltas_ok))
-        terms = h_terms_exact(sigma, ds, n)
-        h0 = sum(terms.values(), QuadValue(0))
-        route, detail = _template_row(sigma[-1], terms, h0, row.signature)
-        checks.append(CertificateCheck(f"{tag}_monotone_template", detail,
-                                       route is not None))
+        h = h_terms_exact(sigma, ds, g.n)
+        rule, witness = _decide(h, sigma[-1], row.signature)
+        checks.append(CertificateCheck(f"{tag}_monotone_template", witness,
+                                       rule is not None))
+        h0 = h.at_zero()
         checks.append(CertificateCheck(
             f"{tag}_derivative_at_zero", f"h(0) = {h0} = -L(u,v)",
             h0 == QuadValue(-row.signature[2])))
-        rows.append(replace(row, proven=route is not None and deltas_ok,
-                            route=route))
+        rows.append(replace(row, proven=rule is not None and deltas_ok,
+                            route=rule))
     verdict, reason = _verdict(checks)
     return Certificate(verdict, method, reason, tuple(checks), tuple(rows))
 
@@ -451,10 +445,11 @@ def delta_sign_analysis(g: Graph, es: Eigensystem) -> Certificate:
 def _numeric_delta_table(powers: Sequence[np.ndarray], es: Eigensystem,
                          why: str) -> Certificate:
     """Float DeltaSets per pair class of a connected graph, from the powers
-    I, L, L^2, ... of its integer Laplacian and the cluster means of its
-    Jacobi eigensystem `es`, tagged as the template tags them; method
-    numeric-delta-table, verdict NumericOnly."""
-    rows = _pair_classes(*powers[1:3], es.values()[1:])
+    I, L, L^2, L^3 of its integer Laplacian and the float Lagrange basis
+    over the cluster means of its Jacobi eigensystem `es`, tagged as the
+    template tags them; method numeric-delta-table, verdict NumericOnly."""
+    rows = _pair_classes(powers, [lagrange_coefficients(es.values(), i)
+                                  for i in (1, 2, 3)])
     return Certificate(NUMERIC_ONLY, "numeric-delta-table",
                        f"not proven: {why}; float table is evidence only",
                        classes=tuple(rows))
@@ -481,9 +476,11 @@ def numeric_check(g: Graph, grid: Sequence[float] | None = None,
                   tol: float = 1e-9, es: Eigensystem | None = None) -> NumericVerdict:
     """Forward differences of r_t over the grid for every ordered pair; the
     verdict is evidence about MNHD, not a proof.  H_t streams in one slice per
-    time from the numeric eigensystem `es` (of another order, it raises
-    InvalidParameterError), so only the previous ratio matrix, its rounding
-    bound and the running minimum are kept.
+    time from the numeric eigensystem `es`, so only the previous ratio
+    matrix, its rounding bound and the running minimum are kept.  An `es`
+    that is not the graph's own raises InvalidParameterError: one of another
+    order, or one whose ||L V - V diag(w)||_F, L = laplacian(g) and w each
+    column's eigenvalue, exceeds DEFAULT_TOL max(1, ||L||_F).
     A difference within n eps sqrt(H_t(v,v) / H_t(u,u)), the rounding bound of
     R_t(u,v) (Cauchy-Schwarz on H_t(u,v)), is a tie at 0, not a violation.
     Ties go to the earliest step, then to the first pair in row-major order.
@@ -492,8 +489,9 @@ def numeric_check(g: Graph, grid: Sequence[float] | None = None,
     if not (np.isfinite(tol) and tol >= 0):
         raise InvalidParameterError(
             f"tolerance must be finite and nonnegative, got {tol}")
+    L = laplacian(g)
     if es is None:
-        es = jacobi_eigendecompose(laplacian(g))
+        es = jacobi_eigendecompose(L)
     elif es.n != g.n:
         raise InvalidParameterError(
             f"eigensystem of order {es.n} for a graph on {g.n} vertices")
@@ -502,7 +500,12 @@ def numeric_check(g: Graph, grid: Sequence[float] | None = None,
     grid = np.asarray(grid, dtype=float)
     if len(grid) < 2:
         raise ShortGridError(f"need at least two times, got {len(grid)}")
-    slices = heat_slices(es, grid)  # rejects negative and non-finite times
+    slices = heat_slices(es, grid)  # rejects exact es, bad times
+    residual = np.linalg.norm(L @ es.vectors - es.vectors * es.column_values())
+    if residual > DEFAULT_TOL * max(1.0, np.linalg.norm(L)):
+        raise InvalidParameterError(
+            f"eigensystem of another graph: ||L V - V diag(w)|| = {residual:.3g}")
+    del L
     if (np.diff(grid) <= 0).any():
         raise InvalidParameterError("grid times must be strictly increasing")
     min_diff, worst_idx, worst_t = np.inf, 0, grid[1]

@@ -78,7 +78,8 @@ class InvalidParameterError(MnhdError, ValueError):
     `QuadValue(0, 1, -3)` reaches), a matrix for `minimal_polynomial` (and
     so `exact_eigensystem`) that is not of integers, or an eigensystem that
     is not the graph's own: an exact route's whose L is not the graph's
-    Laplacian, or the numeric check's of another order."""
+    Laplacian, or the numeric check's of another order or whose eigenvectors
+    do not diagonalize the graph's Laplacian."""
 
 
 class UnknownSignatureError(MnhdError):

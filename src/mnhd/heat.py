@@ -5,22 +5,24 @@ H_t(u,v)/H_t(u,u) (`ratio_curve`), the derivative-sign function
 
     h_{u,v}(t) = H_t'(u,v) H_t(u,u) - H_t(u,v) H_t'(u,u),
 
-and its expansion into exponential terms with Delta coefficients
+and its expansion into an exponential sum (`ExpSum`: exact rates, ascending
+and distinct, each with a nonzero coefficient) with Delta coefficients
 
     Delta_i(u,v)  = P_i(u,u) - P_i(u,v)
     Delta_ij(u,v) = P_i(u,v) P_j(u,u) - P_j(u,v) P_i(u,u).
 
 r_t is nondecreasing in t for every pair u != v exactly when h_{u,v} >= 0 on
-[0, inf); the certificate machinery in `certify` reasons about the exact
-exponential coefficients produced here from the projector entries it reads
-off each pair class.  `h_rate` and `h_terms_from_eigensystem` compute h
-independently so the tests can compare.
+[0, inf); the exact routes in `certify` decide the sign of the ExpSum that
+`h_terms_exact` builds from the Delta set of each pair class.
+`h_terms_from_eigensystem` (an ExpSum from the projector entries) and
+`h_rate` (floats) compute h independently so the tests can compare.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -30,7 +32,7 @@ from .errors import (ExactEigensystemRequiredError, GraphInputError,
                      NegativeTimeError, NumericEigensystemRequiredError,
                      SameVertexError)
 from .quadratic import QuadValue
-from .spectral import Eigensystem
+from .spectral import Eigensystem, projector_entries
 
 
 def heat_slices(es: Eigensystem, grid: Sequence[float]) -> Iterator[np.ndarray]:
@@ -50,9 +52,7 @@ def heat_slices(es: Eigensystem, grid: Sequence[float]) -> Iterator[np.ndarray]:
         raise NegativeTimeError("grid contains negative times")
     if not np.isfinite(grid).all():
         raise InvalidParameterError("grid contains times that are not finite")
-    V = es.vectors
-    w = np.repeat([g.value for g in es.groups],
-                  [g.multiplicity for g in es.groups])
+    V, w = es.vectors, es.column_values()
 
     def slices() -> Iterator[np.ndarray]:
         for t in grid:
@@ -130,51 +130,51 @@ def delta_set(uu: Sequence, uv: Sequence) -> DeltaSet:
     return DeltaSet(d[0], d[1], d[2], cross[0], cross[1], cross[2])
 
 
-def h_terms_exact(lams: Sequence[QuadValue], ds: DeltaSet, n: int
-                  ) -> dict[QuadValue, QuadValue]:
-    """h_{u,v}(t) = sum coeff * exp(-rate * t) as a map rate -> coefficient,
-    from the three nonzero eigenvalues lams = (lam1, lam2, lam3) and the
-    pair's exact Deltas, with coinciding rates merged (lam1 + lam2 = lam3 in
-    the bipartite case).  Zero coefficients are dropped.
-    """
+@dataclass(frozen=True)
+class ExpSum:
+    """h(t) = sum coeff exp(-rate t) as (rate, coeff) `terms`, built from
+    pairs in any order: exact rates ascending and distinct (coinciding ones
+    summed, as lam1 + lam2 = lam3 in the bipartite case), no zero coeff."""
+
+    terms: tuple[tuple[QuadValue, QuadValue], ...]
+
+    def __post_init__(self):
+        by_rate = groupby(sorted(self.terms), key=lambda term: term[0])
+        sums = ((rate, sum((c for _, c in grp), QuadValue(0)))
+                for rate, grp in by_rate)
+        object.__setattr__(self, "terms", tuple(t for t in sums if t[1] != 0))
+
+    def at_zero(self) -> QuadValue:
+        return sum((c for _, c in self.terms), QuadValue(0))
+
+
+def h_terms_exact(lams: Sequence[QuadValue], ds: DeltaSet, n: int) -> ExpSum:
+    """h_{u,v} from the three nonzero eigenvalues lams = (lam1, lam2, lam3)
+    and the pair's exact Deltas."""
     inv_n = QuadValue(Fraction(1, n))
-    raw = [
+    return ExpSum((
         (lams[0], lams[0] * inv_n * ds.d1),
         (lams[1], lams[1] * inv_n * ds.d2),
         (lams[2], lams[2] * inv_n * ds.d3),
         (lams[0] + lams[1], (lams[1] - lams[0]) * ds.d12),
         (lams[0] + lams[2], (lams[2] - lams[0]) * ds.d13),
         (lams[1] + lams[2], (lams[2] - lams[1]) * ds.d23),
-    ]
-    terms: dict[QuadValue, QuadValue] = {}
-    for rate, coeff in raw:
-        terms[rate] = terms.get(rate, QuadValue(0)) + coeff
-    return {rate: c for rate, c in terms.items() if c != 0}
+    ))
 
 
-def h_terms_from_eigensystem(es: Eigensystem, u: int, v: int
-                             ) -> dict[QuadValue, QuadValue]:
-    """The same exponential-coefficient map computed from the derivative
-    product H'(u,v)H(u,u) - H(u,v)H'(u,u) with H' = -sum lam exp(-t*lam) P,
-    each P(u,x) from the full Lagrange polynomial that `es` keeps, summed over
-    its powers of L; independent of the Delta expansion and of the signature
-    formula."""
+def h_terms_from_eigensystem(es: Eigensystem, u: int, v: int) -> ExpSum:
+    """The same sum computed from the derivative product H'(u,v)H(u,u) -
+    H(u,v)H'(u,u) with H' = -sum lam exp(-t*lam) P, each P(u,x) from the full
+    Lagrange polynomial that `es` keeps, summed over its powers of L;
+    independent of the Delta expansion and of the signature formula."""
     if es.mode != "exact":
         raise ExactEigensystemRequiredError(
             "h_terms_from_eigensystem needs an exact eigensystem")
-    entries = []
-    for lam, coeffs in zip(es.values(), es.lagrange):
-        uu, uv = (sum((a * int(P[u, x]) for a, P in zip(coeffs, es.powers)),
-                      QuadValue(0)) for x in (u, v))
-        entries.append((lam, uu, uv))
-    terms: dict[QuadValue, QuadValue] = {}
-    for lam_i, uu_i, uv_i in entries:
-        for lam_j, uu_j, uv_j in entries:
-            coeff = lam_i * (uu_i * uv_j - uv_i * uu_j)
-            if coeff != 0:
-                rate = lam_i + lam_j
-                terms[rate] = terms.get(rate, QuadValue(0)) + coeff
-    return {rate: c for rate, c in terms.items() if c != 0}
+    lams, k = es.values(), len(es.groups)
+    uu, uv = (projector_entries(es.lagrange, es.powers, u, x) for x in (u, v))
+    return ExpSum(tuple(
+        (lams[i] + lams[j], lams[i] * (uu[i] * uv[j] - uv[i] * uu[j]))
+        for i in range(k) for j in range(k)))
 
 
 def h_rate(es: Eigensystem, L: np.ndarray, u: int, v: int, t: float) -> float:

@@ -100,6 +100,12 @@ class Eigensystem:
     def values(self) -> list[float | QuadValue]:
         return [g.value for g in self.groups]
 
+    def column_values(self) -> np.ndarray:
+        """Each group's value as a float, repeated by its multiplicity: the
+        eigenvalue of each column of `vectors`."""
+        return np.repeat([float(g.value) for g in self.groups],
+                         [g.multiplicity for g in self.groups])
+
     def smallest_positive(self) -> float:
         """The smallest eigenvalue above 1e-12; inf when there is none."""
         return min((float(g.value) for g in self.groups if float(g.value) > 1e-12),
@@ -334,6 +340,14 @@ def lagrange_coefficients(sigma: Sequence, i: int) -> list:
             coeffs = [lo - lam * hi for lo, hi in zip([0, *coeffs], [*coeffs, 0])]
             denominator = denominator * (sigma[i] - lam)
     return [c / denominator for c in coeffs]
+
+
+def projector_entries(basis: Sequence[Sequence], powers: Sequence[np.ndarray],
+                      x: int, y: int) -> list:
+    """P_i(x, y) = sum_j a_ij L^j(x, y) for each polynomial a_i of `basis`
+    (ascending, QuadValues or floats) over the powers I, L, L^2, ... of L."""
+    column = [int(P[x, y]) for P in powers]
+    return [sum(a * e for a, e in zip(coeffs, column)) for coeffs in basis]
 
 
 def lagrange_projector(powers: Sequence[np.ndarray], sigma: Sequence[QuadValue],

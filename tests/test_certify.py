@@ -10,7 +10,7 @@ import pytest
 import scipy.linalg
 
 from mnhd.certify import (FAILED, NOT_APPLICABLE, NUMERIC_ONLY, PROVEN,
-                          REPORT_SCHEMA, ClassRow, _pair_classes, _template_row,
+                          REPORT_SCHEMA, ClassRow, _decide, _pair_classes,
                           analyze, certificate_bipartite, delta_sign_analysis,
                           numeric_check)
 from mnhd.errors import (ExactEigensystemRequiredError, InvalidParameterError,
@@ -20,7 +20,7 @@ from mnhd.errors import (ExactEigensystemRequiredError, InvalidParameterError,
 from mnhd.graphs import (build_graph, builtin_graph, cayley_s3, crown, cycle,
                          design_742_incidence, facts, fano_incidence,
                          laplacian, wheel6)
-from mnhd.heat import default_time_grid, delta_set, heat_stack
+from mnhd.heat import ExpSum, default_time_grid, delta_set, heat_stack
 from mnhd.quadratic import QuadValue
 from mnhd.reference import (CAYLEY_S3_REFERENCE, WHEEL6_REFERENCE,
                             WHEEL6_SUSPECT_ENTRIES, compare_delta_rows)
@@ -138,9 +138,8 @@ def test_pair_classes_match_every_pair_delta_sets(builtins, exact_systems,
         L = laplacian(build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges]))
         cases.append((f"{name} relabeled {perm}", L, exact_eigensystem(L)))
     for name, L, es in cases:
-        L2 = L @ L
-        assert _pair_classes(L, L2, es.values()[1:]) == \
-            _pair_classes_by_delta_set(L, L2, es), name
+        assert _pair_classes(es.powers, es.lagrange[1:]) == \
+            _pair_classes_by_delta_set(L, L @ L, es), name
 
 
 @pytest.mark.parametrize("g", [cycle(7), _circulant(13, {1, 5, 8, 12}),
@@ -246,6 +245,25 @@ def test_routes_reject_another_graphs_eigensystem():
     with pytest.raises(InvalidParameterError, match="order 14"):
         numeric_check(p6, es=jacobi_eigendecompose(laplacian(crown(7))))
     assert issubclass(InvalidParameterError, ValueError)
+
+
+def test_numeric_check_rejects_eigenvectors_of_another_graph():
+    # same order, so only the residual ||L V - V diag(w)|| tells them apart:
+    # cayley-s3's eigensystem would pass P6, which violates MNHD, and a
+    # relabeling of P6 that is not an automorphism has P6's spectrum but
+    # other eigenvectors
+    p6 = build_graph(6, [(i, i + 1) for i in range(5)])
+    with pytest.raises(InvalidParameterError, match="another graph"):
+        numeric_check(p6, es=jacobi_eigendecompose(laplacian(cayley_s3())))
+    swapped = build_graph(6, [(1, 0), (0, 2), (2, 3), (3, 4), (4, 5)])
+    with pytest.raises(InvalidParameterError, match="another graph"):
+        numeric_check(p6, es=jacobi_eigendecompose(laplacian(swapped)))
+
+
+def test_numeric_check_accepts_every_builtins_own_eigensystem(
+        builtins, numeric_systems):
+    for name, g in builtins.items():
+        assert numeric_check(g, es=numeric_systems[name]).passed, name
 
 
 def test_certificate_check_names_include_required_identities():
@@ -448,22 +466,32 @@ def test_delta_sign_analysis_refuses_path_p4():
         "growing term with negative coefficient")
 
 
-def test_template_row_refuses_budget_below_cost():
+def _exp_sum(*terms):
+    return ExpSum(tuple((QuadValue(rate), QuadValue(c)) for rate, c in terms))
+
+
+def test_decide_refuses_budget_below_cost():
     # lam3 = 3: rate 1 grows (budget 1 * 2), rate 5 decays with a positive
-    # coefficient (cost 2 * 2), rate 7 decays with a negative one (free)
-    terms = {QuadValue(1): QuadValue(1), QuadValue(5): QuadValue(2),
-             QuadValue(7): QuadValue(-1)}
-    route, detail = _template_row(QuadValue(3), terms, QuadValue(2),
-                                  (1, 1, 0, 0))
-    assert route is None
-    assert detail.startswith("budget 2 < cost 4")
+    # coefficient (cost 2 * 2), rate 7 decays with a negative one (free);
+    # h(0) = 2
+    h = _exp_sum((7, -1), (1, 1), (5, 2))
+    decision = _decide(h, QuadValue(3), (1, 1, 0, 0))
+    assert decision.rule is None
+    assert decision.witness.startswith("budget 2 < cost 4")
 
 
-def test_template_row_refuses_negative_h_at_zero():
-    terms = {QuadValue(4): QuadValue(-1)}
-    route, detail = _template_row(QuadValue(3), terms, QuadValue(-1),
-                                  (1, 1, 0, 0))
-    assert (route, detail) == (None, "h(0) = -1 < 0")
+def test_decide_refuses_negative_h_at_zero():
+    decision = _decide(_exp_sum((4, -1)), QuadValue(3), (1, 1, 0, 0))
+    assert decision == (None, "h(0) = -1 < 0")
+
+
+def test_decide_names_the_slowest_offending_growing_term():
+    # lam3 = 10: rates 2 and 3 both grow with a negative coefficient; the
+    # witness names the slower one whatever order the terms came in
+    h = _exp_sum((3, -2), (12, 5), (2, -1))
+    decision = _decide(h, QuadValue(10), (1, 1, 0, 0))
+    assert decision == (None, "growing term with negative coefficient -1 "
+                              "at rate 2")
 
 
 # -- the two-exponential monotonicity rule -----------------------------------
@@ -576,7 +604,7 @@ def test_pair_classes_memory_is_a_few_int64_matrices():
     # packed int64 keys and np.unique's sort are a few n x n int64 arrays
     L = laplacian(crown(50))
     es = exact_eigensystem(L)
-    args = (*es.powers[1:3], es.values()[1:])
+    args = (es.powers, es.lagrange[1:])
     _pair_classes(*args)
     tracemalloc.start()
     try:
@@ -611,7 +639,7 @@ def test_pair_classes_reject_signatures_past_the_int64_key():
     L2 = np.array([[0, 1 << 61, 0], [-(1 << 61), 0, 0], [0, 0, 0]],
                   dtype=np.int64)
     with pytest.raises(SignatureKeyOverflowError):
-        _pair_classes(L, L2, [1.0, 2.0, 3.0])
+        _pair_classes((np.eye(3, dtype=np.int64), L, L2), [[1.0]] * 3)
 
 
 def test_eigensystem_and_numeric_check_memory_is_quadratic(random_gnp):

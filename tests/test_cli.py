@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import runpy
 from fractions import Fraction
 from pathlib import Path
 
@@ -235,3 +236,19 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_survey_counts_the_rules_that_decided_each_class(capsys):
+    # scripts/survey_builtins.py reads each class row's route: wheel-6's four
+    # template classes take both rules, and routes that record no rule read -
+    runpy.run_path(str(Path(__file__).parents[1] / "scripts"
+                       / "survey_builtins.py"), run_name="__main__")
+    lines = {line.split()[0]: line for line in
+             capsys.readouterr().out.splitlines()[1:]}
+    assert len(lines) == len(all_builtin_names())
+    assert lines["wheel-6"].endswith(
+        "transform-budget 2, nonnegative-coefficients 2")
+    assert lines["cayley-s3"].endswith(
+        "nonnegative-coefficients 2, transform-budget 1")
+    for name in ("crown-5", "cycle-5", "cycle-7"):
+        assert lines[name].endswith("  -"), name

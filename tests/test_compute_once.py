@@ -17,7 +17,7 @@ from mnhd.graphs import builtin_graph
 from mnhd.quadratic import QuadMatrix
 
 COUNTED = ("minimal_polynomial", "exact_eigensystem", "lagrange_projector",
-           "jacobi_eigendecompose")
+           "lagrange_coefficients", "jacobi_eigendecompose")
 
 
 def _count_calls(monkeypatch, owner, names, modules=None):
@@ -47,22 +47,24 @@ def calls(monkeypatch):
     return _count_calls(monkeypatch, mnhd.spectral, COUNTED)
 
 
-@pytest.mark.parametrize("name, minimal, exact, lagrange, jacobi", [
-    ("crown-7", 1, 1, 0, 1),     # bipartite certificate: polynomials mod mu
-    ("cayley-s3", 1, 1, 0, 1),   # delta-sign template: no projector matrix
-    ("cycle-7", 1, 1, 0, 1),     # cubic eigenvalues: float delta table
-    ("cycle-6", 1, 1, 0, 1),
-    ("wheel-6", 1, 1, 0, 1),
-    ("cycle-5", 0, 0, 0, 1),     # three eigenvalues: numeric check only
+# the exact routes read the four Lagrange polynomials that exact_eigensystem
+# keeps; the float table forms the three of the nonzero cluster means
+@pytest.mark.parametrize("name, minimal, exact, lagrange, basis, jacobi", [
+    ("crown-7", 1, 1, 0, 4, 1),     # bipartite certificate: polynomials mod mu
+    ("cayley-s3", 1, 1, 0, 4, 1),   # delta-sign template: no projector matrix
+    ("cycle-7", 1, 1, 0, 3, 1),     # cubic eigenvalues: float delta table
+    ("cycle-6", 1, 1, 0, 4, 1),
+    ("wheel-6", 1, 1, 0, 4, 1),
+    ("cycle-5", 0, 0, 0, 0, 1),     # three eigenvalues: numeric check only
 ])
 def test_analyze_builds_each_eigensystem_once(calls, name, minimal, exact,
-                                              lagrange, jacobi):
+                                              lagrange, basis, jacobi):
     g = builtin_graph(name)
     analyze(g)
     assert dict(calls) == {key: count for key, count in (
         ("minimal_polynomial", minimal), ("exact_eigensystem", exact),
-        ("lagrange_projector", lagrange), ("jacobi_eigendecompose", jacobi))
-        if count}
+        ("lagrange_projector", lagrange), ("lagrange_coefficients", basis),
+        ("jacobi_eigendecompose", jacobi)) if count}
 
 
 @pytest.mark.parametrize("name, classes", [

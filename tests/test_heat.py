@@ -261,17 +261,31 @@ def test_h_at_zero_equals_minus_laplacian_entry():
     _, fs, projs = _exact_parts(g)
     adjacent = (0, 7) if L[0, 7] == -1 else (0, 8)
     for pair, h0 in ((adjacent, QuadValue(1)), ((0, 1), QuadValue(0))):
-        terms = h_terms_exact(fs.nonzero(), _deltas(projs, *pair), g.n)
-        assert sum(terms.values(), QuadValue(0)) == h0
+        h = h_terms_exact(fs.nonzero(), _deltas(projs, *pair), g.n)
+        assert h.at_zero() == h0
 
 
-def test_h_terms_exact_match_derivative_product_route():
-    for g in (design_742_incidence(), cayley_s3(), wheel6(), crown(5)):
-        es, fs, projs = _exact_parts(g)
-        for (u, v) in ((0, 1), (0, g.n - 1), (1, g.n - 2)):
+def test_h_terms_exact_match_derivative_product_route(exact_systems):
+    # the first pair of every (L(u,u), L(v,v), L(u,v), L^2(u,v)) class of
+    # every builtin with an exact eigensystem: the Delta expansion, on Deltas
+    # from the full Lagrange projector matrices, against the derivative
+    # product
+    for name, es in exact_systems.items():
+        if es is None:
+            continue
+        _, L, L2, _ = es.powers
+        firsts = {}
+        for u in range(es.n):
+            for v in range(es.n):
+                if u != v:
+                    sig = (L[u, u], L[v, v], L[u, v], L2[u, v])
+                    firsts.setdefault(sig, (u, v))
+        projs = [lagrange_projector(es.powers, es.values(), i)
+                 for i in (1, 2, 3)]
+        for u, v in firsts.values():
             ds = _deltas(projs, u, v)
-            assert (h_terms_exact(fs.nonzero(), ds, g.n)
-                    == h_terms_from_eigensystem(es, u, v))
+            assert (h_terms_exact(es.values()[1:], ds, es.n)
+                    == h_terms_from_eigensystem(es, u, v)), (name, u, v)
 
 
 def test_h_terms_from_eigensystem_rejects_numeric_eigensystem():
@@ -305,10 +319,10 @@ def test_h_expansion_agrees_with_rate_formula_numerically():
         _, fs, projs = _exact_parts(g)
         grid = default_time_grid(es)
         for (u, v) in ((0, 1), (1, g.n - 1)):
-            terms = h_terms_exact(fs.nonzero(), _deltas(projs, u, v), g.n)
+            h = h_terms_exact(fs.nonzero(), _deltas(projs, u, v), g.n)
             for t in grid[::6]:
                 expansion = sum(float(c) * np.exp(-float(rate) * t)
-                                for rate, c in terms.items())
+                                for rate, c in h.terms)
                 direct = h_rate(es, L, u, v, float(t))
                 assert abs(expansion - direct) < 1e-10
 

@@ -4,13 +4,15 @@ fits the schema or raises a typed MnhdError.  Every report it returns, on
 relabeled builtins and on small graphs alike, is consistent across routes:
 a ProvenMNHD verdict comes with a passing numeric check, and the exact
 spectrum agrees with the float one.  The pair classes under every route
-group the ordered pairs as a dict keyed by signature does.  Edge-list and
-design files give back the graph or design they were written from."""
+group the ordered pairs as a dict keyed by signature does.  An ExpSum does
+not depend on the order or split of its terms.  Edge-list and design files
+give back the graph or design they were written from."""
 
 import io
 from collections import Counter
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,9 @@ from mnhd.designs import (complement_design, crown_design, design_742,
 from mnhd.errors import MnhdError
 from mnhd.graphs import (all_builtin_names, build_graph, laplacian,
                          read_edge_list, write_edge_list)
+from mnhd.heat import ExpSum
+from mnhd.quadratic import QuadValue
+from mnhd.spectral import lagrange_coefficients
 
 
 def _summary(report):
@@ -76,22 +81,54 @@ def test_analyze_returns_a_valid_report_or_a_typed_error(g):
 @given(data=st.data())
 def test_pair_classes_group_every_pair_once(data):
     # the packed int64 keys against a Counter of signature tuples, on a
-    # drawn graph and a relabeling of it; sigma only sets each class's
-    # DeltaSet, so any three distinct values do
+    # drawn graph and a relabeling of it; the basis only sets each class's
+    # DeltaSet, so any three polynomials do
     g = data.draw(small_graphs())
     perm = data.draw(st.permutations(range(g.n)))
     relabeled = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    basis = [lagrange_coefficients([0.0, 1.0, 2.0, 3.0], i) for i in (1, 2, 3)]
     for h in (g, relabeled):
         L = laplacian(h)
         L2 = L @ L
         counts = Counter(
             (int(L[u, u]), int(L[v, v]), int(L[u, v]), int(L2[u, v]))
             for u in range(h.n) for v in range(h.n) if u != v)
-        classes = _pair_classes(L, L2, [1.0, 2.0, 3.0])
+        classes = _pair_classes((np.eye(h.n, dtype=np.int64), L, L2, L2 @ L),
+                                basis)
         assert [(row.tag, row.signature, row.count) for row in classes] == [
             (f"S{idx}", sig, count)
             for idx, (sig, count) in enumerate(sorted(counts.items()),
                                                start=1)]
+
+
+RATES = [QuadValue(a, b, 5) for a in range(4) for b in (-1, 0, 1)]
+COEFFS = st.builds(QuadValue, st.integers(-2, 2), st.integers(-1, 1),
+                   st.just(5))
+
+
+@settings(deadline=None, max_examples=100)
+@given(data=st.data())
+def test_exp_sum_is_one_sum_whatever_the_order_and_split(data):
+    # the same (rate, coefficient) pairs, shuffled and with some coefficients
+    # split in two at the same rate, give the same ExpSum; against a dict of
+    # sums per rate, it keeps the nonzero sums, with rates strictly ascending
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(RATES), COEFFS),
+                               max_size=12))
+    split = []
+    for rate, coeff in pairs:
+        part = data.draw(st.one_of(st.none(), COEFFS))
+        split += [(rate, coeff)] if part is None else [(rate, coeff - part),
+                                                       (rate, part)]
+    split = data.draw(st.permutations(split))
+    h = ExpSum(tuple(pairs))
+    assert ExpSum(tuple(split)) == h
+    sums = {}
+    for rate, coeff in pairs:
+        sums[rate] = sums.get(rate, QuadValue(0)) + coeff
+    assert dict(h.terms) == {rate: c for rate, c in sums.items() if c != 0}
+    rates = [rate for rate, _ in h.terms]
+    assert all(a < b for a, b in zip(rates, rates[1:]))
+    assert h.at_zero() == sum(sums.values(), QuadValue(0))
 
 
 def _round_trip(write, read, obj):
