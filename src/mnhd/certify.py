@@ -2,15 +2,15 @@
 
 Three routes, in decreasing order of strength.  Each returns a Certificate.
 The two exact ones share one engine: the graph's exact eigensystem, built
-once by `analyze` and a required argument of both, and one grouping of the
+once by `analyze` and the only argument of both, and one grouping of the
 ordered vertex pairs into classes by their (L, L^2) signature, read off the
 integer Laplacian; on a connected four-eigenvalue graph it fixes a pair's
 projector entries, which are read off the eigensystem's own Lagrange
 polynomials and powers of L, and so its Delta set: `delta_set` runs once per
 class.  The grouping sorts one packed int64 key per pair, and a class row
 keeps its pair count, never a list of its pairs.
-`analyze` alone decides which route runs: neither exact route builds an
-eigensystem or runs the float eigensolver.
+`analyze` alone decides which route runs and builds the graph's facts, L
+and the eigensystems; each route takes only an eigensystem and reads L off it.
 
 * certificate_bipartite -- an exact certificate for connected regular
   bipartite graphs with four distinct Laplacian eigenvalues.  Such a graph is
@@ -36,8 +36,8 @@ eigensystem or runs the float eigensolver.
   (method numeric-delta-table) that is labelled as evidence, never proof.
 
 * numeric_check -- forward differences of r_t over a log time grid, for every
-  ordered pair, on the graph's own numeric eigensystem.  Evidence only;
-  always run as cross-validation.
+  ordered pair, on the graph's numeric eigensystem, its only input.  Evidence
+  only; always run as cross-validation.
 """
 
 from __future__ import annotations
@@ -55,11 +55,11 @@ from .errors import (ExactEigensystemRequiredError, InvalidParameterError,
                      NoCaseMatchesError, NonQuadraticEigenvaluesError,
                      ShortGridError, SignatureKeyOverflowError,
                      UnknownSignatureError)
-from .graphs import Graph, GraphFacts, facts, laplacian
+from .graphs import Graph, facts, laplacian
 from .heat import (DeltaSet, ExpSum, default_time_grid, delta_set,
                    h_terms_exact, heat_slices)
 from .quadratic import INT64_BOUND, QuadValue, int_combination, poly_mul_mod
-from .spectral import (DEFAULT_TOL, Eigensystem, FourSpectrum, VanDamCase,
+from .spectral import (Eigensystem, FourSpectrum, VanDamCase,
                        classify_spectrum, exact_eigensystem,
                        jacobi_eigendecompose, lagrange_coefficients,
                        projector_entries)
@@ -166,14 +166,14 @@ def _sign_str(x: QuadValue) -> str:
     return f"{x} ~ {float(x):+.6g}"
 
 
-def certificate_bipartite(g: Graph, es: Eigensystem) -> Certificate:
+def certificate_bipartite(es: Eigensystem) -> Certificate:
     """Run the exact MNHD certificate for a connected regular bipartite graph
     with four distinct Laplacian eigenvalues, on its exact eigensystem `es`
-    (from `exact_eigensystem`; a numeric one raises
-    ExactEigensystemRequiredError, another graph's InvalidParameterError),
-    the powers of the Laplacian, the minimal polynomial mu and the Lagrange
-    polynomials it keeps.  Returns NotApplicable when the structural
-    preconditions fail; otherwise performs every check in exact arithmetic
+    (from `exact_eigensystem`, checked by `_exact_laplacian`), the powers of
+    the Laplacian, the minimal polynomial mu and the Lagrange polynomials it
+    keeps.  Returns NotApplicable when a structural precondition read off
+    `es` fails (d-regular: L's diagonal is d; then bipartite: the largest
+    eigenvalue is 2d); otherwise performs every check in exact arithmetic
     and returns ProvenMNHD only if all of them hold.
 
     The projector P_i is a_i(L), a_i the Lagrange polynomial of sigma_i
@@ -186,15 +186,15 @@ def certificate_bipartite(g: Graph, es: Eigensystem) -> Certificate:
     a polynomial of degree < 4 vanishes at L only when it is 0.  Only P0 =
     J/n is checked on a matrix, a_0(L) summed over the powers of L."""
     method = "bipartite-certificate"
-    f = _exact_route_facts(g, es, method)
-    if not f.connected:
+    degrees = np.diagonal(_exact_laplacian(es, method))
+    if es.groups[0].multiplicity != 1:
         return _not_applicable(method, "graph is not connected")
-    if f.regular_degree is None:
+    n, d = es.n, int(degrees[0])
+    if (degrees != d).any():
         return _not_applicable(method, "graph is not regular")
-    if f.bipartition is None:
+    if es.groups[-1].value != 2 * d:
         return _not_applicable(method, "graph is not bipartite")
 
-    n, d = g.n, f.regular_degree
     checks: list[CertificateCheck] = []
 
     def record(name: str, passed: bool, witness: str) -> bool:
@@ -343,13 +343,21 @@ def certificate_bipartite(g: Graph, es: Eigensystem) -> Certificate:
     return Certificate(verdict, method, reason, tuple(checks), tuple(rows))
 
 
-def _exact_route_facts(g: Graph, es: Eigensystem, method: str) -> GraphFacts:
-    """facts(g), once `es` is checked to be g's own exact eigensystem."""
+def _exact_laplacian(es: Eigensystem, method: str) -> np.ndarray:
+    """L = es.powers[1], checked to be a simple graph's Laplacian (symmetric,
+    off-diagonal entries 0 or -1, zero row sums; so 0 is its smallest
+    eigenvalue, simple when the graph is connected).  A numeric `es` raises
+    ExactEigensystemRequiredError, any other L InvalidParameterError: D L D,
+    D = diag(1, -1, 1, ...), has L's spectrum but proves nothing."""
     if es.mode != "exact":
         raise ExactEigensystemRequiredError(f"{method} needs an exact eigensystem")
-    if not np.array_equal(es.powers[1], laplacian(g)):
-        raise InvalidParameterError(f"{method}: eigensystem of another graph")
-    return facts(g)
+    L = es.powers[1]
+    off = L[~np.eye(es.n, dtype=bool)]
+    if not ((L == L.T).all() and ((off == 0) | (off == -1)).all()
+            and not L.sum(axis=1).any()):
+        raise InvalidParameterError(
+            f"{method}: the eigensystem's matrix is not a graph Laplacian")
+    return L
 
 
 def _verdict(checks: list[CertificateCheck]) -> tuple[str, str | None]:
@@ -409,14 +417,14 @@ def _decide(h: ExpSum, lam3: QuadValue, sig: tuple) -> Decision:
     return Decision(None, f"budget {budget} < cost {cost} for signature {sig}")
 
 
-def delta_sign_analysis(g: Graph, es: Eigensystem) -> Certificate:
+def delta_sign_analysis(es: Eigensystem) -> Certificate:
     """Certify each pair class of a connected four-eigenvalue graph with the
     exponential-sign template, from exact DeltaSets of its exact eigensystem
-    `es` (from `exact_eigensystem`; a numeric one raises
-    ExactEigensystemRequiredError, another graph's InvalidParameterError) and
-    the powers of the Laplacian it keeps; method delta-sign-template."""
+    `es` (checked by `_exact_laplacian`) and the powers of the Laplacian it
+    keeps; method delta-sign-template."""
     method = "delta-sign-template"
-    if not _exact_route_facts(g, es, method).connected:
+    _exact_laplacian(es, method)
+    if es.groups[0].multiplicity != 1:
         return _not_applicable(method, "graph is not connected")
 
     sigma = es.values()[1:]
@@ -428,7 +436,7 @@ def delta_sign_analysis(g: Graph, es: Eigensystem) -> Certificate:
         checks.append(CertificateCheck(
             f"{tag}_delta_nonneg", f"D1={ds.d1}, D2={ds.d2}, D3={ds.d3}",
             deltas_ok))
-        h = h_terms_exact(sigma, ds, g.n)
+        h = h_terms_exact(sigma, ds, es.n)
         rule, witness = _decide(h, sigma[-1], row.signature)
         checks.append(CertificateCheck(f"{tag}_monotone_template", witness,
                                        rule is not None))
@@ -472,15 +480,13 @@ class NumericVerdict:
         return self.verdict == "PassesAtTolerance"
 
 
-def numeric_check(g: Graph, grid: Sequence[float] | None = None,
-                  tol: float = 1e-9, es: Eigensystem | None = None) -> NumericVerdict:
+def numeric_check(es: Eigensystem, grid: Sequence[float] | None = None,
+                  tol: float = 1e-9) -> NumericVerdict:
     """Forward differences of r_t over the grid for every ordered pair; the
     verdict is evidence about MNHD, not a proof.  H_t streams in one slice per
-    time from the numeric eigensystem `es`, so only the previous ratio
-    matrix, its rounding bound and the running minimum are kept.  An `es`
-    that is not the graph's own raises InvalidParameterError: one of another
-    order, or one whose ||L V - V diag(w)||_F, L = laplacian(g) and w each
-    column's eigenvalue, exceeds DEFAULT_TOL max(1, ||L||_F).
+    time from the numeric eigensystem `es` of the graph's Laplacian (from
+    `jacobi_eigendecompose`), so only the previous ratio matrix, its rounding
+    bound and the running minimum are kept.
     A difference within n eps sqrt(H_t(v,v) / H_t(u,u)), the rounding bound of
     R_t(u,v) (Cauchy-Schwarz on H_t(u,v)), is a tie at 0, not a violation.
     Ties go to the earliest step, then to the first pair in row-major order.
@@ -489,27 +495,16 @@ def numeric_check(g: Graph, grid: Sequence[float] | None = None,
     if not (np.isfinite(tol) and tol >= 0):
         raise InvalidParameterError(
             f"tolerance must be finite and nonnegative, got {tol}")
-    L = laplacian(g)
-    if es is None:
-        es = jacobi_eigendecompose(L)
-    elif es.n != g.n:
-        raise InvalidParameterError(
-            f"eigensystem of order {es.n} for a graph on {g.n} vertices")
     if grid is None:
         grid = default_time_grid(es)
     grid = np.asarray(grid, dtype=float)
     if len(grid) < 2:
         raise ShortGridError(f"need at least two times, got {len(grid)}")
     slices = heat_slices(es, grid)  # rejects exact es, bad times
-    residual = np.linalg.norm(L @ es.vectors - es.vectors * es.column_values())
-    if residual > DEFAULT_TOL * max(1.0, np.linalg.norm(L)):
-        raise InvalidParameterError(
-            f"eigensystem of another graph: ||L V - V diag(w)|| = {residual:.3g}")
-    del L
     if (np.diff(grid) <= 0).any():
         raise InvalidParameterError("grid times must be strictly increasing")
     min_diff, worst_idx, worst_t = np.inf, 0, grid[1]
-    rounding = g.n * np.finfo(np.float64).eps
+    rounding = es.n * np.finfo(np.float64).eps
     prev = prev_noise = None
     for t, H in zip(grid, slices):
         R = H / np.diagonal(H)[:, None]
@@ -522,7 +517,7 @@ def numeric_check(g: Graph, grid: Sequence[float] | None = None,
             if diff.flat[idx] < min_diff:
                 min_diff, worst_idx, worst_t = diff.flat[idx], idx, t
         prev, prev_noise = R, noise
-    u, v = divmod(worst_idx, g.n)
+    u, v = divmod(worst_idx, es.n)
     verdict = "PassesAtTolerance" if min_diff >= -tol else "ViolatedAt"
     return NumericVerdict(float(min_diff), (u, v), float(worst_t), tol, verdict)
 
@@ -558,9 +553,8 @@ class MnhdReport:
             entry = {
                 "tag": row.tag,
                 "signature": list(row.signature),
-                "deltas": {name: delta_value(x) for name, x in
-                           zip(("d1", "d2", "d3", "d12", "d13", "d23"),
-                               row.deltas.as_tuple())},
+                "deltas": {name: delta_value(x)
+                           for name, x in row.deltas.items()},
                 "count": row.count,
             }
             if row.proven is not None:
@@ -657,10 +651,11 @@ REPORT_SCHEMA = {
 
 def analyze(g: Graph) -> MnhdReport:
     """Full pipeline: facts, numeric spectrum, classification when it applies,
-    the strongest applicable exact route, and the numeric cross-check.  L and
-    each eigensystem are built once; the exact eigensystem, which carries the
-    powers of L, is handed to the route that runs, and on cubic eigenvalues
-    the float delta table takes the powers that exact_eigensystem's
+    the strongest applicable exact route, and the numeric cross-check.  The
+    graph's facts, L and each eigensystem are built once, here: the exact
+    eigensystem, which carries the powers of L, is handed to the route that
+    runs, the numeric one to the numeric check, and on cubic eigenvalues the
+    float delta table takes the powers that exact_eigensystem's
     NonQuadraticEigenvaluesError carries."""
     f = facts(g)
     L = laplacian(g)
@@ -681,7 +676,7 @@ def analyze(g: Graph) -> MnhdReport:
         for grp, value in zip(es.groups, exact_values))
 
     van_dam = None
-    if f.regular_degree is not None and len(es.groups) == 4:
+    if f.connected and f.regular_degree is not None and len(es.groups) == 4:
         entries = [(grp.value if value is None else value, grp.multiplicity)
                    for grp, value in zip(es.groups, exact_values)]
         try:
@@ -695,13 +690,13 @@ def analyze(g: Graph) -> MnhdReport:
         certificate = _not_applicable(
             "none", f"{len(es.groups)} distinct Laplacian eigenvalues, need four")
     elif f.regular_degree is not None and f.bipartition is not None:
-        certificate = certificate_bipartite(g, exact)
+        certificate = certificate_bipartite(exact)
     elif cubic is None:
-        certificate = delta_sign_analysis(g, exact)
+        certificate = delta_sign_analysis(exact)
     else:
         certificate = _numeric_delta_table(cubic_powers, es, cubic)
 
     del L, exact  # L and its powers are freed before the numeric check runs
-    numeric = numeric_check(g, es=es)
+    numeric = numeric_check(es)
     return MnhdReport(g.n, g.m, f.regular_degree, f.bipartition is not None,
                       spectrum, van_dam, certificate, numeric)

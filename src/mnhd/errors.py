@@ -76,10 +76,9 @@ class InvalidParameterError(MnhdError, ValueError):
     entry that is not finite, an eigenvalue list for `group_spectrum` that
     is not sorted, a negative radicand for `square_free_split` (which
     `QuadValue(0, 1, -3)` reaches), a matrix for `minimal_polynomial` (and
-    so `exact_eigensystem`) that is not of integers, or an eigensystem that
-    is not the graph's own: an exact route's whose L is not the graph's
-    Laplacian, or the numeric check's of another order or whose eigenvectors
-    do not diagonalize the graph's Laplacian."""
+    so `exact_eigensystem`) that is not of integers, or an exact route's
+    eigensystem whose L is not the Laplacian of a simple graph (symmetric,
+    off-diagonal entries 0 or -1, zero row sums)."""
 
 
 class UnknownSignatureError(MnhdError):

@@ -20,7 +20,7 @@ r_t is nondecreasing in t for every pair u != v exactly when h_{u,v} >= 0 on
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import groupby
 from typing import Iterator, Sequence
@@ -108,7 +108,8 @@ def write_curve_csv(fp, curve: Sequence[tuple[float, float]]) -> None:
 
 @dataclass(frozen=True)
 class DeltaSet:
-    """The six Delta quantities of one ordered pair (u, v), exact or float."""
+    """The six Delta quantities of one ordered pair (u, v), exact or float;
+    `items` gives each field's name and value, in the order declared."""
 
     d1: QuadValue | float
     d2: QuadValue | float
@@ -117,8 +118,11 @@ class DeltaSet:
     d13: QuadValue | float
     d23: QuadValue | float
 
+    def items(self) -> list[tuple[str, QuadValue | float]]:
+        return [(f.name, getattr(self, f.name)) for f in fields(self)]
+
     def as_tuple(self):
-        return (self.d1, self.d2, self.d3, self.d12, self.d13, self.d23)
+        return tuple(value for _, value in self.items())
 
 
 def delta_set(uu: Sequence, uv: Sequence) -> DeltaSet:

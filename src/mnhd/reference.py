@@ -26,8 +26,6 @@ def _q(a, b=0, m=0) -> QuadValue:
                      _F(b) if not isinstance(b, tuple) else _F(*b), m)
 
 
-DELTA_FIELDS = ("d1", "d2", "d3", "d12", "d13", "d23")
-
 # S3 Cayley graph (3-regular, eigenvalues 0, 2, 3, 5); classes: non-adjacent,
 # adjacent within a triangle, adjacent without one.
 CAYLEY_S3_REFERENCE: dict[tuple, DeltaSet] = {
@@ -95,8 +93,8 @@ def compare_delta_rows(rows, reference: dict[tuple, DeltaSet]
         ref = reference.get(row.signature)
         if ref is None:
             continue
-        for name, computed, expected in zip(DELTA_FIELDS, row.deltas.as_tuple(),
-                                            ref.as_tuple()):
+        for (name, computed), expected in zip(row.deltas.items(),
+                                              ref.as_tuple()):
             out.append(DeltaComparison(row.signature, name, computed, expected))
     return out
 

@@ -473,7 +473,8 @@ def _is_integral(value: float | QuadValue) -> bool:
 
 def classify_spectrum(spectrum: Sequence[tuple[float | QuadValue, int]],
                       n: int, d: int) -> VanDamCase:
-    """Classify a regular four-eigenvalue Laplacian spectrum:
+    """Classify the four-eigenvalue Laplacian spectrum of a connected regular
+    graph (van Dam's cases cover no other; `analyze` classifies no other):
 
     I   all four eigenvalues integral;
     II  exactly two integral plus a conjugate surd pair of equal multiplicity;

@@ -65,9 +65,8 @@ def test_criterion_01_catalog_spectrum_reproduction(numeric_systems):
         assert [g.multiplicity for g in es.groups] == [1, v - 1, v - 1, 1], name
 
 
-def test_criterion_02_cayley_s3_delta_table_exact(builtins, exact_systems):
-    analysis = delta_sign_analysis(builtins["cayley-s3"],
-                                   exact_systems["cayley-s3"])
+def test_criterion_02_cayley_s3_delta_table_exact(exact_systems):
+    analysis = delta_sign_analysis(exact_systems["cayley-s3"])
     comparisons = compare_delta_rows(analysis.classes, CAYLEY_S3_REFERENCE)
     assert len(comparisons) == 18
     for c in comparisons:  # zero tolerance: exact rationals
@@ -79,8 +78,7 @@ def test_criterion_02_cayley_s3_delta_table_exact(builtins, exact_systems):
 
 
 def test_criterion_03_wheel6_delta_table_exact(builtins, exact_systems):
-    analysis = delta_sign_analysis(builtins["wheel-6"],
-                                   exact_systems["wheel-6"])
+    analysis = delta_sign_analysis(exact_systems["wheel-6"])
     rows = {r.signature: r for r in analysis.classes}
     # rim-to-hub and hub-to-rim rows reproduce exactly
     assert rows[(3, 5, -1, -6)].deltas.as_tuple() == (
@@ -119,8 +117,8 @@ def test_criterion_03_wheel6_delta_table_exact(builtins, exact_systems):
     assert analysis.verdict == PROVEN
 
 
-def test_criterion_04_certificate_soundness(builtins, exact_systems, reports):
-    direct = certificate_bipartite(builtins["cycle-6"], exact_systems["cycle-6"])
+def test_criterion_04_certificate_soundness(exact_systems, reports):
+    direct = certificate_bipartite(exact_systems["cycle-6"])
     assert direct.verdict == PROVEN
     for name in BIPARTITE_BUILTINS:
         cert = reports[name].certificate
@@ -136,8 +134,7 @@ def test_criterion_05_numeric_mnhd_all_builtins(builtins, numeric_systems,
                                                 reports):
     grid = default_time_grid(numeric_systems["design-742"])
     assert len(grid) == 61
-    direct = numeric_check(builtins["design-742"], grid=grid,
-                           es=numeric_systems["design-742"])
+    direct = numeric_check(numeric_systems["design-742"], grid=grid)
     assert direct.min_diff >= -1e-9
     for name in builtins:
         verdict = reports[name].numeric

@@ -30,6 +30,10 @@ from mnhd.spectral import (FourSpectrum, exact_eigensystem,
 F = Fraction
 
 
+def _numeric(g):
+    return jacobi_eigendecompose(laplacian(g))
+
+
 def _design_context(g):
     d = facts(g).regular_degree
     lam = (2 * d * (d - 1)) // (g.n - 2)
@@ -41,7 +45,7 @@ def _design_context(g):
 
 def _named_rows(g):
     """(tag, signature, count) of the bipartite certificate's class rows."""
-    cert = certificate_bipartite(g, exact_eigensystem(laplacian(g)))
+    cert = certificate_bipartite(exact_eigensystem(laplacian(g)))
     return [(row.tag, row.signature, row.count) for row in cert.classes]
 
 
@@ -55,15 +59,14 @@ def test_bipartite_rows_name_742_classes():
 
 
 def test_bipartite_rows_unknown_signature():
-    # the graph's own L, so the route accepts the eigensystem as the
-    # graph's, with L^2 raised by 1 off the diagonal: no (L, L^2) signature
-    # has a name
+    # the graph's own L, so the route accepts the eigensystem, with L^2
+    # raised by 1 off the diagonal: no (L, L^2) signature has a name
     g = design_742_incidence()
     es = exact_eigensystem(laplacian(g))
     I, L, L2, L3 = es.powers
     altered = dataclasses.replace(es, powers=(I, L, L2 + 1 - I, L3))
     with pytest.raises(UnknownSignatureError, match=r"\(-1, -7\)"):
-        certificate_bipartite(g, altered)
+        certificate_bipartite(altered)
 
 
 def test_classification_exhaustive_and_exclusive(incidence_builtins):
@@ -177,8 +180,7 @@ def test_numeric_delta_table_rows_hold_for_every_pair(g, group_projectors):
 
 def test_certificate_proves_all_incidence_builtins(incidence_builtins,
                                                    exact_systems, reports):
-    cert = certificate_bipartite(incidence_builtins["design-742"],
-                                 exact_systems["design-742"])
+    cert = certificate_bipartite(exact_systems["design-742"])
     assert cert.verdict == PROVEN
     for name in incidence_builtins:
         cert = reports[name].certificate
@@ -200,10 +202,10 @@ def test_certificate_not_applicable_cases():
     for g, reason in ((cayley_s3(), "graph is not bipartite"),
                       (wheel6(), "graph is not regular"),
                       (_k2_k3_k4(), "graph is not connected")):
-        cert = certificate_bipartite(g, exact_eigensystem(laplacian(g)))
+        cert = certificate_bipartite(exact_eigensystem(laplacian(g)))
         assert (cert.verdict, cert.reason) == (NOT_APPLICABLE, reason)
     g = _k2_k3_k4()
-    cert = delta_sign_analysis(g, exact_eigensystem(laplacian(g)))
+    cert = delta_sign_analysis(exact_eigensystem(laplacian(g)))
     assert (cert.verdict, cert.reason) == (NOT_APPLICABLE,
                                            "graph is not connected")
     # a graph without four distinct eigenvalues has no exact eigensystem to
@@ -225,50 +227,39 @@ def test_exact_routes_reject_a_numeric_eigensystem(monkeypatch):
     numeric, exact = jacobi_eigendecompose(L), exact_eigensystem(L)
     for route in (certificate_bipartite, delta_sign_analysis):
         with pytest.raises(ExactEigensystemRequiredError):
-            route(g, numeric)
+            route(numeric)
     # given the exact eigensystem, neither route builds one of its own
     for name in ("exact_eigensystem", "jacobi_eigendecompose"):
         monkeypatch.setattr(f"mnhd.certify.{name}", None)
     for route in (certificate_bipartite, delta_sign_analysis):
-        assert route(g, exact).verdict == PROVEN
+        assert route(exact).verdict == PROVEN
 
 
-def test_routes_reject_another_graphs_eigensystem():
-    # P6 violates MNHD, and cayley-s3's exact eigensystem or crown-7's
-    # numeric one must not certify it
+def test_exact_routes_reject_a_matrix_that_is_not_a_laplacian():
     p6 = build_graph(6, [(i, i + 1) for i in range(5)])
-    assert numeric_check(p6).verdict == "ViolatedAt"
-    foreign = exact_eigensystem(laplacian(cayley_s3()))
+    assert numeric_check(_numeric(p6)).verdict == "ViolatedAt"
+    # D L D, D = diag(1, -1, 1, ...), has the spectrum of the Heawood graph's
+    # L, which both routes prove, but is no Laplacian (off-diagonal entries
+    # +1, nonzero row sums): no route may read a proof off its eigensystem
+    L = laplacian(fano_incidence())
+    D = np.diag([(-1) ** i for i in range(len(L))])
+    signed = exact_eigensystem(D @ L @ D)
+    assert signed.values() == exact_eigensystem(L).values()
     for route in (certificate_bipartite, delta_sign_analysis):
-        with pytest.raises(InvalidParameterError, match="another graph"):
-            route(p6, foreign)
-    with pytest.raises(InvalidParameterError, match="order 14"):
-        numeric_check(p6, es=jacobi_eigendecompose(laplacian(crown(7))))
+        with pytest.raises(InvalidParameterError, match="not a graph Laplacian"):
+            route(signed)
     assert issubclass(InvalidParameterError, ValueError)
-
-
-def test_numeric_check_rejects_eigenvectors_of_another_graph():
-    # same order, so only the residual ||L V - V diag(w)|| tells them apart:
-    # cayley-s3's eigensystem would pass P6, which violates MNHD, and a
-    # relabeling of P6 that is not an automorphism has P6's spectrum but
-    # other eigenvectors
-    p6 = build_graph(6, [(i, i + 1) for i in range(5)])
-    with pytest.raises(InvalidParameterError, match="another graph"):
-        numeric_check(p6, es=jacobi_eigendecompose(laplacian(cayley_s3())))
-    swapped = build_graph(6, [(1, 0), (0, 2), (2, 3), (3, 4), (4, 5)])
-    with pytest.raises(InvalidParameterError, match="another graph"):
-        numeric_check(p6, es=jacobi_eigendecompose(laplacian(swapped)))
 
 
 def test_numeric_check_accepts_every_builtins_own_eigensystem(
         builtins, numeric_systems):
     for name, g in builtins.items():
-        assert numeric_check(g, es=numeric_systems[name]).passed, name
+        assert numeric_check(numeric_systems[name]).passed, name
 
 
 def test_certificate_check_names_include_required_identities():
     g = design_742_incidence()
-    cert = certificate_bipartite(g, exact_eigensystem(laplacian(g)))
+    cert = certificate_bipartite(exact_eigensystem(laplacian(g)))
     names = {c.name for c in cert.checks}
     assert {"w3_cancellation_1", "w3_cancellation_2",
             "constants_product_identity", "order_identity",
@@ -286,8 +277,8 @@ def test_class_constancy_fails_without_the_projector_checks():
     es = exact_eigensystem(laplacian(g))
     a0, a1, a2, a3 = es.lagrange
     for holds, lagrange in ((True, es.lagrange), (False, (a0, a2, a1, a3))):
-        cert = certificate_bipartite(g, dataclasses.replace(es,
-                                                            lagrange=lagrange))
+        cert = certificate_bipartite(dataclasses.replace(es,
+                                                         lagrange=lagrange))
         passed = {c.name: c.passed for c in cert.checks}
         assert passed["laplacian_reconstruction"] is holds
         assert passed["class_constancy_spot_check"] is holds
@@ -302,7 +293,7 @@ def test_projector_checks_fail_modulo_a_wrong_minimal_polynomial():
     es = exact_eigensystem(laplacian(g))
     other = exact_eigensystem(laplacian(builtin_graph("fano-complement")))
     assert other.n == es.n and other.mu != es.mu
-    cert = certificate_bipartite(g, dataclasses.replace(es, mu=other.mu))
+    cert = certificate_bipartite(dataclasses.replace(es, mu=other.mu))
     passed = {c.name: c.passed for c in cert.checks}
     assert not passed["projector_orthogonality"]
     assert not passed["projector_idempotent"]
@@ -377,9 +368,8 @@ def test_order_identity_for_all_catalog_params():
 # -- generalized template ----------------------------------------------------
 
 
-def test_delta_sign_analysis_cayley_exact_table(builtins, exact_systems):
-    analysis = delta_sign_analysis(builtins["cayley-s3"],
-                                   exact_systems["cayley-s3"])
+def test_delta_sign_analysis_cayley_exact_table(exact_systems):
+    analysis = delta_sign_analysis(exact_systems["cayley-s3"])
     assert analysis.verdict == PROVEN
     assert analysis.method == "delta-sign-template"
     assert len(analysis.classes) == 3
@@ -388,8 +378,8 @@ def test_delta_sign_analysis_cayley_exact_table(builtins, exact_systems):
     assert all(c.match for c in comparisons)
 
 
-def test_delta_sign_analysis_wheel_rows(builtins, exact_systems):
-    analysis = delta_sign_analysis(builtins["wheel-6"], exact_systems["wheel-6"])
+def test_delta_sign_analysis_wheel_rows(exact_systems):
+    analysis = delta_sign_analysis(exact_systems["wheel-6"])
     assert analysis.verdict == PROVEN
     assert analysis.method == "delta-sign-template"
     assert len(analysis.classes) == 4
@@ -409,9 +399,8 @@ def test_delta_sign_analysis_wheel_rows(builtins, exact_systems):
     assert ok.match and ok.computed == QuadValue(F(-1, 60), F(-1, 300), 5)
 
 
-def test_delta_sign_analysis_routes(builtins, exact_systems):
-    analysis = delta_sign_analysis(builtins["cayley-s3"],
-                                   exact_systems["cayley-s3"])
+def test_delta_sign_analysis_routes(exact_systems):
+    analysis = delta_sign_analysis(exact_systems["cayley-s3"])
     routes = {r.signature: r.route for r in analysis.classes}
     assert routes[(3, 3, 0, 2)] == "transform-budget"
     assert routes[(3, 3, -1, -5)] == "nonnegative-coefficients"
@@ -439,12 +428,10 @@ def test_delta_sign_analysis_wrong_eigenvalue_count():
     assert cert.verdict == NOT_APPLICABLE and "3 distinct" in cert.reason
 
 
-def test_delta_sign_analysis_on_certificate_graphs(incidence_builtins,
-                                                   exact_systems):
+def test_delta_sign_analysis_on_certificate_graphs(exact_systems):
     # the generalized template must also certify the bipartite family
     for name in ("design-742", "cycle-6", "crown-5"):
-        analysis = delta_sign_analysis(incidence_builtins[name],
-                                       exact_systems[name])
+        analysis = delta_sign_analysis(exact_systems[name])
         assert analysis.verdict == PROVEN, name
 
 
@@ -518,18 +505,18 @@ def test_two_exponential_monotonicity_oracle():
 
 
 def test_numeric_check_crown5():
-    verdict = numeric_check(crown(5))
+    verdict = numeric_check(_numeric(crown(5)))
     assert verdict.passed and verdict.min_diff >= -1e-9
 
 
 def test_numeric_check_k4_three_eigenvalues():
     k4 = build_graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-    assert numeric_check(k4).passed
+    assert numeric_check(_numeric(k4)).passed
 
 
 def test_numeric_check_p3_against_expm_oracle():
     p3 = build_graph(3, [(0, 1), (1, 2)])
-    verdict = numeric_check(p3)
+    verdict = numeric_check(_numeric(p3))
     # independent oracle: dense matrix exponential on a fine grid
     L = laplacian(p3).astype(float)
     ts = np.linspace(0.0, 30.0, 1200)
@@ -574,7 +561,7 @@ def test_streamed_numeric_check_matches_full_table(builtins, numeric_systems,
         if es is None:
             es = jacobi_eigendecompose(laplacian(g))
         (min_diff, pair, t, verdict), diffs, grid = _full_table_numeric_check(g, es)
-        got = numeric_check(g, es=es)
+        got = numeric_check(es)
         assert got.verdict == verdict, name
         assert abs(got.min_diff - min_diff) <= 1e-12, name
         u, v = got.worst_pair
@@ -587,10 +574,10 @@ def test_streamed_numeric_check_matches_full_table(builtins, numeric_systems,
 
 def test_numeric_check_memory_below_one_stack(crown50_system):
     g, es = crown50_system
-    numeric_check(g, es=es)
+    numeric_check(es)
     tracemalloc.start()
     try:
-        numeric_check(g, es=es)
+        numeric_check(es)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -622,10 +609,10 @@ def test_certificate_memory_is_a_few_int64_matrices():
     # what is left is the pair grouping and one sum over the powers of L
     g = crown(50)
     es = exact_eigensystem(laplacian(g))
-    certificate_bipartite(g, es)
+    certificate_bipartite(es)
     tracemalloc.start()
     try:
-        certificate_bipartite(g, es)
+        certificate_bipartite(es)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -651,7 +638,7 @@ def test_eigensystem_and_numeric_check_memory_is_quadratic(random_gnp):
     tracemalloc.start()
     try:
         es = jacobi_eigendecompose(L)
-        numeric_check(g, es=es)
+        numeric_check(es)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -659,30 +646,29 @@ def test_eigensystem_and_numeric_check_memory_is_quadratic(random_gnp):
     assert peak < 16 * g.n * g.n * 8
 
 
-def test_numeric_check_counts_rounding_noise_as_a_tie(builtins,
-                                                      numeric_systems,
+def test_numeric_check_counts_rounding_noise_as_a_tie(numeric_systems,
                                                       random_gnp):
     # once r_t has converged its raw forward differences are rounding noise,
     # down to -2.2e-16 on crown-5 and -1.3e-15 on cycle-49; they are ties at
     # 0, so graphs that pass do so at tolerance 0, and violations stay
-    cases = [(name, g, numeric_systems[name]) for name, g in builtins.items()]
-    cases += [(f"cycle-{k}", cycle(k), None) for k in (25, 49)]
-    for name, g, es in cases:
-        got = numeric_check(g, tol=0, es=es)
+    cases = dict(numeric_systems)
+    cases.update((f"cycle-{k}", _numeric(cycle(k))) for k in (25, 49))
+    for name, es in cases.items():
+        got = numeric_check(es, tol=0)
         assert got.verdict == "PassesAtTolerance", name
         assert got.min_diff >= 0.0, name
-    assert numeric_check(builtins["crown-5"], tol=0).min_diff == 0.0
+    assert numeric_check(numeric_systems["crown-5"], tol=0).min_diff == 0.0
     p4 = build_graph(4, [(0, 1), (1, 2), (2, 3)])
     violators = [("P4", p4)] + [(f"gnp-{n}", random_gnp(n, n))
                                 for n in (8, 12, 20, 40)]
     for name, g in violators:
-        got = numeric_check(g, tol=0)
+        got = numeric_check(_numeric(g), tol=0)
         assert got.verdict == "ViolatedAt" and got.min_diff < -1e-3, name
 
 
 def test_numeric_check_needs_two_times():
     with pytest.raises(ShortGridError):
-        numeric_check(crown(5), grid=[0.0])
+        numeric_check(_numeric(crown(5)), grid=[0.0])
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -692,7 +678,7 @@ def test_numeric_check_needs_two_times():
                            "negative-tol", "nan-tol", "inf-tol"])
 def test_numeric_check_rejects_bad_grid_and_tolerance(kwargs):
     with pytest.raises(InvalidParameterError) as info:
-        numeric_check(crown(5), **kwargs)
+        numeric_check(_numeric(crown(5)), **kwargs)
     assert isinstance(info.value, ValueError)
 
 
@@ -731,6 +717,17 @@ def test_analyze_wheel_report():
     assert report.certificate.verdict == PROVEN
     assert len(report.certificate.classes) == 4
     assert report.numeric.passed
+
+
+def test_analyze_classifies_only_connected_spectra():
+    # two disjoint 6-cycles: the four integral eigenvalues 0, 1, 3, 4 of one,
+    # 0 twice; van Dam's cases cover connected graphs only
+    two_c6 = build_graph(12, [(b + i, b + (i + 1) % 6)
+                              for b in (0, 6) for i in range(6)])
+    report = analyze(two_c6)
+    assert [e.multiplicity for e in report.spectrum] == [2, 4, 4, 2]
+    assert report.van_dam_case is None
+    assert report.certificate.reason == "graph is not connected"
 
 
 def test_analyze_k2_report():

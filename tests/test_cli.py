@@ -101,6 +101,11 @@ def test_check_command(tmp_path, capsys):
     # rounding noise in the converged ratios is a tie, not a violation
     run(capsys, "builtin", "crown-5", "--out", str(out))
     assert run(capsys, "check", str(out), "--tol", "0", "--strict")[0] == 0
+    # the path P4 violates MNHD: --strict exits 1
+    out.write_text("4 3\n0 1\n1 2\n2 3\n")
+    code, stdout, _ = run(capsys, "check", str(out), "--strict")
+    assert code == 1
+    assert stdout.startswith("ViolatedAt")
 
 
 def test_curve_command(tmp_path, capsys):

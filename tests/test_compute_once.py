@@ -1,7 +1,8 @@
-"""analyze() builds each eigensystem once per graph and hands it to the route
-that runs, and computes one exact DeltaSet per pair class: counts of these
-layers per call, with every binding of a counted function wrapped in every
-`mnhd` module namespace (or in the ones named)."""
+"""analyze() builds the graph's facts, its Laplacian and each eigensystem
+once per graph and hands them to the route that runs, and computes one exact
+DeltaSet per pair class: counts of these layers per call, with every binding
+of a counted function wrapped in every `mnhd` module namespace (or in the
+ones named)."""
 
 import sys
 from collections import Counter
@@ -9,6 +10,7 @@ from collections import Counter
 import pytest
 
 import mnhd.certify
+import mnhd.graphs
 import mnhd.heat
 import mnhd.quadratic
 import mnhd.spectral
@@ -65,6 +67,16 @@ def test_analyze_builds_each_eigensystem_once(calls, name, minimal, exact,
             ("minimal_polynomial", minimal), ("exact_eigensystem", exact),
             ("lagrange_projector", lagrange),
             ("jacobi_eigendecompose", jacobi)) if count}
+
+
+@pytest.mark.parametrize("name", ["crown-7", "cayley-s3", "cycle-7", "cycle-6",
+                                  "wheel-6", "cycle-5"])
+def test_analyze_builds_facts_and_laplacian_once(monkeypatch, name):
+    # the routes and the numeric check read the Laplacian off the eigensystem
+    # they are given
+    calls = _count_calls(monkeypatch, mnhd.graphs, ("laplacian", "facts"))
+    analyze(builtin_graph(name))
+    assert calls == {"laplacian": 1, "facts": 1}
 
 
 # the exact routes read the four Lagrange polynomials that exact_eigensystem
