@@ -6,9 +6,10 @@ once by `analyze` and the only argument of both, and one grouping of the
 ordered vertex pairs into classes by their (L, L^2) signature, read off the
 integer Laplacian; on a connected four-eigenvalue graph it fixes a pair's
 projector entries, which are read off the eigensystem's own Lagrange
-polynomials and powers of L, and so its Delta set: `delta_set` runs once per
-class.  The grouping sorts one packed int64 key per pair, and a class row
-keeps its pair count, never a list of its pairs.
+polynomials and powers of L and kept on the class row, and so its h and its
+Delta set: `h_terms_exact` and `delta_set` run once per class.  The
+grouping sorts one packed int64 key per pair, and a class row keeps its pair
+count, never a list of its pairs.
 `analyze` alone decides which route runs and builds the graph's facts, L
 and the eigensystems; each route takes only an eigensystem and reads L off it.
 
@@ -86,6 +87,7 @@ class ClassRow:
     signature: tuple
     count: int
     deltas: DeltaSet
+    entries: tuple[list, list]  # P_i(u,u), P_i(u,v) of the first pair
     proven: bool | None = None
     route: str | None = None
 
@@ -109,11 +111,11 @@ def _not_applicable(method: str, reason: str) -> Certificate:
 
 def _pair_classes(powers: Sequence[np.ndarray], basis: Sequence[Sequence]
                   ) -> list[ClassRow]:
-    """One ClassRow (tag, signature, count, DeltaSet) per class of the
-    ordered pairs u != v of a connected four-eigenvalue graph by their
+    """One ClassRow (tag, signature, count, DeltaSet, entries) per class of
+    the ordered pairs u != v of a connected four-eigenvalue graph by their
     (L(u,u), L(v,v), L(u,v), L^2(u,v)) signature, tagged S1, S2, ... in
-    sorted order, from the powers I..L^3 of its integer Laplacian L and the
-    nonzero eigenvalues' Lagrange polynomials `basis` (exact or float).
+    sorted order, from the powers I..L^3 of its integer Laplacian L and
+    `basis`, one Lagrange polynomial per group, 0 first (exact or float).
 
     The grouping runs on arrays: each pair's signature is packed into one
     int64 key in mixed radix, every field offset by its minimum over the
@@ -122,10 +124,12 @@ def _pair_classes(powers: Sequence[np.ndarray], basis: Sequence[Sequence]
     memory is a few n x n int64 arrays; a radix product past
     quadratic.INT64_BOUND raises SignatureKeyOverflowError.
 
-    Each class's Delta set is read off its first pair as P_i(x, y) = sum_j
-    a_ij L^j(x, y).  The signature fixes it: L^2(u,u) = L(u,u)^2 + L(u,u),
-    and on a connected graph a_0(L) = J/n for the Lagrange polynomial a_0 of
-    0, whose leading coefficient is nonzero, so I, L, L^2 fix L^3 entrywise."""
+    A class's `entries` (uu, uv), uu[i] = P_i(u,u) and uv[i] = P_i(u,v), are
+    read off its first pair as P_i(x, y) = sum_j a_ij L^j(x, y), and its
+    Delta set off the nonzero groups' entries.  The signature fixes them:
+    L^2(u,u) = L(u,u)^2 + L(u,u), and on a connected graph a_0(L) = J/n for
+    the polynomial a_0 of 0, whose leading coefficient is nonzero, so I, L,
+    L^2 fix L^3 entrywise."""
     L, L2 = powers[1:3]
     n = len(L)
     off = ~np.eye(n, dtype=bool)  # boolean indexing keeps row-major order
@@ -154,7 +158,8 @@ def _pair_classes(powers: Sequence[np.ndarray], basis: Sequence[Sequence]
         v = r + (r >= u)
         sig = (int(L[u, u]), int(L[v, v]), int(L[u, v]), int(L2[u, v]))
         uu, uv = (projector_entries(basis, powers, u, x) for x in (u, v))
-        classes.append(ClassRow(f"S{idx}", sig, count, delta_set(uu, uv)))
+        classes.append(ClassRow(f"S{idx}", sig, count,
+                                delta_set(uu[1:], uv[1:]), (uu, uv)))
     return classes
 
 
@@ -216,9 +221,9 @@ def certificate_bipartite(es: Eigensystem) -> Certificate:
     lam1, lam2, lam3 = fs.nonzero()
     c1, c2, c3 = fs.constants()
 
-    sigma = es.values()
+    sigma, design = es.values(), [fs.lam0, lam1, lam2, lam3]
     spectrum_ok = record(
-        "spectrum_matches_design_form", sigma == [fs.lam0, lam1, lam2, lam3],
+        "spectrum_matches_design_form", sigma == design,
         f"spectrum {{{', '.join(map(str, sigma))}}}, design form "
         f"{{0, {lam1}, {lam2}, {lam3}}}")
 
@@ -266,7 +271,7 @@ def certificate_bipartite(es: Eigensystem) -> Certificate:
     # adjacent, W2 same side, W3 opposite and nonadjacent
     names = {(-1, -2 * d): "W1", (0, lam): "W2", (0, 0): "W3"}
     rows: list[ClassRow] = []
-    for row in _pair_classes(es.powers, es.lagrange[1:]):
+    for row in _pair_classes(es.powers, es.lagrange):
         sig = row.signature[2:]
         if sig not in names:
             raise UnknownSignatureError(
@@ -285,8 +290,8 @@ def certificate_bipartite(es: Eigensystem) -> Certificate:
            spectrum_ok and p0_ok and resolution_ok and ortho_ok and idem_ok
            and recon_ok, "one Delta set per class over all of its pairs")
     deltas = {row.tag: row.deltas for row in rows}
-    h0 = {tag: h_terms_exact(fs.nonzero(), ds, n).at_zero()
-          for tag, ds in deltas.items()}
+    h0 = {row.tag: h_terms_exact(design, *row.entries).at_zero()
+          for row in rows}
 
     inv_n = QuadValue(Fraction(1, n))
 
@@ -419,25 +424,25 @@ def _decide(h: ExpSum, lam3: QuadValue, sig: tuple) -> Decision:
 
 def delta_sign_analysis(es: Eigensystem) -> Certificate:
     """Certify each pair class of a connected four-eigenvalue graph with the
-    exponential-sign template, from exact DeltaSets of its exact eigensystem
-    `es` (checked by `_exact_laplacian`) and the powers of the Laplacian it
-    keeps; method delta-sign-template."""
+    exponential-sign template, on the h that `h_terms_exact` builds from the
+    class's exact projector entries, read off its exact eigensystem `es`
+    (checked by `_exact_laplacian`); method delta-sign-template."""
     method = "delta-sign-template"
     _exact_laplacian(es, method)
     if es.groups[0].multiplicity != 1:
         return _not_applicable(method, "graph is not connected")
 
-    sigma = es.values()[1:]
+    values = es.values()
     rows: list[ClassRow] = []
     checks: list[CertificateCheck] = []
-    for row in _pair_classes(es.powers, es.lagrange[1:]):
+    for row in _pair_classes(es.powers, es.lagrange):
         tag, ds = row.tag, row.deltas
         deltas_ok = all(x.sign() >= 0 for x in (ds.d1, ds.d2, ds.d3))
         checks.append(CertificateCheck(
             f"{tag}_delta_nonneg", f"D1={ds.d1}, D2={ds.d2}, D3={ds.d3}",
             deltas_ok))
-        h = h_terms_exact(sigma, ds, es.n)
-        rule, witness = _decide(h, sigma[-1], row.signature)
+        h = h_terms_exact(values, *row.entries)
+        rule, witness = _decide(h, values[-1], row.signature)
         checks.append(CertificateCheck(f"{tag}_monotone_template", witness,
                                        rule is not None))
         h0 = h.at_zero()
@@ -454,10 +459,10 @@ def _numeric_delta_table(powers: Sequence[np.ndarray], es: Eigensystem,
                          why: str) -> Certificate:
     """Float DeltaSets per pair class of a connected graph, from the powers
     I, L, L^2, L^3 of its integer Laplacian and the float Lagrange basis
-    over the cluster means of its Jacobi eigensystem `es`, tagged as the
-    template tags them; method numeric-delta-table, verdict NumericOnly."""
+    over the four cluster means of its Jacobi eigensystem `es`, tagged as
+    the template tags them; method numeric-delta-table, verdict NumericOnly."""
     rows = _pair_classes(powers, [lagrange_coefficients(es.values(), i)
-                                  for i in (1, 2, 3)])
+                                  for i in range(4)])
     return Certificate(NUMERIC_ONLY, "numeric-delta-table",
                        f"not proven: {why}; float table is evidence only",
                        classes=tuple(rows))

@@ -5,34 +5,40 @@ H_t(u,v)/H_t(u,u) (`ratio_curve`), the derivative-sign function
 
     h_{u,v}(t) = H_t'(u,v) H_t(u,u) - H_t(u,v) H_t'(u,u),
 
-and its expansion into an exponential sum (`ExpSum`: exact rates, ascending
-and distinct, each with a nonzero coefficient) with Delta coefficients
+and its one expansion into an exponential sum (`ExpSum`: exact rates,
+ascending and distinct, each with a nonzero coefficient).
+`h_terms_exact(values, uu, uv)` builds it for any number k of distinct
+eigenvalues lam_0 = 0 < ... < lam_{k-1} from the pair's projector entries
+uu[i] = P_i(u,u) and uv[i] = P_i(u,v):
 
-    Delta_i(u,v)  = P_i(u,u) - P_i(u,v)
-    Delta_ij(u,v) = P_i(u,v) P_j(u,u) - P_j(u,v) P_i(u,u).
+    h = sum_{i<j} (lam_j - lam_i) (P_i(u,v) P_j(u,u) - P_j(u,v) P_i(u,u))
+                  exp(-(lam_i + lam_j) t).
 
 r_t is nondecreasing in t for every pair u != v exactly when h_{u,v} >= 0 on
-[0, inf); the exact routes in `certify` decide the sign of the ExpSum that
-`h_terms_exact` builds from the Delta set of each pair class.
-`h_terms_from_eigensystem` (an ExpSum from the projector entries) and
-`h_rate` (floats) compute h independently so the tests can compare.
+[0, inf); the exact routes in `certify` decide the sign of that ExpSum for
+each pair class.  `delta_set` gives a pair's Delta quantities
+
+    Delta_i(u,v)  = P_i(u,u) - P_i(u,v)
+    Delta_ij(u,v) = P_i(u,v) P_j(u,u) - P_j(u,v) P_i(u,u)
+
+over the three nonzero eigenvalues of a four-eigenvalue graph, which the
+reports print; `h_rate` computes h in floats from H_t, as the tests'
+independent cross-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from fractions import Fraction
-from itertools import groupby
+from itertools import combinations, groupby
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import (ExactEigensystemRequiredError, GraphInputError,
-                     InvalidParameterError, InvariantViolationError,
-                     NegativeTimeError, NumericEigensystemRequiredError,
-                     SameVertexError)
+from .errors import (GraphInputError, InvalidParameterError,
+                     InvariantViolationError, NegativeTimeError,
+                     NumericEigensystemRequiredError, SameVertexError)
 from .quadratic import QuadValue
-from .spectral import Eigensystem, projector_entries
+from .spectral import Eigensystem
 
 
 def heat_slices(es: Eigensystem, grid: Sequence[float]) -> Iterator[np.ndarray]:
@@ -152,33 +158,16 @@ class ExpSum:
         return sum((c for _, c in self.terms), QuadValue(0))
 
 
-def h_terms_exact(lams: Sequence[QuadValue], ds: DeltaSet, n: int) -> ExpSum:
-    """h_{u,v} from the three nonzero eigenvalues lams = (lam1, lam2, lam3)
-    and the pair's exact Deltas."""
-    inv_n = QuadValue(Fraction(1, n))
-    return ExpSum((
-        (lams[0], lams[0] * inv_n * ds.d1),
-        (lams[1], lams[1] * inv_n * ds.d2),
-        (lams[2], lams[2] * inv_n * ds.d3),
-        (lams[0] + lams[1], (lams[1] - lams[0]) * ds.d12),
-        (lams[0] + lams[2], (lams[2] - lams[0]) * ds.d13),
-        (lams[1] + lams[2], (lams[2] - lams[1]) * ds.d23),
-    ))
-
-
-def h_terms_from_eigensystem(es: Eigensystem, u: int, v: int) -> ExpSum:
-    """The same sum computed from the derivative product H'(u,v)H(u,u) -
-    H(u,v)H'(u,u) with H' = -sum lam exp(-t*lam) P, each P(u,x) from the full
-    Lagrange polynomial that `es` keeps, summed over its powers of L;
-    independent of the Delta expansion and of the signature formula."""
-    if es.mode != "exact":
-        raise ExactEigensystemRequiredError(
-            "h_terms_from_eigensystem needs an exact eigensystem")
-    lams, k = es.values(), len(es.groups)
-    uu, uv = (projector_entries(es.lagrange, es.powers, u, x) for x in (u, v))
+def h_terms_exact(values: Sequence[QuadValue], uu: Sequence[QuadValue],
+                  uv: Sequence[QuadValue]) -> ExpSum:
+    """h_{u,v} from the exact distinct eigenvalues `values`, 0 first, and the
+    pair's exact projector entries uu[i] = P_i(u,u) and uv[i] = P_i(u,v):
+    the sum over i < j in the module docstring.  With P_0 = J/n the i = 0
+    terms are lam_j Delta_j / n."""
     return ExpSum(tuple(
-        (lams[i] + lams[j], lams[i] * (uu[i] * uv[j] - uv[i] * uu[j]))
-        for i in range(k) for j in range(k)))
+        (values[i] + values[j],
+         (values[j] - values[i]) * (uv[i] * uu[j] - uv[j] * uu[i]))
+        for i, j in combinations(range(len(values)), 2)))
 
 
 def h_rate(es: Eigensystem, L: np.ndarray, u: int, v: int, t: float) -> float:

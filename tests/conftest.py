@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from mnhd.graphs import all_builtin_names, build_graph, builtin_graph, crown
 from mnhd.errors import (NonQuadraticEigenvaluesError,
                          NotFourEigenvaluesError)
 from mnhd.graphs import laplacian
+from mnhd.heat import ExpSum
+from mnhd.quadratic import QuadValue
 from mnhd.spectral import exact_eigensystem, jacobi_eigendecompose
 
 
@@ -86,6 +89,24 @@ def group_projectors():
         ends = np.cumsum([grp.multiplicity for grp in es.groups])
         return [X @ X.T for X in np.split(es.vectors, ends[:-1], axis=1)]
     return project
+
+
+@pytest.fixture(scope="session")
+def h_from_deltas():
+    """The k = 4 Delta expansion of h, the oracle for heat.h_terms_exact: an
+    ExpSum from the nonzero eigenvalues lams = (lam1, lam2, lam3), a pair's
+    exact DeltaSet ds and n, P0 = J/n giving the terms lam_i D_i / n."""
+    def expand(lams, ds, n):
+        inv_n = QuadValue(Fraction(1, n))
+        return ExpSum((
+            (lams[0], lams[0] * inv_n * ds.d1),
+            (lams[1], lams[1] * inv_n * ds.d2),
+            (lams[2], lams[2] * inv_n * ds.d3),
+            (lams[0] + lams[1], (lams[1] - lams[0]) * ds.d12),
+            (lams[0] + lams[2], (lams[2] - lams[0]) * ds.d13),
+            (lams[1] + lams[2], (lams[2] - lams[1]) * ds.d23),
+        ))
+    return expand
 
 
 @pytest.fixture(scope="session")

@@ -43,14 +43,6 @@ def _deltas(projs, u, v):
                      [P.entry(u, v) for P in projs])
 
 
-def _h0_exact(fs, ds, n):
-    """Sum of all exponential coefficients of h, i.e. h(0), exactly."""
-    inv_n = QuadValue(F(1, n))
-    l1, l2, l3 = fs.nonzero()
-    return (l1 * inv_n * ds.d1 + l2 * inv_n * ds.d2 + l3 * inv_n * ds.d3
-            + (l2 - l1) * ds.d12 + (l3 - l1) * ds.d13 + (l3 - l2) * ds.d23)
-
-
 def test_criterion_01_catalog_spectrum_reproduction(numeric_systems):
     by_builder = {row.builder: row for row in catalog() if row.builder}
     by_builder["fano-complement"] = by_builder["design-742"]
@@ -77,7 +69,8 @@ def test_criterion_02_cayley_s3_delta_table_exact(exact_systems):
         QuadValue(F(-1, 36)), QuadValue(F(-1, 12)), QuadValue(F(-1, 9)))
 
 
-def test_criterion_03_wheel6_delta_table_exact(builtins, exact_systems):
+def test_criterion_03_wheel6_delta_table_exact(builtins, exact_systems,
+                                               h_from_deltas):
     analysis = delta_sign_analysis(exact_systems["wheel-6"])
     rows = {r.signature: r for r in analysis.classes}
     # rim-to-hub and hub-to-rim rows reproduce exactly
@@ -103,7 +96,8 @@ def test_criterion_03_wheel6_delta_table_exact(builtins, exact_systems):
     # internal consistency of rows derived from the Lagrange projectors
     es = exact_systems["wheel-6"]
     fs, projs = _four_spectrum(es)
-    from mnhd.heat import h_terms_exact, h_terms_from_eigensystem
+    from mnhd.heat import h_terms_exact
+    all_projs = _projectors(es)
     L = laplacian(builtins["wheel-6"])
     for u in range(6):
         for v in range(6):
@@ -111,9 +105,11 @@ def test_criterion_03_wheel6_delta_table_exact(builtins, exact_systems):
                 continue
             ds = _deltas(projs, u, v)
             assert ds.d1 + ds.d2 + ds.d3 == QuadValue(1)
-            assert _h0_exact(fs, ds, 6) == QuadValue(-int(L[u, v]))
-            assert (h_terms_exact(fs.nonzero(), ds, 6)
-                    == h_terms_from_eigensystem(es, u, v))
+            h = h_from_deltas(fs.nonzero(), ds, 6)
+            assert h.at_zero() == QuadValue(-int(L[u, v]))
+            assert h == h_terms_exact(es.values(),
+                                      [P.entry(u, u) for P in all_projs],
+                                      [P.entry(u, v) for P in all_projs])
     assert analysis.verdict == PROVEN
 
 
@@ -144,7 +140,7 @@ def test_criterion_05_numeric_mnhd_all_builtins(builtins, numeric_systems,
 
 
 def test_criterion_06_derivative_at_zero(builtins, numeric_systems,
-                                         exact_systems):
+                                         exact_systems, h_from_deltas):
     for name, g in builtins.items():
         L = laplacian(g)
         es = exact_systems[name]
@@ -153,7 +149,8 @@ def test_criterion_06_derivative_at_zero(builtins, numeric_systems,
             for u in range(g.n):
                 for v in range(g.n):
                     if u != v:
-                        h0 = _h0_exact(fs, _deltas(projs, u, v), g.n)
+                        h0 = h_from_deltas(fs.nonzero(), _deltas(projs, u, v),
+                                           g.n).at_zero()
                         assert h0 == QuadValue(-int(L[u, v])), name
         num_es = numeric_systems[name]  # numeric path within 1e-12
         for u in range(g.n):

@@ -90,11 +90,11 @@ def test_classification_exhaustive_and_exclusive(incidence_builtins):
         assert counts["W2"] == 2 * v_half * (v_half - 1), name
 
 
-def _pair_classes_by_delta_set(L, L2, es):
+def _pair_classes_by_entries(L, L2, es):
     """Reference for _pair_classes on an exact eigensystem: the signature
-    groups split by the exact DeltaSet of every pair, read off the full
-    Lagrange projector matrices, tagged the same way, each with its
-    count."""
+    groups split by the exact projector entries (P_i(u,u), P_i(u,v)) of every
+    pair, read off the full Lagrange projector matrices, tagged the same way,
+    each with its count, DeltaSet and entries."""
     groups = {}
     for u in range(es.n):
         for v in range(es.n):
@@ -102,17 +102,19 @@ def _pair_classes_by_delta_set(L, L2, es):
                 sig = (int(L[u, u]), int(L[v, v]), int(L[u, v]), int(L2[u, v]))
                 groups.setdefault(sig, []).append((u, v))
     projectors = [lagrange_projector(es.powers, es.values(), i)
-                  for i in (1, 2, 3)]
+                  for i in range(4)]
     out = []
     for idx, sig in enumerate(sorted(groups), start=1):
-        by_delta = {}
+        by_entries = {}
         for u, v in groups[sig]:
-            ds = delta_set([P.entry(u, u) for P in projectors],
-                           [P.entry(u, v) for P in projectors])
-            by_delta.setdefault(ds, []).append((u, v))
-        for sub, (ds, pairs) in enumerate(by_delta.items(), start=1):
-            tag = f"S{idx}" if len(by_delta) == 1 else f"S{idx}.{sub}"
-            out.append(ClassRow(tag, sig, len(pairs), ds))
+            entries = (tuple(P.entry(u, u) for P in projectors),
+                       tuple(P.entry(u, v) for P in projectors))
+            by_entries.setdefault(entries, []).append((u, v))
+        for sub, ((uu, uv), pairs) in enumerate(by_entries.items(), start=1):
+            tag = f"S{idx}" if len(by_entries) == 1 else f"S{idx}.{sub}"
+            row = ClassRow(tag, sig, len(pairs), delta_set(uu[1:], uv[1:]),
+                           (list(uu), list(uv)))
+            out.append(row)
     return out
 
 
@@ -123,11 +125,12 @@ def _circulant(n, connection):
 
 def test_pair_classes_match_every_pair_delta_sets(builtins, exact_systems,
                                                   extra_exact_graphs):
-    # two formulas: each class's DeltaSet from its signature against every
-    # pair's from the full Lagrange matrices.  The oracle splits a signature
-    # group whenever two of its pairs have different DeltaSets, so this fails
-    # if the signature ever stops fixing the DeltaSet (the proof in
-    # `_pair_classes`) or the signature formula gets an entry wrong
+    # two formulas: each class's projector entries and DeltaSet from its
+    # signature against every pair's from the full Lagrange matrices.  The
+    # oracle splits a signature group whenever two of its pairs have
+    # different entries, so this fails if the signature ever stops fixing
+    # them (the proof in `_pair_classes`) or the signature formula gets an
+    # entry wrong
     rng = random.Random(4)
     graphs = {name: g for name, g in builtins.items()
               if exact_systems[name] is not None}
@@ -141,8 +144,8 @@ def test_pair_classes_match_every_pair_delta_sets(builtins, exact_systems,
         L = laplacian(build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges]))
         cases.append((f"{name} relabeled {perm}", L, exact_eigensystem(L)))
     for name, L, es in cases:
-        assert _pair_classes(es.powers, es.lagrange[1:]) == \
-            _pair_classes_by_delta_set(L, L @ L, es), name
+        assert _pair_classes(es.powers, es.lagrange) == \
+            _pair_classes_by_entries(L, L @ L, es), name
 
 
 @pytest.mark.parametrize("g", [cycle(7), _circulant(13, {1, 5, 8, 12}),
@@ -591,7 +594,7 @@ def test_pair_classes_memory_is_a_few_int64_matrices():
     # packed int64 keys and np.unique's sort are a few n x n int64 arrays
     L = laplacian(crown(50))
     es = exact_eigensystem(L)
-    args = (es.powers, es.lagrange[1:])
+    args = (es.powers, es.lagrange)
     _pair_classes(*args)
     tracemalloc.start()
     try:
@@ -626,7 +629,7 @@ def test_pair_classes_reject_signatures_past_the_int64_key():
     L2 = np.array([[0, 1 << 61, 0], [-(1 << 61), 0, 0], [0, 0, 0]],
                   dtype=np.int64)
     with pytest.raises(SignatureKeyOverflowError):
-        _pair_classes((np.eye(3, dtype=np.int64), L, L2), [[1.0]] * 3)
+        _pair_classes((np.eye(3, dtype=np.int64), L, L2), [[1.0]] * 4)
 
 
 def test_eigensystem_and_numeric_check_memory_is_quadratic(random_gnp):

@@ -1,8 +1,8 @@
 """analyze() builds the graph's facts, its Laplacian and each eigensystem
 once per graph and hands them to the route that runs, and computes one exact
-DeltaSet per pair class: counts of these layers per call, with every binding
-of a counted function wrapped in every `mnhd` module namespace (or in the
-ones named)."""
+DeltaSet and one h per pair class: counts of these layers per call, with
+every binding of a counted function wrapped in every `mnhd` module namespace
+(or in the ones named)."""
 
 import sys
 from collections import Counter
@@ -80,11 +80,11 @@ def test_analyze_builds_facts_and_laplacian_once(monkeypatch, name):
 
 
 # the exact routes read the four Lagrange polynomials that exact_eigensystem
-# keeps; the float table forms the three of the nonzero cluster means
+# keeps; the float table forms the four of the cluster means
 @pytest.mark.parametrize("name, basis", [
     ("crown-7", 4),
     ("cayley-s3", 4),
-    ("cycle-7", 3),
+    ("cycle-7", 4),
     ("cycle-6", 4),
     ("wheel-6", 4),
     ("cycle-5", 0),
@@ -94,18 +94,28 @@ def test_analyze_builds_lagrange_basis_once(calls, name, basis):
     assert calls["lagrange_coefficients"] == basis
 
 
-@pytest.mark.parametrize("name, classes", [
-    ("crown-7", 3),     # W1, W2, W3
-    ("cayley-s3", 3),
-    ("cycle-7", 3),     # float delta table: one DeltaSet per signature class
-    ("cycle-6", 3),
-    ("wheel-6", 4),
-    ("cycle-5", 0),
-])
-def test_analyze_runs_delta_set_once_per_subclass(monkeypatch, name, classes):
-    calls = _count_calls(monkeypatch, mnhd.heat, ("delta_set",))
+# h_terms_exact runs once per class on the exact routes and never for the
+# float table; the case ids name the graph and its class count
+PER_CLASS_CASES = [
+    ("crown-7", 3, 3),     # W1, W2, W3
+    ("cayley-s3", 3, 3),
+    ("cycle-7", 3, 0),     # float delta table: one DeltaSet per class, no h
+    ("cycle-6", 3, 3),
+    ("wheel-6", 4, 4),
+    ("cycle-5", 0, 0),
+]
+
+
+@pytest.mark.parametrize("name, classes, h_terms", PER_CLASS_CASES,
+                         ids=[f"{name}-{classes}"
+                              for name, classes, _ in PER_CLASS_CASES])
+def test_analyze_runs_delta_set_once_per_subclass(monkeypatch, name, classes,
+                                                  h_terms):
+    calls = _count_calls(monkeypatch, mnhd.heat,
+                         ("delta_set", "h_terms_exact"))
     report = analyze(builtin_graph(name))
     assert calls["delta_set"] == classes == len(report.certificate.classes)
+    assert calls["h_terms_exact"] == h_terms
 
 
 @pytest.mark.parametrize("name, products, int_products", [

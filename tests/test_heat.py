@@ -8,18 +8,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mnhd.errors import (ExactEigensystemRequiredError, GraphInputError,
-                         InvalidParameterError, InvariantViolationError,
-                         NegativeTimeError, SameVertexError)
+from mnhd.errors import (GraphInputError, InvalidParameterError,
+                         InvariantViolationError, NegativeTimeError,
+                         SameVertexError)
 from mnhd.graphs import (build_graph, cayley_s3, crown, cycle,
                          design_742_incidence, laplacian, wheel6)
-from mnhd.heat import (DeltaSet, default_time_grid, delta_set, h_rate,
-                       h_terms_exact, h_terms_from_eigensystem, heat_slices,
-                       heat_stack, ratio_curve, write_curve_csv)
+from mnhd.heat import (DeltaSet, ExpSum, default_time_grid, delta_set, h_rate,
+                       h_terms_exact, heat_slices, heat_stack, ratio_curve,
+                       write_curve_csv)
 from mnhd.quadratic import QuadValue
-from mnhd.spectral import (EigenGroup, Eigensystem, FourSpectrum,
-                           exact_eigensystem, jacobi_eigendecompose,
-                           lagrange_projector)
+from mnhd.spectral import (EigenGroup, Eigensystem, exact_eigensystem,
+                           jacobi_eigendecompose, lagrange_coefficients,
+                           lagrange_projector, projector_entries)
 
 F = Fraction
 
@@ -29,18 +29,22 @@ def _es(g):
 
 
 def _exact_parts(g):
-    """(eigensystem, FourSpectrum, nonzero-eigenvalue Lagrange projectors)
-    for the exact path."""
+    """(eigensystem, Lagrange projectors P0..P3) for the exact path."""
     es = exact_eigensystem(laplacian(g))
-    sigma = es.values()
-    fs = FourSpectrum.from_eigenvalues(*sigma[1:])
-    return es, fs, [lagrange_projector(es.powers, sigma, i) for i in (1, 2, 3)]
+    return es, [lagrange_projector(es.powers, es.values(), i)
+                for i in range(4)]
+
+
+def _entries(projs, u, v):
+    """(P_i(u,u), P_i(u,v)) for each projector P_i of `projs`."""
+    return [P.entry(u, u) for P in projs], [P.entry(u, v) for P in projs]
 
 
 def _deltas(projs, u, v):
-    """delta_set on the (u, u) and (u, v) entries of the projectors."""
-    return delta_set([P.entry(u, u) for P in projs],
-                     [P.entry(u, v) for P in projs])
+    """delta_set on the entries of the nonzero-eigenvalue projectors
+    P1..P3 of `projs`."""
+    uu, uv = _entries(projs, u, v)
+    return delta_set(uu[1:], uv[1:])
 
 
 def test_heat_stack_at_zero_is_identity():
@@ -209,7 +213,7 @@ def test_write_curve_csv_format():
 
 
 def test_delta_set_cayley_non_adjacent_pair():
-    _, _, projs = _exact_parts(cayley_s3())
+    _, projs = _exact_parts(cayley_s3())
     # (0, 3) is a non-adjacent pair
     ds = _deltas(projs, 0, 3)
     assert ds == DeltaSet(QuadValue(F(1, 3)), QuadValue(F(1, 2)),
@@ -218,7 +222,7 @@ def test_delta_set_cayley_non_adjacent_pair():
 
 
 def test_delta_set_wheel_hub_classes():
-    _, _, projs = _exact_parts(wheel6())
+    _, projs = _exact_parts(wheel6())
     rim_to_hub = _deltas(projs, 0, 5)
     assert rim_to_hub == DeltaSet(QuadValue(F(2, 5)), QuadValue(F(2, 5)),
                                   QuadValue(F(1, 5)), QuadValue(0),
@@ -229,10 +233,10 @@ def test_delta_set_wheel_hub_classes():
 
 
 def test_delta_antisymmetry_by_definition():
-    _, _, projs = _exact_parts(design_742_incidence())
+    _, projs = _exact_parts(design_742_incidence())
     u, v = 0, 1
     ds = _deltas(projs, u, v)
-    for (i, j), dij in zip(((0, 1), (0, 2), (1, 2)),
+    for (i, j), dij in zip(((1, 2), (1, 3), (2, 3)),
                            (ds.d12, ds.d13, ds.d23)):
         Pi, Pj = projs[i], projs[j]
         swapped = Pj.entry(u, v) * Pi.entry(u, u) - Pi.entry(u, v) * Pj.entry(u, u)
@@ -244,7 +248,7 @@ def test_delta_antisymmetry_by_definition():
                          ids=["cayley", "wheel", "742", "crown5", "cycle6"])
 def test_delta_sum_is_one(make):
     g = make()
-    _, _, projs = _exact_parts(g)
+    _, projs = _exact_parts(g)
     for u in range(g.n):
         for v in range(g.n):
             if u != v:
@@ -258,18 +262,29 @@ def test_delta_sum_is_one(make):
 def test_h_at_zero_equals_minus_laplacian_entry():
     g = design_742_incidence()
     L = laplacian(g)
-    _, fs, projs = _exact_parts(g)
+    es, projs = _exact_parts(g)
     adjacent = (0, 7) if L[0, 7] == -1 else (0, 8)
     for pair, h0 in ((adjacent, QuadValue(1)), ((0, 1), QuadValue(0))):
-        h = h_terms_exact(fs.nonzero(), _deltas(projs, *pair), g.n)
+        h = h_terms_exact(es.values(), *_entries(projs, *pair))
         assert h.at_zero() == h0
 
 
-def test_h_terms_exact_match_derivative_product_route(exact_systems):
+def _h_unfolded(values, uu, uv):
+    """h from the derivative product H'(u,v)H(u,u) - H(u,v)H'(u,u) with
+    H' = -sum lam exp(-t*lam) P, summed over i and j both ways: the sum that
+    h_terms_exact folds into i < j."""
+    k = len(values)
+    return ExpSum(tuple(
+        (values[i] + values[j], values[i] * (uu[i] * uv[j] - uv[i] * uu[j]))
+        for i in range(k) for j in range(k)))
+
+
+def test_h_terms_exact_match_derivative_product_route(exact_systems,
+                                                      h_from_deltas):
     # the first pair of every (L(u,u), L(v,v), L(u,v), L^2(u,v)) class of
-    # every builtin with an exact eigensystem: the Delta expansion, on Deltas
-    # from the full Lagrange projector matrices, against the derivative
-    # product
+    # every builtin with an exact eigensystem: the one formula, on entries of
+    # the full Lagrange projector matrices, against the unfolded derivative
+    # product and the Delta expansion
     for name, es in exact_systems.items():
         if es is None:
             continue
@@ -281,27 +296,70 @@ def test_h_terms_exact_match_derivative_product_route(exact_systems):
                     sig = (L[u, u], L[v, v], L[u, v], L2[u, v])
                     firsts.setdefault(sig, (u, v))
         projs = [lagrange_projector(es.powers, es.values(), i)
-                 for i in (1, 2, 3)]
+                 for i in range(4)]
         for u, v in firsts.values():
-            ds = _deltas(projs, u, v)
-            assert (h_terms_exact(es.values()[1:], ds, es.n)
-                    == h_terms_from_eigensystem(es, u, v)), (name, u, v)
+            uu, uv = _entries(projs, u, v)
+            h = h_terms_exact(es.values(), uu, uv)
+            assert h == _h_unfolded(es.values(), uu, uv), (name, u, v)
+            assert h == h_from_deltas(es.values()[1:], _deltas(projs, u, v),
+                                      es.n), (name, u, v)
 
 
-def test_h_terms_from_eigensystem_rejects_numeric_eigensystem():
-    with pytest.raises(ExactEigensystemRequiredError):
-        h_terms_from_eigensystem(_es(cayley_s3()), 0, 1)
+def test_reported_deltas_give_the_h_the_routes_decide(exact_systems, reports,
+                                                      h_from_deltas):
+    # every class row of both exact routes: the Delta expansion of the
+    # reported deltas is the h built from the row's projector entries
+    for name, es in exact_systems.items():
+        if es is None:
+            continue
+        cert = reports[name].certificate
+        assert cert.method in ("bipartite-certificate", "delta-sign-template")
+        for row in cert.classes:
+            h = h_terms_exact(es.values(), *row.entries)
+            assert h == h_from_deltas(es.values()[1:], row.deltas, es.n), \
+                (name, row.tag)
+
+
+@pytest.mark.parametrize("g, spectrum", [
+    (build_graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]),
+     [QuadValue(0), QuadValue(4)]),
+    (build_graph(4, [(0, 1), (0, 2), (0, 3)]),
+     [QuadValue(0), QuadValue(1), QuadValue(4)]),
+    (cycle(5), [QuadValue(0), QuadValue(F(5, 2), F(-1, 2), 5),
+                QuadValue(F(5, 2), F(1, 2), 5)]),
+    (cycle(8), [QuadValue(0), QuadValue(2, -1, 2), QuadValue(2),
+                QuadValue(2, 1, 2), QuadValue(4)]),
+], ids=["K4", "star-K1,3", "cycle-5", "cycle-8"])
+def test_h_terms_exact_any_number_of_eigenvalues(g, spectrum):
+    # k = 2, 3, 3 and 5 distinct eigenvalues: projector entries from the
+    # exact Lagrange basis over the spectrum and the powers I..L^(k-1)
+    L = laplacian(g)
+    powers = [np.linalg.matrix_power(L, j) for j in range(len(spectrum))]
+    basis = [lagrange_coefficients(spectrum, i) for i in range(len(spectrum))]
+    es = _es(g)
+    for u in range(g.n):
+        for v in range(g.n):
+            if u == v:
+                continue
+            uu, uv = (projector_entries(basis, powers, u, x) for x in (u, v))
+            h = h_terms_exact(spectrum, uu, uv)
+            assert h.at_zero() == QuadValue(-int(L[u, v])), (u, v)
+            for t in (0.1, 0.7, 2.0):
+                expansion = sum(float(c) * np.exp(-float(rate) * t)
+                                for rate, c in h.terms)
+                direct = h_rate(es, L, u, v, t)
+                assert abs(expansion - direct) < 1e-12, (u, v, t)
 
 
 def test_exact_requirement_survives_optimized_mode():
     # python -O strips assert statements; the typed check must still raise
-    code = ("from mnhd.errors import ExactEigensystemRequiredError\n"
+    code = ("from mnhd.certify import delta_sign_analysis\n"
+            "from mnhd.errors import ExactEigensystemRequiredError\n"
             "from mnhd.graphs import cayley_s3, laplacian\n"
-            "from mnhd.heat import h_terms_from_eigensystem\n"
             "from mnhd.spectral import jacobi_eigendecompose\n"
             "es = jacobi_eigendecompose(laplacian(cayley_s3()))\n"
             "try:\n"
-            "    h_terms_from_eigensystem(es, 0, 1)\n"
+            "    delta_sign_analysis(es)\n"
             "except ExactEigensystemRequiredError:\n"
             "    print('raised')\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -316,10 +374,10 @@ def test_h_expansion_agrees_with_rate_formula_numerically():
     for g in (design_742_incidence(), cayley_s3(), wheel6()):
         L = laplacian(g)
         es = _es(g)
-        _, fs, projs = _exact_parts(g)
+        exact, projs = _exact_parts(g)
         grid = default_time_grid(es)
         for (u, v) in ((0, 1), (1, g.n - 1)):
-            h = h_terms_exact(fs.nonzero(), _deltas(projs, u, v), g.n)
+            h = h_terms_exact(exact.values(), *_entries(projs, u, v))
             for t in grid[::6]:
                 expansion = sum(float(c) * np.exp(-float(rate) * t)
                                 for rate, c in h.terms)

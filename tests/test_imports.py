@@ -107,3 +107,24 @@ def test_library_has_no_unused_imports():
     assert [entry for path in sorted(src.glob("*.py"))
             if path.name != "__init__.py"
             for entry in _unused_imports(path)] == []
+
+
+def _readme_library_example() -> str:
+    """The python block under README.md's `## Library` heading."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("\n```", 1)[0]
+
+
+def test_readme_library_example_runs():
+    # the example shows the public API; it runs as written in a fresh
+    # interpreter, from the verdict of analyze to the numeric check's
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _readme_library_example()],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[0] == "ProvenMNHD"
+    assert lines[-1] == "PassesAtTolerance"
