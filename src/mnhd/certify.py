@@ -10,8 +10,8 @@ polynomials and powers of L and kept on the class row, and so its h and its
 Delta set: `h_terms_exact` and `delta_set` run once per class.  The
 grouping sorts one packed int64 key per pair, and a class row keeps its pair
 count, never a list of its pairs.
-`analyze` alone decides which route runs and builds the graph's facts, L
-and the eigensystems; each route takes only an eigensystem and reads L off it.
+`analyze` builds facts, L and the eigensystems, then tries the exact routes
+in order; each takes only an eigensystem and decides from it if it applies.
 
 * certificate_bipartite -- an exact certificate for connected regular
   bipartite graphs with four distinct Laplacian eigenvalues.  Such a graph is
@@ -655,53 +655,53 @@ REPORT_SCHEMA = {
 
 
 def analyze(g: Graph) -> MnhdReport:
-    """Full pipeline: facts, numeric spectrum, classification when it applies,
-    the strongest applicable exact route, and the numeric cross-check.  The
-    graph's facts, L and each eigensystem are built once, here: the exact
-    eigensystem, which carries the powers of L, is handed to the route that
-    runs, the numeric one to the numeric check, and on cubic eigenvalues the
-    float delta table takes the powers that exact_eigensystem's
-    NonQuadraticEigenvaluesError carries."""
+    """Full pipeline: facts, numeric spectrum, the exact routes, van Dam's
+    case for a regular graph, and the numeric cross-check.  Only the two
+    "none" gates decide from the graph's facts (connected, four Jacobi
+    groups); then the routes run in order on the exact eigensystem, each
+    deciding from it alone whether it applies, and the first whose verdict
+    is not NotApplicable is kept.  Facts, L and each eigensystem are built
+    once, here; on cubic eigenvalues the float delta table takes the powers
+    that exact_eigensystem's NonQuadraticEigenvaluesError carries."""
     f = facts(g)
     L = laplacian(g)
     es = jacobi_eigendecompose(L)
 
-    exact: Eigensystem | None = None
-    cubic: str | None = None
-    if f.connected and len(es.groups) == 4:
-        try:
-            exact = exact_eigensystem(L)
-        except NonQuadraticEigenvaluesError as exc:
-            cubic, cubic_powers = str(exc), exc.powers
-        # NotFourEigenvaluesError propagates: the Jacobi grouping merged two
-        # distinct eigenvalues, and no route can run
-    exact_values = [None] * len(es.groups) if exact is None else exact.values()
-    spectrum = tuple(
-        SpectrumEntry(float(grp.value), grp.multiplicity, value)
-        for grp, value in zip(es.groups, exact_values))
-
+    exact_values = [None] * len(es.groups)
     van_dam = None
-    if f.connected and f.regular_degree is not None and len(es.groups) == 4:
-        entries = [(grp.value if value is None else value, grp.multiplicity)
-                   for grp, value in zip(es.groups, exact_values)]
-        try:
-            van_dam = classify_spectrum(entries, g.n, f.regular_degree)
-        except NoCaseMatchesError:
-            van_dam = None
-
     if not f.connected:
         certificate = _not_applicable("none", "graph is not connected")
     elif len(es.groups) != 4:
         certificate = _not_applicable(
             "none", f"{len(es.groups)} distinct Laplacian eigenvalues, need four")
-    elif f.regular_degree is not None and f.bipartition is not None:
-        certificate = certificate_bipartite(exact)
-    elif cubic is None:
-        certificate = delta_sign_analysis(exact)
     else:
-        certificate = _numeric_delta_table(cubic_powers, es, cubic)
+        # NotFourEigenvaluesError propagates: the Jacobi grouping merged two
+        # distinct eigenvalues, and no route can run
+        try:
+            exact = exact_eigensystem(L)
+        except NonQuadraticEigenvaluesError as exc:
+            certificate = _numeric_delta_table(exc.powers, es, str(exc))
+            values = es.values()
+        else:
+            for route in (certificate_bipartite, delta_sign_analysis):
+                certificate = route(exact)
+                if certificate.verdict != NOT_APPLICABLE:
+                    break
+            values = exact_values = exact.values()
+            del exact  # its powers of L are freed before the numeric check
+        if f.regular_degree is not None:
+            try:
+                van_dam = classify_spectrum(
+                    [(value, grp.multiplicity)
+                     for value, grp in zip(values, es.groups)],
+                    g.n, f.regular_degree)
+            except NoCaseMatchesError:
+                pass
+    spectrum = tuple(
+        SpectrumEntry(float(grp.value), grp.multiplicity, value)
+        for grp, value in zip(es.groups, exact_values))
 
-    del L, exact  # L and its powers are freed before the numeric check runs
+    del L
     numeric = numeric_check(es)
     return MnhdReport(g.n, g.m, f.regular_degree, f.bipartition is not None,
                       spectrum, van_dam, certificate, numeric)

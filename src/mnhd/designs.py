@@ -46,9 +46,12 @@ def build_design(v: int, blocks: Iterable[Iterable[int]]) -> Design:
         raise DesignError(f"ground set needs at least two points, got v={v}")
     out = []
     for blk in blocks:
+        blk = list(blk)
         s = frozenset(blk)
         if not s:
             raise DesignError("empty block")
+        if len(s) != len(blk):
+            raise DesignError(f"block {sorted(blk)} repeats a point")
         if not all(0 <= x < v for x in s):
             raise DesignError(f"block {sorted(s)} not within 0..{v - 1}")
         out.append(s)

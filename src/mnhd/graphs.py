@@ -185,9 +185,10 @@ def builtin_graph(name: str) -> Graph:
     for prefix, builder in (("crown-", crown), ("cycle-", cycle)):
         if name.startswith(prefix):
             try:
-                return builder(int(name[len(prefix):]))
+                size = int(name[len(prefix):])
             except ValueError:
                 break
+            return builder(size)  # its GraphInputError names the bound
     raise GraphInputError(f"unknown builtin {name!r}; available: {BUILTIN_DOC}")
 
 

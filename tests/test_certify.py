@@ -722,6 +722,22 @@ def test_analyze_wheel_report():
     assert report.numeric.passed
 
 
+def test_analyze_routes_decide_from_the_eigensystem(monkeypatch):
+    # the graph facts say crown-7 is neither regular nor bipartite; the
+    # bipartite certificate still applies, as it reads both off the exact
+    # eigensystem, and the facts only fill the report
+    g = crown(7)
+    monkeypatch.setattr("mnhd.certify.facts",
+                        lambda _: dataclasses.replace(facts(g),
+                                                      regular_degree=None,
+                                                      bipartition=None))
+    report = analyze(g)
+    assert report.certificate.method == "bipartite-certificate"
+    assert report.certificate.verdict == PROVEN
+    assert report.regular_degree is None and not report.bipartite
+    assert report.van_dam_case is None
+
+
 def test_analyze_classifies_only_connected_spectra():
     # two disjoint 6-cycles: the four integral eigenvalues 0, 1, 3, 4 of one,
     # 0 twice; van Dam's cases cover connected graphs only

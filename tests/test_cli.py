@@ -38,6 +38,11 @@ def test_builtin_names_resolve():
         builtin_graph("petersen")
     with pytest.raises(GraphInputError):
         builtin_graph("crown-x")
+    # a size below the family's bound names the bound, not "unknown builtin"
+    with pytest.raises(GraphInputError, match="crown needs v >= 3"):
+        builtin_graph("crown-2")
+    with pytest.raises(GraphInputError, match="cycle needs n >= 3"):
+        builtin_graph("cycle-2")
 
 
 def test_builtin_writes_edge_list(tmp_path, capsys):

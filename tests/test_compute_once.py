@@ -69,6 +69,24 @@ def test_analyze_builds_each_eigensystem_once(calls, name, minimal, exact,
             ("jacobi_eigendecompose", jacobi)) if count}
 
 
+# the routes run in order until one applies: the bipartite certificate
+# declines the non-bipartite graphs from their eigensystem, and neither route
+# runs on cubic eigenvalues or without four of them
+@pytest.mark.parametrize("name, bipartite, template", [
+    ("crown-7", 1, 0),
+    ("cayley-s3", 1, 1),
+    ("wheel-6", 1, 1),
+    ("cycle-7", 0, 0),
+    ("cycle-5", 0, 0),
+])
+def test_analyze_tries_routes_in_order(monkeypatch, name, bipartite, template):
+    calls = _count_calls(monkeypatch, mnhd.certify,
+                         ("certificate_bipartite", "delta_sign_analysis"))
+    analyze(builtin_graph(name))
+    assert (calls["certificate_bipartite"],
+            calls["delta_sign_analysis"]) == (bipartite, template)
+
+
 @pytest.mark.parametrize("name", ["crown-7", "cayley-s3", "cycle-7", "cycle-6",
                                   "wheel-6", "cycle-5"])
 def test_analyze_builds_facts_and_laplacian_once(monkeypatch, name):

@@ -74,6 +74,8 @@ def test_build_design_structure():
         build_design(3, [()])
     with pytest.raises(DesignError):
         build_design(3, [])
+    with pytest.raises(DesignError, match="repeats a point"):
+        build_design(3, [(0, 2, 2)])
 
 
 def test_triangle_pair_design_symmetric():
