@@ -10,8 +10,9 @@ polynomials and powers of L and kept on the class row, and so its h and its
 Delta set: `h_terms_exact` and `delta_set` run once per class.  The
 grouping sorts one packed int64 key per pair, and a class row keeps its pair
 count, never a list of its pairs.
-`analyze` builds facts, L and the eigensystems, then tries the exact routes
-in order; each takes only an eigensystem and decides from it if it applies.
+`analyze` builds facts, L and both eigensystems once; the exact one decides
+"four eigenvalues" and Jacobi's count only names k in a refusal; then each
+exact route in turn decides from the exact eigensystem if it applies.
 
 * certificate_bipartite -- an exact certificate for connected regular
   bipartite graphs with four distinct Laplacian eigenvalues.  Such a graph is
@@ -54,8 +55,8 @@ import numpy as np
 from .designs import lambda_from_n_d
 from .errors import (ExactEigensystemRequiredError, InvalidParameterError,
                      NoCaseMatchesError, NonQuadraticEigenvaluesError,
-                     ShortGridError, SignatureKeyOverflowError,
-                     UnknownSignatureError)
+                     NotFourEigenvaluesError, ShortGridError,
+                     SignatureKeyOverflowError, UnknownSignatureError)
 from .graphs import Graph, facts, laplacian
 from .heat import (DeltaSet, ExpSum, default_time_grid, delta_set,
                    h_terms_exact, heat_slices)
@@ -656,50 +657,48 @@ REPORT_SCHEMA = {
 
 def analyze(g: Graph) -> MnhdReport:
     """Full pipeline: facts, numeric spectrum, the exact routes, van Dam's
-    case for a regular graph, and the numeric cross-check.  Only the two
-    "none" gates decide from the graph's facts (connected, four Jacobi
-    groups); then the routes run in order on the exact eigensystem, each
-    deciding from it alone whether it applies, and the first whose verdict
-    is not NotApplicable is kept.  Facts, L and each eigensystem are built
-    once, here; on cubic eigenvalues the float delta table takes the powers
-    that exact_eigensystem's NonQuadraticEigenvaluesError carries."""
+    case for a regular graph, and the numeric cross-check.  A disconnected
+    graph is refused from its facts; for a connected one the exact
+    eigensystem decides "four distinct eigenvalues" (a minimal polynomial of
+    degree four), Jacobi's count only naming k in the refusal.  The routes
+    run in order on it and the first verdict that is not NotApplicable is
+    kept; the spectrum and van Dam's case are its exact groups.  On cubic
+    eigenvalues the float table takes NonQuadraticEigenvaluesError's powers,
+    and the spectrum and van Dam's case are the Jacobi clusters."""
     f = facts(g)
     L = laplacian(g)
     es = jacobi_eigendecompose(L)
 
-    exact_values = [None] * len(es.groups)
-    van_dam = None
+    groups, four, van_dam = es.groups, (), None  # four: van Dam's input
     if not f.connected:
         certificate = _not_applicable("none", "graph is not connected")
-    elif len(es.groups) != 4:
-        certificate = _not_applicable(
-            "none", f"{len(es.groups)} distinct Laplacian eigenvalues, need four")
     else:
-        # NotFourEigenvaluesError propagates: the Jacobi grouping merged two
-        # distinct eigenvalues, and no route can run
         try:
             exact = exact_eigensystem(L)
+        except NotFourEigenvaluesError:
+            certificate = _not_applicable(
+                "none", f"{len(es.groups)} distinct Laplacian eigenvalues, need four")
         except NonQuadraticEigenvaluesError as exc:
             certificate = _numeric_delta_table(exc.powers, es, str(exc))
-            values = es.values()
+            four = es.groups
         else:
             for route in (certificate_bipartite, delta_sign_analysis):
                 certificate = route(exact)
                 if certificate.verdict != NOT_APPLICABLE:
                     break
-            values = exact_values = exact.values()
+            groups = four = exact.groups
             del exact  # its powers of L are freed before the numeric check
-        if f.regular_degree is not None:
-            try:
-                van_dam = classify_spectrum(
-                    [(value, grp.multiplicity)
-                     for value, grp in zip(values, es.groups)],
-                    g.n, f.regular_degree)
-            except NoCaseMatchesError:
-                pass
+    if four and f.regular_degree is not None:
+        try:
+            van_dam = classify_spectrum(
+                [(grp.value, grp.multiplicity) for grp in four],
+                g.n, f.regular_degree)
+        except NoCaseMatchesError:
+            pass
     spectrum = tuple(
-        SpectrumEntry(float(grp.value), grp.multiplicity, value)
-        for grp, value in zip(es.groups, exact_values))
+        SpectrumEntry(float(grp.value), grp.multiplicity,
+                      grp.value if isinstance(grp.value, QuadValue) else None)
+        for grp in groups)
 
     del L
     numeric = numeric_check(es)

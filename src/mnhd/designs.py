@@ -211,7 +211,8 @@ def catalog() -> tuple[CatalogRow, ...]:
 
 
 # ---------------------------------------------------------------------------
-# design files: line 1 "v b [base=0|1]", then b whitespace-separated blocks
+# design files: line 1 "v b [base=0|1]", then b whitespace-separated blocks;
+# '#' starts a comment
 
 
 def write_design(design: Design, fp: IO[str]) -> None:
@@ -221,8 +222,11 @@ def write_design(design: Design, fp: IO[str]) -> None:
 
 
 def read_design(fp: IO[str]) -> Design:
-    lines = [ln.strip() for ln in fp
-             if ln.strip() and not ln.lstrip().startswith("#")]
+    try:
+        lines = [ln.split("#", 1)[0].strip() for ln in fp]
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"not a UTF-8 text file: {exc}") from exc
+    lines = [ln for ln in lines if ln]
     if not lines:
         raise FileFormatError("empty design file")
     head = lines[0].split()

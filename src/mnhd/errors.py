@@ -91,7 +91,8 @@ class SignatureKeyOverflowError(MnhdError, OverflowError):
 
 
 class NotFourEigenvaluesError(MnhdError):
-    pass
+    """A minimal polynomial of degree other than four, from `exact_eigensystem`
+    (or `minimal_polynomial` past max_degree); `analyze` makes it NotApplicable."""
 
 
 class NonQuadraticEigenvaluesError(MnhdError):

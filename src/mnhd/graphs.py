@@ -210,21 +210,22 @@ def write_edge_list(g: Graph, fp: IO[str]) -> None:
 
 
 def read_edge_list(fp: IO[str]) -> Graph:
-    lines = [ln.strip() for ln in fp
-             if ln.strip() and not ln.lstrip().startswith("#")]
+    try:
+        lines = [ln.split("#", 1)[0].strip() for ln in fp]
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"not a UTF-8 text file: {exc}") from exc
+    lines = [ln for ln in lines if ln]
     if not lines:
         raise FileFormatError("empty edge-list file")
     head = lines[0].split()
     if len(head) != 2:
         raise FileFormatError(f"expected 'n m' header, got {lines[0]!r}")
+    for ln in lines[1:]:
+        if len(ln.split()) != 2:
+            raise FileFormatError(f"expected 'u v' line, got {ln!r}")
     try:
         n, m = int(head[0]), int(head[1])
-        edges = []
-        for ln in lines[1:]:
-            parts = ln.split()
-            if len(parts) != 2:
-                raise FileFormatError(f"expected 'u v' line, got {ln!r}")
-            edges.append((int(parts[0]), int(parts[1])))
+        edges = [(int(u), int(v)) for u, v in map(str.split, lines[1:])]
     except ValueError as exc:
         raise FileFormatError(f"non-integer token: {exc}") from exc
     if len(edges) != m:

@@ -24,7 +24,7 @@ from mnhd.heat import ExpSum, default_time_grid, delta_set, heat_stack
 from mnhd.quadratic import QuadValue
 from mnhd.reference import (CAYLEY_S3_REFERENCE, WHEEL6_REFERENCE,
                             WHEEL6_SUSPECT_ENTRIES, compare_delta_rows)
-from mnhd.spectral import (FourSpectrum, exact_eigensystem,
+from mnhd.spectral import (EigenGroup, FourSpectrum, exact_eigensystem,
                            jacobi_eigendecompose, lagrange_projector)
 
 F = Fraction
@@ -736,6 +736,55 @@ def test_analyze_routes_decide_from_the_eigensystem(monkeypatch):
     assert report.certificate.verdict == PROVEN
     assert report.regular_degree is None and not report.bipartite
     assert report.van_dam_case is None
+
+
+def _regrouped_jacobi(monkeypatch, regroup):
+    """Patch analyze's Jacobi eigensystem to carry regroup(groups); its
+    vectors stay valid, as the multiplicities still sum to n."""
+    def patched(M):
+        es = jacobi_eigendecompose(M)
+        return dataclasses.replace(es, groups=tuple(regroup(list(es.groups))))
+    monkeypatch.setattr("mnhd.certify.jacobi_eigendecompose", patched)
+
+
+def _merge_first_two_nonzero(groups):
+    (a, m), (b, k) = ((grp.value, grp.multiplicity) for grp in groups[1:3])
+    return [groups[0], EigenGroup((a * m + b * k) / (m + k), m + k), *groups[3:]]
+
+
+def _split_first_nonzero(groups):
+    value, mult = groups[1].value, groups[1].multiplicity
+    return [groups[0], EigenGroup(value, 1), EigenGroup(value + 1e-6, mult - 1),
+            *groups[2:]]
+
+
+@pytest.mark.parametrize("name", ["crown-7", "wheel-6"])
+def test_jacobi_clusters_cannot_pick_the_route(monkeypatch, name):
+    # merging two of Jacobi's clusters (four to three) changes neither the
+    # route nor the exact spectrum: the minimal polynomial decides "four"; the
+    # numeric verdict runs on the merged values and is not compared
+    g = builtin_graph(name)
+    expected = analyze(g)
+    _regrouped_jacobi(monkeypatch, _merge_first_two_nonzero)
+    report = analyze(g)
+    assert report.certificate == expected.certificate
+    assert report.spectrum == expected.spectrum
+    assert all(entry.exact is not None for entry in report.spectrum)
+    assert report.van_dam_case == expected.van_dam_case
+
+
+def test_jacobi_split_cannot_make_four_eigenvalues(monkeypatch):
+    # cycle-5 has three distinct eigenvalues; Jacobi's clusters split to four
+    # still give NotApplicable from the minimal polynomial of degree 3, and
+    # the count Jacobi reports names k in the reason
+    _regrouped_jacobi(monkeypatch, _split_first_nonzero)
+    report = analyze(cycle(5))
+    assert (report.certificate.method, report.certificate.verdict) == (
+        "none", NOT_APPLICABLE)
+    assert report.certificate.reason == (
+        "4 distinct Laplacian eigenvalues, need four")
+    assert report.van_dam_case is None
+    assert all(entry.exact is None for entry in report.spectrum)
 
 
 def test_analyze_classifies_only_connected_spectra():

@@ -172,6 +172,17 @@ def test_design_validate(tmp_path, capsys):
     assert "symmetric" in stdout and "lambda=2" in stdout
 
 
+def test_non_utf8_files_are_format_errors(tmp_path, capsys):
+    # exit 2 with an error line, not a traceback and exit 1, which --strict
+    # uses for "not proven"
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("3 1\n0 1 # caf\u00e9\n".encode("latin-1"))
+    for command in ("analyze", "design-validate"):
+        code, stdout, stderr = run(capsys, command, str(path))
+        assert code == 2 and not stdout
+        assert stderr.startswith("error: not a UTF-8 text file"), stderr
+
+
 def test_design_incidence(tmp_path, capsys):
     dpath = tmp_path / "fano.txt"
     dpath.write_text("7 7\n0 1 3\n1 2 4\n2 3 5\n3 4 6\n4 5 0\n5 6 1\n6 0 2\n")

@@ -55,7 +55,7 @@ def calls(monkeypatch):
     ("cycle-7", 1, 1, 0, 1),     # cubic eigenvalues: float delta table
     ("cycle-6", 1, 1, 0, 1),
     ("wheel-6", 1, 1, 0, 1),
-    ("cycle-5", 0, 0, 0, 1),     # three eigenvalues: numeric check only
+    ("cycle-5", 1, 1, 0, 1),     # three eigenvalues: mu of degree 3 refuses
 ])
 def test_analyze_builds_each_eigensystem_once(calls, name, minimal, exact,
                                               lagrange, jacobi):
@@ -140,7 +140,7 @@ def test_analyze_runs_delta_set_once_per_subclass(monkeypatch, name, classes,
     ("crown-7", 0, 3),    # projector checks run mod mu; L^2..L^4
     ("cayley-s3", 0, 3),  # every projector is a combination of powers of L
     ("cycle-7", 0, 3),    # L^2..L^4; the float table reuses that L^2
-    ("cycle-5", 0, 0),
+    ("cycle-5", 0, 2),    # L^2, L^3: mu has degree 3, so no route runs
 ])
 def test_analyze_matrix_product_counts(monkeypatch, name, products,
                                        int_products):

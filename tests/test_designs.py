@@ -235,6 +235,14 @@ def test_read_design_errors():
         read_design(io.StringIO("3 2 base=2\n0 1\n1 2\n"))
     with pytest.raises(FileFormatError):
         read_design(io.StringIO("3 2\n0 1\n"))
+    with pytest.raises(FileFormatError, match="not a UTF-8 text file"):
+        read_design(io.TextIOWrapper(io.BytesIO(b"7 7\n\xff\n"),
+                                     encoding="utf-8"))
+    # '#' starts a comment anywhere on a line, the header's included
+    blocks = DESIGN_742_ONE_BASED.splitlines()[2:]
+    commented = "7 7 base=1 # header\n" + "".join(
+        f"{blk}  # block {i}\n" for i, blk in enumerate(blocks, start=1))
+    assert read_design(io.StringIO(commented)) == design_742()
 
 
 # -- randomized: whatever the validator accepts satisfies the identities ------

@@ -187,6 +187,19 @@ def test_edge_list_comments_and_errors():
         read_edge_list(io.StringIO("3 2\n0 1\n"))  # promised 2, got 1
     with pytest.raises(FileFormatError):
         read_edge_list(io.StringIO("3 one\n"))
+    # '#' starts a comment anywhere on a line, the header's included
+    g = read_edge_list(io.StringIO("3 3 # header\n0 1  # first edge\n1 2\n"
+                                   "0 2#\n  # indented\n"))
+    assert g == build_graph(3, [(0, 1), (1, 2), (0, 2)])
+    # a line of the wrong length is named as such, not as a bad token
+    with pytest.raises(FileFormatError) as err:
+        read_edge_list(io.StringIO("3 1\n0 1 2\n"))
+    assert str(err.value) == "expected 'u v' line, got '0 1 2'"
+    with pytest.raises(FileFormatError, match="non-integer token"):
+        read_edge_list(io.StringIO("3 1\n0 x\n"))
+    with pytest.raises(FileFormatError, match="not a UTF-8 text file"):
+        read_edge_list(io.TextIOWrapper(io.BytesIO(b"3 1\n0 1\xff\n"),
+                                        encoding="utf-8"))
 
 
 # -- randomized structure checks ---------------------------------------------

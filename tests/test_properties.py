@@ -3,10 +3,11 @@ on vertex labels, and on any small graph it either returns a report that
 fits the schema or raises a typed MnhdError.  Every report it returns, on
 relabeled builtins and on small graphs alike, is consistent across routes:
 a ProvenMNHD verdict comes with a passing numeric check, and the exact
-spectrum agrees with the float one.  The pair classes under every route
-group the ordered pairs as a dict keyed by signature does.  An ExpSum does
-not depend on the order or split of its terms.  Edge-list and design files
-give back the graph or design they were written from."""
+spectrum, expanded by multiplicity, agrees with LAPACK's eigenvalues.  The
+pair classes under every route group the ordered pairs as a dict keyed by
+signature does.  An ExpSum does not depend on the order or split of its
+terms.  Edge-list and design files give back the graph or design they were
+written from."""
 
 import io
 from collections import Counter
@@ -35,14 +36,20 @@ def _summary(report):
             sorted((row.tag, row.signature, row.count) for row in cert.classes))
 
 
-def _assert_routes_agree(report, n):
+def _assert_routes_agree(report, g):
     if report.certificate.verdict == PROVEN:
         assert report.numeric.verdict == "PassesAtTolerance", report.numeric
-    assert sum(entry.multiplicity for entry in report.spectrum) == n
-    for entry in report.spectrum:
-        if entry.exact is not None:  # relative above 1, absolute near 0
-            exact = float(entry.exact)
-            assert abs(entry.value - exact) <= 1e-8 * max(1.0, abs(exact)), entry
+    assert sum(entry.multiplicity for entry in report.spectrum) == g.n
+    exact = [entry for entry in report.spectrum if entry.exact is not None]
+    if exact:  # each exact value, repeated by its multiplicity, against LAPACK
+        assert len(exact) == len(report.spectrum), report.spectrum
+        eigenvalues = np.linalg.eigvalsh(laplacian(g).astype(float))
+        expanded = np.repeat([float(entry.exact) for entry in exact],
+                             [entry.multiplicity for entry in exact])
+        for value, eigenvalue in zip(expanded, eigenvalues):
+            # relative above 1, absolute near 0
+            assert abs(eigenvalue - value) <= 1e-8 * max(1.0, abs(value)), (
+                value, eigenvalue, report.spectrum)
 
 
 @pytest.mark.parametrize("name", all_builtin_names())
@@ -54,7 +61,7 @@ def test_report_does_not_depend_on_labels(builtins, reports, name, data):
     relabeled = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
     report = analyze(relabeled)
     assert _summary(report) == _summary(reports[name])
-    _assert_routes_agree(report, g.n)
+    _assert_routes_agree(report, relabeled)
 
 
 @st.composite
@@ -74,7 +81,7 @@ def test_analyze_returns_a_valid_report_or_a_typed_error(g):
     except MnhdError:
         return
     jsonschema.validate(report.to_dict(), REPORT_SCHEMA)
-    _assert_routes_agree(report, g.n)
+    _assert_routes_agree(report, g)
 
 
 @settings(deadline=None, max_examples=100)
