@@ -11,8 +11,8 @@ Delta set: `h_terms_exact` and `delta_set` run once per class.  The
 grouping sorts one packed int64 key per pair, and a class row keeps its pair
 count, never a list of its pairs.
 `analyze` builds facts, L and both eigensystems once; the exact one decides
-"four eigenvalues" and Jacobi's count only names k in a refusal; then each
-exact route in turn decides from the exact eigensystem if it applies.
+"four eigenvalues" and gives their spectrum, Jacobi's count only names k in
+a refusal; then each exact route decides from it if it applies.
 
 * certificate_bipartite -- an exact certificate for connected regular
   bipartite graphs with four distinct Laplacian eigenvalues.  Such a graph is
@@ -35,7 +35,8 @@ exact route in turn decides from the exact eigensystem if it applies.
   The class row records that rule as its route.  For a connected
   four-eigenvalue graph whose eigenvalues are not quadratic (classification
   case III), `analyze` gives instead a float table over the same classes
-  (method numeric-delta-table) that is labelled as evidence, never proof.
+  (method numeric-delta-table, over the minimal polynomial's float roots)
+  that is labelled as evidence, never proof.
 
 * numeric_check -- forward differences of r_t over a log time grid, for every
   ordered pair, on the graph's numeric eigensystem, its only input.  Evidence
@@ -456,14 +457,14 @@ def delta_sign_analysis(es: Eigensystem) -> Certificate:
     return Certificate(verdict, method, reason, tuple(checks), tuple(rows))
 
 
-def _numeric_delta_table(powers: Sequence[np.ndarray], es: Eigensystem,
+def _numeric_delta_table(powers: Sequence[np.ndarray], groups: Sequence,
                          why: str) -> Certificate:
     """Float DeltaSets per pair class of a connected graph, from the powers
     I, L, L^2, L^3 of its integer Laplacian and the float Lagrange basis
-    over the four cluster means of its Jacobi eigensystem `es`, tagged as
-    the template tags them; method numeric-delta-table, verdict NumericOnly."""
-    rows = _pair_classes(powers, [lagrange_coefficients(es.values(), i)
-                                  for i in range(4)])
+    over the four values of `groups`, its minimal polynomial's roots, tagged
+    as the template tags them; method numeric-delta-table, verdict NumericOnly."""
+    values = [grp.value for grp in groups]
+    rows = _pair_classes(powers, [lagrange_coefficients(values, i) for i in range(4)])
     return Certificate(NUMERIC_ONLY, "numeric-delta-table",
                        f"not proven: {why}; float table is evidence only",
                        classes=tuple(rows))
@@ -662,14 +663,14 @@ def analyze(g: Graph) -> MnhdReport:
     eigensystem decides "four distinct eigenvalues" (a minimal polynomial of
     degree four), Jacobi's count only naming k in the refusal.  The routes
     run in order on it and the first verdict that is not NotApplicable is
-    kept; the spectrum and van Dam's case are its exact groups.  On cubic
-    eigenvalues the float table takes NonQuadraticEigenvaluesError's powers,
-    and the spectrum and van Dam's case are the Jacobi clusters."""
+    kept.  On cubic eigenvalues the float table takes the powers and groups
+    of NonQuadraticEigenvaluesError.  Van Dam's case and the spectrum come
+    from the groups of mu, exact or cubic, or else from Jacobi's clusters."""
     f = facts(g)
     L = laplacian(g)
     es = jacobi_eigendecompose(L)
 
-    groups, four, van_dam = es.groups, (), None  # four: van Dam's input
+    four, van_dam = (), None  # four: the groups of a degree-four mu
     if not f.connected:
         certificate = _not_applicable("none", "graph is not connected")
     else:
@@ -679,14 +680,14 @@ def analyze(g: Graph) -> MnhdReport:
             certificate = _not_applicable(
                 "none", f"{len(es.groups)} distinct Laplacian eigenvalues, need four")
         except NonQuadraticEigenvaluesError as exc:
-            certificate = _numeric_delta_table(exc.powers, es, str(exc))
-            four = es.groups
+            certificate = _numeric_delta_table(exc.powers, exc.groups, str(exc))
+            four = exc.groups
         else:
             for route in (certificate_bipartite, delta_sign_analysis):
                 certificate = route(exact)
                 if certificate.verdict != NOT_APPLICABLE:
                     break
-            groups = four = exact.groups
+            four = exact.groups
             del exact  # its powers of L are freed before the numeric check
     if four and f.regular_degree is not None:
         try:
@@ -698,7 +699,7 @@ def analyze(g: Graph) -> MnhdReport:
     spectrum = tuple(
         SpectrumEntry(float(grp.value), grp.multiplicity,
                       grp.value if isinstance(grp.value, QuadValue) else None)
-        for grp in groups)
+        for grp in four or es.groups)
 
     del L
     numeric = numeric_check(es)

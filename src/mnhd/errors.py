@@ -42,7 +42,7 @@ class MixedRadicandsError(MnhdError, ArithmeticError):
 
 
 class NonSymmetricError(MnhdError, ValueError):
-    pass
+    """A matrix that is not square, or not symmetric."""
 
 
 class NoConvergenceError(MnhdError, ArithmeticError):
@@ -72,11 +72,12 @@ class ShortGridError(MnhdError, ValueError):
 class InvalidParameterError(MnhdError, ValueError):
     """A numeric argument outside its domain: a time that is not finite, a
     time grid that is not strictly increasing, a tolerance that is negative
-    or not finite, fewer than one grid point, an empty matrix or one with an
-    entry that is not finite, an eigenvalue list for `group_spectrum` that
-    is not sorted, a negative radicand for `square_free_split` (which
+    or not finite, fewer than one grid point, an empty matrix or one with
+    an entry that is not finite, an eigenvalue list for `group_spectrum`
+    that is not sorted, a negative radicand for `square_free_split` (which
     `QuadValue(0, 1, -3)` reaches), a matrix for `minimal_polynomial` (and
-    so `exact_eigensystem`) that is not of integers, or an exact route's
+    so `exact_eigensystem`) that is not of integers, a nonsingular matrix
+    for `exact_eigenvalues` (no Laplacian is one), or an exact route's
     eigensystem whose L is not the Laplacian of a simple graph (symmetric,
     off-diagonal entries 0 or -1, zero row sums)."""
 
@@ -98,9 +99,11 @@ class NotFourEigenvaluesError(MnhdError):
 class NonQuadraticEigenvaluesError(MnhdError):
     """Eigenvalues are not expressible as a + b*sqrt(m) over the rationals.
     Raised by `exact_eigensystem`, it carries in `powers` the powers
-    I, L, L^2, L^3 of the Laplacian that the minimal polynomial built."""
+    I, L, L^2, L^3 of the Laplacian that the minimal polynomial built, and
+    in `groups` its spectrum from that polynomial (float EigenGroups)."""
 
     powers: tuple = ()
+    groups: tuple = ()
 
 
 class NoCaseMatchesError(MnhdError):

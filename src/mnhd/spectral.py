@@ -1,16 +1,16 @@
-"""Eigendecomposition of symmetric integer matrices: numerically (a
+"""Eigendecomposition of symmetric integer matrices.  Numerically: a
 pure-Python cyclic Jacobi, no LAPACK, on one n x 2n working array [A | V^T],
-so each pair is one 2 x 2n rotation of rows p and q of A and of V^T,
-written into a buffer allocated once per call; the numeric `Eigensystem`
-carries one n x n eigenvector matrix, its columns in group order),
-exactly (minimal polynomial; multiplicities from Lagrange coefficients and
-traces of powers of L), spectrum grouping, Lagrange and closed-form
-projectors, and the three-case classification of regular four-eigenvalue
-spectra.  `analyze` builds no projector matrix: the exact
-routes read projector entries off Lagrange coefficients and check the
-projector algebra modulo the minimal polynomial.  `lagrange_projector` and
-`closed_form_projectors` remain as the matrix oracle that tests compare
-those routes against.
+each pair one 2 x 2n rotation of rows p and q written into a buffer
+allocated once per call; the numeric `Eigensystem` carries one n x n
+eigenvector matrix, its columns in group order.  Exactly: the minimal
+polynomial mu, whose roots floats propose (`np.roots`) and integer
+arithmetic confirms, and multiplicities from traces of powers of L.  Also
+spectrum grouping, Lagrange and closed-form projectors, and van Dam's
+three-case classification of regular four-eigenvalue spectra.  `analyze`
+builds no projector matrix: the exact routes read projector entries off
+Lagrange coefficients and check the projector algebra modulo mu;
+`lagrange_projector` and `closed_form_projectors` remain as the matrix
+oracle that tests compare those routes against.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def group_spectrum(raw: Sequence[float]) -> list[tuple[float, int]]:
 @dataclass(frozen=True)
 class EigenGroup:
     """An eigenvalue and its multiplicity: exact (a QuadValue, the trace of
-    its projector) or numeric (a float, a `group_spectrum` cluster mean)."""
+    its projector) or a float (a Jacobi cluster mean, or a root of mu)."""
 
     value: QuadValue | float
     multiplicity: int
@@ -215,16 +215,19 @@ def minimal_polynomial(L: np.ndarray, max_degree: int | None = None
     verified by evaluating p(L) = 0 in integers.
 
     Raises NotFourEigenvaluesError once the degree provably exceeds
-    max_degree (the powers I, L, ..., L^max_degree are independent), and
-    InvalidParameterError, before the first product, for a matrix whose
+    max_degree (the powers I, L, ..., L^max_degree are independent), and,
+    before the first product, InvalidParameterError for a matrix whose
     dtype is neither an integer dtype nor object holding Python ints (the
-    int64 kernels would truncate a float entry).
+    int64 kernels would truncate a float entry) and NonSymmetricError for
+    one that is not square.
     """
     if not (np.issubdtype(L.dtype, np.integer) or (
             L.dtype == object and all(type(x) is int for x in L.flat))):
         raise InvalidParameterError(
             f"minimal polynomial needs an integer matrix, got dtype {L.dtype}")
     n = L.shape[0]
+    if L.shape != (n, n):
+        raise NonSymmetricError("matrix is not square")
     cap = n if max_degree is None else min(max_degree, n)
     powers = [np.eye(n, dtype=np.int64), L]
     gram: list[list[int]] = []  # gram[i][j] = <L^i, L^j> for the independent powers
@@ -265,67 +268,54 @@ def _solve_fractions(a: list[list[int]], b: list[int]) -> list[Fraction]:
     return [rows[i][k] / rows[i][i] for i in range(k)]
 
 
-def _integer_roots(coeffs: list[int]) -> list[int]:
-    """Integer roots of a monic integer polynomial (ascending coefficients),
-    tried among +- the divisors of c0, found in pairs up to sqrt(|c0|)."""
-    c0 = coeffs[0]
-    if c0 == 0:
-        return [0] + _integer_roots(coeffs[1:]) if len(coeffs) > 1 else [0]
-    roots = []
-    limit = abs(c0)
-    small = [k for k in range(1, math.isqrt(limit) + 1) if limit % k == 0]
-    divisors = sorted(set(small) | {limit // k for k in small})
-    for cand in [-k for k in reversed(divisors)] + divisors:
-        acc = 0
-        for c in reversed(coeffs):
-            acc = acc * cand + c
-        if acc == 0:
-            roots.append(cand)
-    return roots
+def _integer_roots(coeffs: Sequence[int]) -> list[int]:
+    """Distinct integer roots, ascending, of a monic integer polynomial
+    (ascending coefficients): the rounded real parts of its float roots
+    (`np.roots`, a companion-matrix eigenproblem) are only candidates, kept
+    where the polynomial vanishes in exact integer arithmetic."""
+    candidates = {round(z.real) for z in np.roots(np.array(coeffs[::-1], float))}
+    return [x for x in sorted(candidates) if _deflate(coeffs, x)[0] == 0]
 
 
-def _deflate(coeffs: list[int], root: int) -> list[int]:
-    """Divide a monic polynomial by (x - root); exact synthetic division."""
-    out = []
-    acc = 0
+def _deflate(coeffs: Sequence[int], root: int) -> list[int]:
+    """Divide a polynomial by (x - root), exact synthetic division: the
+    remainder (the value at root) first, then the quotient, ascending."""
+    out = [0]
     for c in reversed(coeffs):
-        acc = acc * root + c if out else c
-        out.append(acc)
-    out.pop()  # remainder, zero by assumption
-    return list(reversed(out))
+        out.append(out[-1] * root + c)
+    return out[:0:-1]
 
 
 def exact_eigenvalues(mu: Sequence[int]) -> list[QuadValue]:
     """Distinct eigenvalues of an integer Laplacian with exactly four of them,
     from its minimal polynomial mu (ascending coefficients), as exact
-    QuadValues over a single radicand.
+    QuadValues over a single radicand: mu / x is deflated by its least
+    integer root, and the quadratic formula gives the other two.
 
-    Raises NotFourEigenvaluesError when the count differs from four and
-    NonQuadraticEigenvaluesError when the nonzero eigenvalues are cubic
-    irrationalities (classification case III).
+    Raises NotFourEigenvaluesError when the count differs from four,
+    InvalidParameterError when 0 is not a root (no Laplacian is
+    nonsingular), NonQuadraticEigenvaluesError when mu / x has no integer
+    root (an irreducible cubic, classification case III), and
+    NonSymmetricError for a root that no symmetric matrix's mu has.
     """
     if len(mu) != 5:
         raise NotFourEigenvaluesError(
             f"{len(mu) - 1} distinct eigenvalues, need 4")
     if mu[0] != 0:
-        raise NotFourEigenvaluesError("0 is not an eigenvalue (graph input?)")
+        raise InvalidParameterError("a nonsingular matrix is not a Laplacian")
     cubic = mu[1:]  # monic cubic with the three nonzero eigenvalues
     roots = _integer_roots(cubic)
-    if len(roots) == 3:
-        values = [QuadValue(0)] + [QuadValue(r) for r in sorted(roots)]
-        return sorted(values)
-    if len(roots) == 1:
-        quad = _deflate(cubic, roots[0])  # monic x^2 + s x + p
-        p, s = quad[0], quad[1]
-        disc = s * s - 4 * p
-        if disc <= 0:
-            raise NonQuadraticEigenvaluesError("conjugate pair is not real")
-        half = QuadValue(Fraction(-s, 2))
-        root = QuadValue(0, Fraction(1, 2), disc)
-        values = [QuadValue(0), QuadValue(roots[0]), half - root, half + root]
-        return sorted(values)
-    raise NonQuadraticEigenvaluesError(
-        "nonzero eigenvalues are roots of an irreducible cubic")
+    if not roots:
+        raise NonQuadraticEigenvaluesError(
+            "nonzero eigenvalues are roots of an irreducible cubic")
+    _, p, s, _ = _deflate(cubic, roots[0])  # monic x^2 + s x + p
+    disc = s * s - 4 * p  # repeated roots: disc = 0, mu[1] = 0, or roots[0] twice
+    if disc <= 0 or 0 in (mu[1], p + s * roots[0] + roots[0] ** 2):
+        raise NonSymmetricError(
+            f"minimal polynomial {list(mu)} has a repeated or complex root")
+    half = QuadValue(Fraction(-s, 2))
+    root = QuadValue(0, Fraction(1, 2), disc)
+    return sorted([QuadValue(0), QuadValue(roots[0]), half - root, half + root])
 
 
 def lagrange_coefficients(sigma: Sequence, i: int) -> list:
@@ -366,15 +356,25 @@ def exact_eigensystem(L: np.ndarray) -> Eigensystem:
     reduced by, and each eigenvalue's Lagrange coefficients (`lagrange`),
     so that P_i = sum_j lagrange[i][j] L^j; L^4 is needed only for the
     minimal polynomial's check.  A NonQuadraticEigenvaluesError it raises
-    carries those powers, so that the float delta table does not form L^2
-    again."""
+    (mu = x f, f an irreducible cubic) carries those powers, so that the
+    float delta table does not form L^2 again, and float `groups`: 0, then
+    f's roots from `np.roots`.  Being conjugates, these share a multiplicity
+    b = tr L / (-f_2), and 0 has n - 3b; InvariantViolationError is raised
+    unless b is an integer with 0 < 3b < n."""
     mu, powers = minimal_polynomial(L, max_degree=4)
+    n = L.shape[0]
+    traces = [sum(P.diagonal().tolist()) for P in powers[:-1]]  # Python ints
     try:
         sigma = exact_eigenvalues(mu)
     except NonQuadraticEigenvaluesError as exc:
+        b = traces[1] // -mu[3] if mu[3] else 0
+        if b * -mu[3] != traces[1] or not 0 < 3 * b < n:
+            raise InvariantViolationError(
+                f"tr L = {traces[1]} fits no cubic multiplicity for n = {n}, mu = {mu}")
         exc.powers = tuple(powers[:-1])
+        exc.groups = (EigenGroup(0.0, n - 3 * b), *(
+            EigenGroup(r, b) for r in sorted(np.roots(mu[:0:-1]).real.tolist())))
         raise
-    traces = [sum(P.diagonal().tolist()) for P in powers[:-1]]  # Python ints
     lagrange = tuple(tuple(lagrange_coefficients(sigma, i))
                      for i in range(len(sigma)))
     groups = []
@@ -385,10 +385,9 @@ def exact_eigensystem(L: np.ndarray) -> Eigensystem:
                 f"projector trace {mult} of eigenvalue {lam} is not an integer")
         groups.append(EigenGroup(lam, int(mult.as_fraction())))
     total = sum(g.multiplicity for g in groups)
-    if total != L.shape[0]:
-        raise InvariantViolationError(
-            f"multiplicities sum to {total}, not n = {L.shape[0]}")
-    return Eigensystem(L.shape[0], tuple(groups), "exact", tuple(powers[:-1]),
+    if total != n:
+        raise InvariantViolationError(f"multiplicities sum to {total}, not n = {n}")
+    return Eigensystem(n, tuple(groups), "exact", tuple(powers[:-1]),
                        tuple(mu), lagrange)
 
 

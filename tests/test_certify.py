@@ -24,8 +24,9 @@ from mnhd.heat import ExpSum, default_time_grid, delta_set, heat_stack
 from mnhd.quadratic import QuadValue
 from mnhd.reference import (CAYLEY_S3_REFERENCE, WHEEL6_REFERENCE,
                             WHEEL6_SUSPECT_ENTRIES, compare_delta_rows)
-from mnhd.spectral import (EigenGroup, FourSpectrum, exact_eigensystem,
-                           jacobi_eigendecompose, lagrange_projector)
+from mnhd.spectral import (EigenGroup, FourSpectrum, VanDamCase,
+                           exact_eigensystem, jacobi_eigendecompose,
+                           lagrange_projector)
 
 F = Fraction
 
@@ -153,8 +154,9 @@ def test_pair_classes_match_every_pair_delta_sets(builtins, exact_systems,
                          ids=["cycle-7", "circulant-13", "circulant-13-bar"])
 def test_numeric_delta_table_rows_hold_for_every_pair(g, group_projectors):
     # cubic eigenvalues: there is no exact eigensystem, and analyze's float
-    # table, computed from each class's signature and the cluster means,
-    # gives every pair the DeltaSet of its eigenvector projectors V V^T
+    # table, computed from each class's signature and the float roots of the
+    # minimal polynomial, gives every pair the DeltaSet of its eigenvector
+    # projectors V V^T
     with pytest.raises(NonQuadraticEigenvaluesError):
         exact_eigensystem(laplacian(g))
     cert = analyze(g).certificate
@@ -758,19 +760,24 @@ def _split_first_nonzero(groups):
             *groups[2:]]
 
 
-@pytest.mark.parametrize("name", ["crown-7", "wheel-6"])
+@pytest.mark.parametrize("name", ["crown-7", "wheel-6", "cycle-7"])
 def test_jacobi_clusters_cannot_pick_the_route(monkeypatch, name):
     # merging two of Jacobi's clusters (four to three) changes neither the
-    # route nor the exact spectrum: the minimal polynomial decides "four"; the
-    # numeric verdict runs on the merged values and is not compared
+    # route nor the spectrum: the minimal polynomial decides "four" and gives
+    # the spectrum, exact or (cycle-7, van Dam's case III) the float roots of
+    # its cubic factor; the numeric verdict runs on the merged values and is
+    # not compared
     g = builtin_graph(name)
     expected = analyze(g)
     _regrouped_jacobi(monkeypatch, _merge_first_two_nonzero)
     report = analyze(g)
     assert report.certificate == expected.certificate
     assert report.spectrum == expected.spectrum
-    assert all(entry.exact is not None for entry in report.spectrum)
+    cubic = name == "cycle-7"
+    assert all((entry.exact is None) == cubic for entry in report.spectrum)
     assert report.van_dam_case == expected.van_dam_case
+    if cubic:
+        assert report.van_dam_case == VanDamCase.CASE_III
 
 
 def test_jacobi_split_cannot_make_four_eigenvalues(monkeypatch):

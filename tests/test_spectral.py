@@ -10,7 +10,8 @@ import pytest
 
 import mnhd.spectral
 from mnhd.errors import (AmbiguousGapError, DegenerateParamsError,
-                         InvalidParameterError, NoCaseMatchesError,
+                         InvalidParameterError, InvariantViolationError,
+                         NoCaseMatchesError,
                          NoConvergenceError,
                          NonQuadraticEigenvaluesError, NonSymmetricError,
                          NotFourEigenvaluesError,
@@ -389,6 +390,69 @@ def test_exact_eigensystem_multiplicities():
     es = exact_eigensystem(laplacian(fano_incidence()))
     assert [g.multiplicity for g in es.groups] == [1, 6, 6, 1]
     assert es.mode == "exact"
+
+
+def test_exact_layer_rejects_matrices_outside_its_domain():
+    with pytest.raises(NonSymmetricError, match="not square"):
+        exact_eigensystem(np.zeros((2, 3), dtype=np.int64))
+    # four distinct eigenvalues, but 0 is not one: no Laplacian is nonsingular
+    with pytest.raises(InvalidParameterError, match="nonsingular"):
+        exact_eigensystem(np.diag([1, 2, 3, 4]))
+
+
+@pytest.mark.parametrize("M", [
+    [[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],  # x(x-1)(x^2+1)
+    [[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 1], [0, 0, 0, 2]],   # x(x-1)(x-2)^2
+    [[0, 0, 0, 0], [0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 2]],   # x(x-1)^2(x-2)
+    [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 2]],   # x^2(x-1)(x-2)
+], ids=["complex-pair", "double-quadratic-root", "double-integer-root",
+        "double-zero"])
+def test_exact_eigenvalues_reject_roots_no_symmetric_matrix_has(M):
+    with pytest.raises(NonSymmetricError, match="repeated or complex"):
+        exact_eigensystem(np.array(M))
+
+
+def _cubic_graphs():
+    """C7, its complement the circulant C7(2, 3), and two disjoint C7s."""
+    return {"cycle-7": cycle(7),
+            "circulant-7-2-3": build_graph(7, [(u, v) for u in range(7)
+                                               for v in range(u + 1, 7)
+                                               if v - u in (2, 3, 4, 5)]),
+            "two-cycle-7": build_graph(14, [(b + i, b + (i + 1) % 7)
+                                            for b in (0, 7) for i in range(7)])}
+
+
+@pytest.mark.parametrize("name, zero_mult, b", [
+    ("cycle-7", 1, 2), ("circulant-7-2-3", 1, 2), ("two-cycle-7", 2, 4)])
+def test_cubic_groups_come_from_the_minimal_polynomial(name, zero_mult, b):
+    # mu = x f, f an irreducible cubic: its three conjugate roots share the
+    # multiplicity b = tr L / (-f_2), and 0 takes the other n - 3b
+    L = laplacian(_cubic_graphs()[name])
+    with pytest.raises(NonQuadraticEigenvaluesError) as info:
+        exact_eigensystem(L)
+    groups = info.value.groups
+    assert [grp.multiplicity for grp in groups] == [zero_mult, b, b, b]
+    assert [grp.multiplicity for grp in groups] == [
+        grp.multiplicity for grp in jacobi_eigendecompose(L).groups]
+    expected = np.repeat([grp.value for grp in groups],
+                         [grp.multiplicity for grp in groups])
+    assert np.max(np.abs(expected - np.linalg.eigvalsh(L))) < 1e-9
+    assert len(info.value.powers) == 4
+
+
+@pytest.mark.parametrize("n, bump", [(7, 1), (6, 0), (8, 14)],
+                         ids=["trace-not-divisible", "no-zero-left", "3b-past-n"])
+def test_cubic_groups_check_mu_against_the_trace(monkeypatch, n, bump):
+    # cycle-7's mu, x^4 - 7x^3 + 14x^2 - 7x, paired with an L of n rows whose
+    # trace is 14 + bump: tr L must be b * 7 with 0 < 3b < n
+    mu, powers = minimal_polynomial(laplacian(cycle(7)), max_degree=4)
+    L = np.zeros((n, n), dtype=np.int64)
+    L[0, 0] = 14 + bump
+    monkeypatch.setattr(mnhd.spectral, "minimal_polynomial",
+                        lambda M, max_degree: (mu, [np.eye(n, dtype=np.int64),
+                                                    M, *powers[2:]]))
+    with pytest.raises(InvariantViolationError, match="tr L"):
+        exact_eigensystem(L)
 
 
 def test_exact_eigensystem_keeps_one_power_per_eigenvalue(builtins,
